@@ -12,7 +12,13 @@ from __future__ import annotations
 import concurrent.futures
 from dataclasses import dataclass, field as dc_field
 
-from .bounds import VeroneseParams, duality_partner, green_vanishing_bound, h0
+from .bounds import (
+    InvariantViolation,
+    VeroneseParams,
+    duality_partner,
+    green_vanishing_bound,
+    h0,
+)
 from .cache import BlockCache, CacheKey
 from .koszul import (
     BlockKey,
@@ -47,10 +53,38 @@ NONZERO = "NONZERO"
 SKIPPED = "SKIPPED"
 
 
-def _rank_block_worker(args: tuple[BlockKey, int]) -> tuple[BlockKey, int]:
-    key, prime = args
+def _rank_block(
+    key: BlockKey, prime: int, limits: ResourceLimits, rational_cap: int | None
+) -> tuple[int, bool]:
+    """GF(prime) rank of one block under the ceilings, and whether it was
+    also certified over the rationals (blocks within rational_cap)."""
     block = differential_block(key)
-    return key, sparse_rank(block, FieldSpec.prime(prime))
+    if block.ncols > limits.max_block_cols:
+        raise ResourceRefusal(
+            f"block {key} has {block.ncols} columns "
+            f"(ceiling {limits.max_block_cols})"
+        )
+    rank = sparse_rank(block, FieldSpec.prime(prime))
+    certified = rational_cap is not None and (
+        block.nrows <= rational_cap and block.ncols <= rational_cap
+    )
+    if certified:
+        exact = rational_rank(block, dense_limit=limits.dense_limit)
+        if exact != rank:
+            raise PrimeDisagreement(
+                f"rational rank {exact} != GF({prime}) rank {rank} at {key}"
+            )
+    return rank, certified
+
+
+def _rank_block_worker(args):
+    """Pool entry point: a refusal comes back as a value, so the parent can
+    meet it in serial order."""
+    key = args[0]
+    try:
+        return key, _rank_block(*args)
+    except ResourceRefusal as refusal:
+        return key, refusal
 
 
 class Engine:
@@ -98,26 +132,19 @@ class Engine:
         if hit is not None:
             self.stats["cache_hits"] += 1
             return hit
-        block = differential_block(key)
-        if block.ncols > self.limits.max_block_cols:
+        try:
+            rank, certified = _rank_block(key, prime, self.limits, self.rational_cap)
+        except ResourceRefusal:
             self.stats["refusals"] += 1
-            raise ResourceRefusal(
-                f"block {key} has {block.ncols} columns "
-                f"(ceiling {self.limits.max_block_cols})"
-            )
-        rank = sparse_rank(block, FieldSpec.prime(prime))
-        if self.rational_cap is not None and (
-            block.nrows <= self.rational_cap and block.ncols <= self.rational_cap
-        ):
-            exact = rational_rank(block, dense_limit=self.limits.dense_limit)
-            if exact != rank:
-                raise PrimeDisagreement(
-                    f"rational rank {exact} != GF({prime}) rank {rank} at {key}"
-                )
-            self.stats["rational_certified"] += 1
+            raise
+        self._store(ck, rank, certified)
+        return rank
+
+    def _store(self, ck: CacheKey, rank: int, certified: bool) -> None:
         self.cache.put(ck, rank)
         self.stats["blocks_ranked"] += 1
-        return rank
+        if certified:
+            self.stats["rational_certified"] += 1
 
     def block_rank(self, key: BlockKey) -> int:
         if self.field.kind == "rationals":
@@ -135,24 +162,36 @@ class Engine:
         return rank
 
     def _rank_blocks_bulk(self, keys: list[BlockKey]) -> dict[BlockKey, int]:
-        """Rank many blocks, optionally across a process pool."""
+        """Rank many blocks, optionally across a process pool.
+
+        Pool results are stored in the serial order of `keys`, up to the
+        first refused block; the serial pass that follows certifies at the
+        second prime and raises that refusal where a serial run would, so
+        ceilings, cache contents and certification match a serial run.
+        """
         out: dict[BlockKey, int] = {}
         if self.threads == 1 or self.field.kind == "rationals" or len(keys) < 4:
             for key in keys:
                 out[key] = self.block_rank(key)
             return out
-        todo = [
-            k for k in keys if self.cache.get(self._cache_key(k, self.field.p)) is None
-        ]
+        prime = self.field.p
+        todo = [k for k in keys if self.cache.get(self._cache_key(k, prime)) is None]
         with concurrent.futures.ProcessPoolExecutor(self.threads) as pool:
-            for key, rank in pool.map(
+            done = dict(pool.map(
                 _rank_block_worker,
-                [(k, self.field.p) for k in sorted(todo)],
+                [(k, prime, self.limits, self.rational_cap) for k in sorted(todo)],
                 chunksize=8,
-            ):
-                self.cache.put(self._cache_key(key, self.field.p), rank)
-                self.stats["blocks_ranked"] += 1
+            ))
+        for key in todo:
+            outcome = done[key]
+            if isinstance(outcome, ResourceRefusal):
+                break
+            self._store(self._cache_key(key, prime), *outcome)
         for key in keys:
+            outcome = done.get(key)
+            if isinstance(outcome, ResourceRefusal):
+                self.stats["refusals"] += 1
+                raise outcome
             out[key] = self.block_rank(key)
         return out
 
@@ -209,7 +248,8 @@ class Engine:
             r_out = ranks[BlockKey(n, d, b, p, q, rep)] if want_out else 0
             r_in = ranks[BlockKey(n, d, b, p + 1, q - 1, rep)] if want_in else 0
             hom = mid - r_out - r_in
-            assert hom >= 0, f"negative homology contribution at {rep}"
+            if hom < 0:
+                raise InvariantViolation(f"negative homology contribution at {rep}")
             total += count * hom
         return total
 

@@ -16,6 +16,15 @@ from dataclasses import dataclass
 from enum import Enum
 
 
+class InvariantViolation(RuntimeError):
+    """A mathematical invariant the computation relies on does not hold.
+
+    Raised explicitly rather than by `assert`, so `python -O` keeps the
+    check: a violated invariant means a wrong rank or a wrong basis, never
+    a result to report.
+    """
+
+
 def binom(a: int, k: int) -> int:
     """Binomial coefficient C(a, k), exact.
 
@@ -189,7 +198,10 @@ def projection_codim(params: VeroneseParams) -> int:
     """
     n, d = params.n, params.d
     s = binom(d + n - 1, n - 1)
-    assert s == h0(n, d) - h0(n, d - 1)
+    if s != h0(n, d) - h0(n, d - 1):
+        raise InvariantViolation(
+            f"projection_codim: C({d + n - 1}, {n - 1}) != h0({n}, {d}) - h0({n}, {d - 1})"
+        )
     return s
 
 

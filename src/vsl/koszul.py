@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import VeroneseParams, h0
+from .bounds import InvariantViolation, VeroneseParams, h0
 from .polyspace import MultiDegree, monomial_basis, mult_table
 
 
@@ -138,7 +138,8 @@ def space_blocks(n: int, d: int, p: int, m: int):
             (idx // nmon).astype(np.int64),
             (idx % nmon).astype(np.int64),
         )
-    assert sum(len(v[0]) for v in blocks.values()) == space_dim(n, d, p, m)
+    if sum(len(v[0]) for v in blocks.values()) != space_dim(n, d, p, m):
+        raise InvariantViolation(f"blocks of degree {m}, p={p} do not partition the space")
     return blocks
 
 
@@ -193,7 +194,8 @@ def differential_block(key: BlockKey) -> KoszulBlockMatrix:
     if m_src < 0 or src is None:
         return KoszulBlockMatrix(key, 0, 0, [])
     tgt = space_blocks(n, d, p - 1, m_src + d).get(mdeg)
-    assert tgt is not None, "deletion image left the multidegree slice"
+    if tgt is None:
+        raise InvariantViolation("deletion image left the multidegree slice")
     row_of = {
         (int(ts), int(tu)): r
         for r, (ts, tu) in enumerate(zip(tgt[0], tgt[1]))
@@ -210,10 +212,3 @@ def differential_block(key: BlockKey) -> KoszulBlockMatrix:
             entries.append((row_of[(int(tsubs[j]), int(tmons[j]))], col, signs[j]))
     return KoszulBlockMatrix(key, len(tgt[0]), len(src[0]), entries)
 
-
-def clear_assembly_caches() -> None:
-    """Drop memoized bases and block decompositions (for memory control)."""
-    wedge_subsets.cache_clear()
-    subset_index.cache_clear()
-    deletion_table.cache_clear()
-    space_blocks.cache_clear()

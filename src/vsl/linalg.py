@@ -9,8 +9,8 @@ run can be reproduced and cross-checked at a second prime.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -87,16 +87,6 @@ class FieldSpec:
         return f"GF({self.p})" if self.kind == "prime" else "QQ"
 
 
-def primes_from_seed(seed: int, count: int = 2) -> tuple[int, ...]:
-    """Deterministic choice of `count` distinct pinned primes from a seed."""
-    if count > len(PINNED_PRIMES):
-        raise ValueError("not enough pinned primes")
-    start = seed % len(PINNED_PRIMES)
-    return tuple(
-        PINNED_PRIMES[(start + i) % len(PINNED_PRIMES)] for i in range(count)
-    )
-
-
 class PrimeDisagreement(Exception):
     """Two pinned primes produced different ranks for the same block."""
 
@@ -108,7 +98,10 @@ def sparse_rank(block, field: FieldSpec) -> int:
     value) triples; later triples at the same position accumulate).  Pivots
     are chosen fill-aware: the active column with fewest entries, then the
     shortest row in it, ties broken by lowest index, so the elimination
-    order is deterministic.
+    order is deterministic.  Columns wait in a lazy min-heap keyed by
+    (entry count, column): a pivot step re-pushes only the columns of the
+    pivot row, the only ones whose counts it can change, and entries whose
+    column is gone or whose count is out of date are skipped when popped.
     """
     if field.kind != "prime":
         raise ValueError("sparse_rank runs over a prime field")
@@ -130,11 +123,16 @@ def sparse_rank_entries(entries, p: int) -> int:
         for c in row:
             cols.setdefault(c, set()).add(r)
 
+    queue = [(len(colset), c) for c, colset in cols.items()]
+    heapq.heapify(queue)
     rank = 0
-    while cols:
+    while queue:
         # Fill-aware pivot: fewest-entry column, then shortest row in it.
-        pc = min(cols, key=lambda c: (len(cols[c]), c))
-        pr = min(cols[pc], key=lambda r: (len(rows[r]), r))
+        count, pc = heapq.heappop(queue)
+        colset = cols.get(pc)
+        if colset is None or len(colset) != count:
+            continue
+        pr = min(colset, key=lambda r: (len(rows[r]), r))
         rank += 1
         prow = rows.pop(pr)
         for c in prow:
@@ -161,6 +159,10 @@ def sparse_rank_entries(entries, p: int) -> int:
                             del cols[c]
             if not row:
                 del rows[r]
+        for c in prow:
+            colset = cols.get(c)
+            if colset:
+                heapq.heappush(queue, (len(colset), c))
     return rank
 
 
@@ -233,26 +235,6 @@ def bareiss_rank(m: np.ndarray) -> int:
             below[:] = below * pv - np.outer(factors, m[rank, :])
             below[:] = below // prev
         prev = pv
-        rank += 1
-    return rank
-
-
-def rank_modp_fraction_check(m: np.ndarray) -> int:
-    """Reference rank over QQ via Fraction elimination (test oracle only)."""
-    rows = [[Fraction(int(x)) for x in row] for row in m]
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    rank = 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, nrows) if rows[r][col] != 0), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pv = rows[rank][col]
-        for r in range(rank + 1, nrows):
-            f = rows[r][col] / pv
-            if f:
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
         rank += 1
     return rank
 

@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .bounds import h0
+from .bounds import InvariantViolation, h0
 
 # A monomial is its exponent vector; a multidegree is the same kind of tuple
 # (coordinatewise total torus weight of a wedge-tensor basis element).
@@ -43,7 +43,8 @@ def monomial_basis(n: int, m: int) -> tuple[Monomial, ...]:
             e[i] += 1
         exps.append(tuple(e))
     exps.sort(key=lambda e: tuple(reversed(e)))
-    assert len(exps) == h0(n, m)
+    if len(exps) != h0(n, m):
+        raise InvariantViolation(f"monomial_basis({n}, {m}) has {len(exps)} elements")
     return tuple(exps)
 
 
@@ -88,7 +89,8 @@ def restriction_split(n: int, d: int) -> tuple[tuple[int, ...], tuple[int, ...]]
     basis = monomial_basis(n, d)
     divisible = tuple(i for i, mono in enumerate(basis) if mono[0] > 0)
     transversal = tuple(i for i, mono in enumerate(basis) if mono[0] == 0)
-    assert len(divisible) + len(transversal) == len(basis)
+    if len(divisible) + len(transversal) != len(basis):
+        raise InvariantViolation("restriction_split does not partition the basis")
     return divisible, transversal
 
 

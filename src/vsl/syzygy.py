@@ -15,7 +15,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .bounds import VeroneseParams, binom, h0, projection_codim
+from .bounds import InvariantViolation, VeroneseParams, binom, h0, projection_codim
 from .betti import Engine
 from .koszul import BlockKey, differential_block, space_blocks, wedge_subsets
 from .linalg import dense_rank_mod, nullspace_mod, rref_mod, solve_mod
@@ -199,9 +199,10 @@ def cycle_basis(params: VeroneseParams, p: int, q: int, engine: Engine) -> list[
             }
             classes.append(KoszulClass(space, coeffs))
     expected = engine.kpq_dim(params, p, q)
-    assert len(classes) == expected, (
-        f"cycle count {len(classes)} != homology dimension {expected}"
-    )
+    if len(classes) != expected:
+        raise InvariantViolation(
+            f"cycle count {len(classes)} != homology dimension {expected}"
+        )
     return classes
 
 
@@ -379,7 +380,8 @@ def is_boundary(cls: KoszulClass) -> tuple[bool, ChainCoeffs | None]:
         for i in np.nonzero(x)[0]:
             witness[up_elements[int(i)]] = int(x[i])
     check = apply_differential(up, witness)
-    assert normalize(space, check) == cls.coeffs
+    if normalize(space, check) != cls.coeffs:
+        raise InvariantViolation("boundary witness does not map onto the class")
     return True, witness
 
 
@@ -494,7 +496,8 @@ def projection_factor_check(
     for key, val in bdry.items():
         residual[key] = (residual.get(key, 0) - val) % prime
     residual = {k: v for k, v in residual.items() if v}
-    assert all(set(sub) <= allowed for (sub, _ui) in residual)
+    if not all(set(sub) <= allowed for (sub, _ui) in residual):
+        raise InvariantViolation("factorization residual leaves the hyperplane forms")
     return {"factors": True, "witness": witness, "residual_support": len(residual)}
 
 
@@ -551,7 +554,10 @@ def theorem_chain_check(params: VeroneseParams, p: int, engine: Engine) -> dict:
         if first:
             ok = False
             notes.append("first fails the vanishing threshold")
-        assert p - s >= green_bound
+        if p - s < green_bound:
+            raise InvariantViolation(
+                f"p - s = {p - s} below the Green bound {green_bound} of the second map"
+            )
     return {
         "params": params.label(),
         "p": p,

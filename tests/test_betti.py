@@ -1,8 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
+
+import vsl
 
 from vsl.bounds import VeroneseParams, binom, h0
 from vsl.betti import (
@@ -219,3 +225,52 @@ def test_threaded_engine_matches_serial(eng):
     for q in (1, 2):
         for p in range(0, 7):
             assert threaded.kpq_dim(pr, p, q) == eng.kpq_dim(pr, p, q)
+
+
+def _cubic_table(**engine_options):
+    engine = Engine(FieldSpec.prime(PINNED_PRIMES[0]), **engine_options)
+    return engine, betti_table(VeroneseParams(2, 3), engine)
+
+
+def test_threaded_engine_enforces_block_ceiling():
+    limits = ResourceLimits(max_block_cols=20)
+    serial_engine, serial = _cubic_table(limits=limits)
+    pooled_engine, pooled = _cubic_table(limits=limits, threads=2)
+    assert len(serial.skipped) == 23
+    assert pooled.to_json_dict() == serial.to_json_dict()
+    assert pooled_engine.stats["refusals"] == serial_engine.stats["refusals"]
+    # the same blocks reach the cache, in the same order
+    assert list(pooled_engine.cache.ranks.items()) == list(serial_engine.cache.ranks.items())
+
+
+def test_threaded_engine_certifies_over_rationals():
+    serial_engine, serial = _cubic_table(rational_cap=2000)
+    pooled_engine, pooled = _cubic_table(rational_cap=2000, threads=2)
+    assert serial_engine.stats["rational_certified"] == 953
+    assert pooled_engine.stats["rational_certified"] == 953
+    assert pooled.to_json_dict() == serial.to_json_dict()
+
+
+def test_invariant_checks_survive_optimized_mode():
+    # `python -O` strips asserts; an overcounted rank must still be refused
+    script = textwrap.dedent("""
+        import vsl.betti as betti
+        from vsl import Engine, FieldSpec, InvariantViolation, PINNED_PRIMES, VeroneseParams
+        real = betti.sparse_rank
+        betti.sparse_rank = lambda block, field: real(block, field) + 1
+        engine = Engine(FieldSpec.prime(PINNED_PRIMES[0]))
+        try:
+            engine.kpq_dim(VeroneseParams(1, 3), 1, 1)
+        except InvariantViolation as exc:
+            print("InvariantViolation:", exc)
+        print("debug" if __debug__ else "optimized")
+    """)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(vsl.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[-1] == "optimized"
+    assert lines[0].startswith("InvariantViolation: negative homology")

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vsl.harness import dense_differential
 from vsl.koszul import BlockKey, KoszulBlockMatrix, differential_block
@@ -15,8 +17,6 @@ from vsl.linalg import (
     dense_rank_mod,
     is_prime,
     nullspace_mod,
-    primes_from_seed,
-    rank_modp_fraction_check,
     rational_rank,
     rref_mod,
     solve_mod,
@@ -31,6 +31,36 @@ FIELD = FieldSpec.prime(P)
 def _block(entries, nrows, ncols) -> KoszulBlockMatrix:
     key = BlockKey(1, 1, 0, 1, 1, (0, 0))
     return KoszulBlockMatrix(key, nrows, ncols, list(entries))
+
+
+def primes_from_seed(seed: int, count: int = 2) -> tuple[int, ...]:
+    """Deterministic choice of `count` distinct pinned primes from a seed."""
+    if count > len(PINNED_PRIMES):
+        raise ValueError("not enough pinned primes")
+    start = seed % len(PINNED_PRIMES)
+    return tuple(
+        PINNED_PRIMES[(start + i) % len(PINNED_PRIMES)] for i in range(count)
+    )
+
+
+def rank_modp_fraction_check(m: np.ndarray) -> int:
+    """Reference rank over QQ via Fraction elimination."""
+    rows = [[Fraction(int(x)) for x in row] for row in m]
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    rank = 0
+    for col in range(ncols):
+        piv = next((r for r in range(rank, nrows) if rows[r][col] != 0), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        pv = rows[rank][col]
+        for r in range(rank + 1, nrows):
+            f = rows[r][col] / pv
+            if f:
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
 
 
 def test_pinned_primes_are_31_bit_primes_descending():
@@ -104,6 +134,41 @@ def test_rank_routes_agree_on_random_sign_matrices():
         assert sparse_rank_entries(entries, P) == expected
         assert bareiss_rank(a.astype(object)) == expected
         assert rational_rank(_block(entries, nrows, ncols)) == expected
+
+
+@st.composite
+def sign_triples_with_cancellation(draw):
+    """Sparse +-1 triples with repeated positions, some of them cancelling,
+    plus rows repeated or scaled into other rows.  The flags mark triples to
+    write as their residue mod p, so -1 becomes p-1 and a pair can sum to 0
+    mod p without summing to 0."""
+    nrows = draw(st.integers(1, 12))
+    ncols = draw(st.integers(1, 12))
+    cell = st.tuples(
+        st.integers(0, nrows - 1), st.integers(0, ncols - 1), st.sampled_from((1, -1))
+    )
+    entries = draw(st.lists(cell, max_size=60))
+    if entries:
+        for r, c, v in draw(st.lists(st.sampled_from(entries), max_size=15)):
+            entries.append((r, c, draw(st.sampled_from((v, -v)))))
+    for _ in range(draw(st.integers(0, 4))):
+        src, dst = draw(st.integers(0, nrows - 1)), draw(st.integers(0, nrows - 1))
+        scale = draw(st.sampled_from((1, -1, 2, -3)))
+        entries += [(dst, c, scale * v) for r, c, v in list(entries) if r == src]
+    flags = draw(st.lists(st.booleans(), min_size=len(entries), max_size=len(entries)))
+    return nrows, ncols, entries, flags
+
+
+@pytest.mark.parametrize("prime", PINNED_PRIMES[:2])
+@settings(max_examples=150, deadline=None)
+@given(case=sign_triples_with_cancellation())
+def test_sparse_rank_matches_dense_under_cancellation(prime, case):
+    nrows, ncols, entries, flags = case
+    entries = [(r, c, v % prime if f else v) for (r, c, v), f in zip(entries, flags)]
+    a = np.zeros((nrows, ncols), dtype=np.int64)
+    for r, c, v in entries:
+        a[r, c] += v
+    assert sparse_rank_entries(entries, prime) == dense_rank_mod(a, prime)
 
 
 def test_full_matrix_rank_for_line_quadric():
