@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import concurrent.futures
 from dataclasses import dataclass, field as dc_field
+from itertools import repeat
 
 from .bounds import (
     InvariantViolation,
@@ -53,38 +54,33 @@ NONZERO = "NONZERO"
 SKIPPED = "SKIPPED"
 
 
-def _rank_block(
-    key: BlockKey, prime: int, limits: ResourceLimits, rational_cap: int | None
-) -> tuple[int, bool]:
-    """GF(prime) rank of one block under the ceilings, and whether it was
-    also certified over the rationals (blocks within rational_cap)."""
+def _rank_job(
+    key: BlockKey, primes: tuple[int, ...], limits: ResourceLimits, rational_cap: int | None
+) -> tuple[dict[int, int], int | None] | ResourceRefusal:
+    """Assemble one block once and rank it: the Engine's only rank work.
+
+    The column ceiling is applied here and a refusal is returned as a
+    value, so a pooled run can meet it in serial order.  The block is
+    ranked at every prime in `primes`, and over the rationals when both
+    sides are within rational_cap, or always when `primes` is empty (the
+    rationals engine).  Returns ({prime: rank}, rational rank or None);
+    `Engine._rank_blocks` compares these ranks and stores them.
+    """
     block = differential_block(key)
     if block.ncols > limits.max_block_cols:
-        raise ResourceRefusal(
+        return ResourceRefusal(
             f"block {key} has {block.ncols} columns "
             f"(ceiling {limits.max_block_cols})"
         )
-    rank = sparse_rank(block, FieldSpec.prime(prime))
-    certified = rational_cap is not None and (
-        block.nrows <= rational_cap and block.ncols <= rational_cap
-    )
-    if certified:
+    ranks = {prime: sparse_rank(block, FieldSpec.prime(prime)) for prime in primes}
+    exact = None
+    if not primes or (
+        rational_cap is not None
+        and block.nrows <= rational_cap
+        and block.ncols <= rational_cap
+    ):
         exact = rational_rank(block, dense_limit=limits.dense_limit)
-        if exact != rank:
-            raise PrimeDisagreement(
-                f"rational rank {exact} != GF({prime}) rank {rank} at {key}"
-            )
-    return rank, certified
-
-
-def _rank_block_worker(args):
-    """Pool entry point: a refusal comes back as a value, so the parent can
-    meet it in serial order."""
-    key = args[0]
-    try:
-        return key, _rank_block(*args)
-    except ResourceRefusal as refusal:
-        return key, refusal
+    return ranks, exact
 
 
 class Engine:
@@ -94,6 +90,14 @@ class Engine:
     recomputed there and a mismatch raises PrimeDisagreement (never
     averaged away).  rational_cap: blocks with both sides at most this
     size are additionally certified by fraction-free rational elimination.
+
+    Block ranks go through one path: `_rank_job` applies the column
+    ceiling and computes the prime and rational ranks, serially or in a
+    process pool; `_rank_blocks` then compares the rational rank with each
+    fresh prime rank, stores ranks in key and prime order, compares the
+    two primes, and raises a refusal at the key where a serial run meets
+    it.  Reports, cache files and stats therefore do not depend on
+    `threads`.
     """
 
     def __init__(
@@ -126,91 +130,72 @@ class Engine:
     def _cache_key(self, key: BlockKey, prime: int) -> CacheKey:
         return (key.n, key.d, key.b, key.p, key.q, key.mdeg, prime)
 
-    def _rank_block_at(self, key: BlockKey, prime: int) -> int:
-        ck = self._cache_key(key, prime)
-        hit = self.cache.get(ck)
-        if hit is not None:
-            self.stats["cache_hits"] += 1
-            return hit
-        try:
-            rank, certified = _rank_block(key, prime, self.limits, self.rational_cap)
-        except ResourceRefusal:
-            self.stats["refusals"] += 1
-            raise
-        self._store(ck, rank, certified)
-        return rank
+    def _rank_blocks(self, keys: list[BlockKey]) -> dict[BlockKey, int]:
+        """Rank blocks through `_rank_job`, serially or across a process pool.
 
-    def _store(self, ck: CacheKey, rank: int, certified: bool) -> None:
-        self.cache.put(ck, rank)
-        self.stats["blocks_ranked"] += 1
-        if certified:
-            self.stats["rational_certified"] += 1
-
-    def block_rank(self, key: BlockKey) -> int:
-        if self.field.kind == "rationals":
-            block = differential_block(key)
-            return rational_rank(block, dense_limit=self.limits.dense_limit)
-        rank = self._rank_block_at(key, self.field.p)
-        if self.certify_prime is not None:
-            other = self._rank_block_at(key, self.certify_prime)
-            self.stats["dual_prime_checks"] += 1
-            if other != rank:
-                raise PrimeDisagreement(
-                    f"GF({self.field.p}) rank {rank} != "
-                    f"GF({self.certify_prime}) rank {other} at {key}"
-                )
-        return rank
-
-    def _rank_blocks_bulk(self, keys: list[BlockKey]) -> dict[BlockKey, int]:
-        """Rank many blocks, optionally across a process pool.
-
-        Pool results are stored in the serial order of `keys`, up to the
-        first refused block; the serial pass that follows certifies at the
-        second prime and raises that refusal where a serial run would, so
-        ceilings, cache contents and certification match a serial run.
+        Jobs cover the keys with an uncached engine prime (every key for
+        the rationals engine).  A serial run maps them lazily, so it stops
+        at the first refusal; a pool runs them all, in sorted key order.
+        Either way their results are checked and stored in `keys` order.
         """
+        primes = []
+        if self.field.kind == "prime":
+            primes = [self.field.p]
+            if self.certify_prime is not None:
+                primes.append(self.certify_prime)
+        cached = {
+            key: {prime: self.cache.get(self._cache_key(key, prime)) for prime in primes}
+            for key in keys
+        }
+        todo = {
+            key: tuple(prime for prime, rank in found.items() if rank is None)
+            for key, found in cached.items()
+            if not primes or None in found.values()
+        }
+        fixed = (repeat(self.limits), repeat(self.rational_cap))
+        if self.threads > 1 and len(todo) >= 4:
+            order = sorted(todo)
+            with concurrent.futures.ProcessPoolExecutor(self.threads) as pool:
+                done = dict(zip(order, pool.map(
+                    _rank_job, order, map(todo.get, order), *fixed, chunksize=8
+                )))
+            outcomes = map(done.get, todo)
+        else:
+            outcomes = map(_rank_job, todo, todo.values(), *fixed)
         out: dict[BlockKey, int] = {}
-        if self.threads == 1 or self.field.kind == "rationals" or len(keys) < 4:
-            for key in keys:
-                out[key] = self.block_rank(key)
-            return out
-        prime = self.field.p
-        todo = [k for k in keys if self.cache.get(self._cache_key(k, prime)) is None]
-        with concurrent.futures.ProcessPoolExecutor(self.threads) as pool:
-            done = dict(pool.map(
-                _rank_block_worker,
-                [(k, prime, self.limits, self.rational_cap) for k in sorted(todo)],
-                chunksize=8,
-            ))
-        for key in todo:
-            outcome = done[key]
-            if isinstance(outcome, ResourceRefusal):
-                break
-            self._store(self._cache_key(key, prime), *outcome)
         for key in keys:
-            outcome = done.get(key)
-            if isinstance(outcome, ResourceRefusal):
-                self.stats["refusals"] += 1
-                raise outcome
-            out[key] = self.block_rank(key)
+            fresh, exact = {}, None
+            if key in todo:
+                outcome = next(outcomes)
+                if isinstance(outcome, ResourceRefusal):
+                    self.stats["refusals"] += 1
+                    raise outcome
+                fresh, exact = outcome
+            ranks = []
+            for prime, rank in cached[key].items():
+                if rank is not None:
+                    self.stats["cache_hits"] += 1
+                else:
+                    rank = fresh[prime]
+                    if exact is not None and exact != rank:
+                        raise PrimeDisagreement(
+                            f"rational rank {exact} != GF({prime}) rank {rank} at {key}"
+                        )
+                    self.cache.put(self._cache_key(key, prime), rank)
+                    self.stats["blocks_ranked"] += 1
+                    self.stats["rational_certified"] += exact is not None
+                ranks.append(rank)
+            if len(ranks) == 2:
+                self.stats["dual_prime_checks"] += 1
+                if ranks[0] != ranks[1]:
+                    raise PrimeDisagreement(
+                        f"GF({primes[0]}) rank {ranks[0]} != "
+                        f"GF({primes[1]}) rank {ranks[1]} at {key}"
+                    )
+            out[key] = ranks[0] if ranks else exact
         return out
 
-    # -- differential and homology ranks ----------------------------------
-
-    def differential_rank(self, params: VeroneseParams, p: int, q: int) -> int:
-        """Rank of the differential leaving (wedge^p V) (x) H0(b+qd)."""
-        n, d, b = params.n, params.d, params.b
-        m_src = b + q * d
-        if p < 1 or p > h0(n, d) or m_src < 0:
-            return 0
-        self._check_space(params, p, m_src)
-        blocks = space_blocks(n, d, p, m_src)
-        orbits = orbit_reduce(blocks.keys())
-        keys = [BlockKey(n, d, b, p, q, rep) for rep, _ in orbits]
-        ranks = self._rank_blocks_bulk(keys)
-        return sum(
-            count * ranks[BlockKey(n, d, b, p, q, rep)] for rep, count in orbits
-        )
+    # -- homology ranks ----------------------------------------------------
 
     def _check_space(self, params: VeroneseParams, p: int, m: int) -> None:
         dim = space_dim(params.n, params.d, p, m)
@@ -241,7 +226,7 @@ class Engine:
         keys_in = (
             [BlockKey(n, d, b, p + 1, q - 1, rep) for rep, _ in orbits] if want_in else []
         )
-        ranks = self._rank_blocks_bulk(keys_out + keys_in)
+        ranks = self._rank_blocks(keys_out + keys_in)
         total = 0
         for rep, count in orbits:
             mid = len(mid_blocks[rep][0])

@@ -219,7 +219,7 @@ def cmd_verify(opts: Options) -> int:
     return 0 if report.ok() else 1
 
 
-def _load_points(raw: str, n: int, prime: int, seed: int, params: VeroneseParams):
+def _load_points(raw: str, prime: int, seed: int, params: VeroneseParams):
     if raw == "random":
         return sample_general_points(params, prime, seed)
     with open(raw, encoding="utf-8") as fh:
@@ -235,7 +235,7 @@ def cmd_maps_ev(opts: Options) -> int:
     if p is None:
         raise SystemExit("--p is required")
     seed = opts.get_int("seed", 0)
-    points = _load_points(opts.get("points", "random"), params.n, prime, seed, params)
+    points = _load_points(opts.get("points", "random"), prime, seed, params)
     s = projection_codim(params)
     classes = cycle_basis(params, p, 1, engine)
     target_basis = cycle_basis(params, p - s, 1, engine) if p - s >= 0 else []

@@ -227,28 +227,60 @@ def test_threaded_engine_matches_serial(eng):
             assert threaded.kpq_dim(pr, p, q) == eng.kpq_dim(pr, p, q)
 
 
-def _cubic_table(**engine_options):
-    engine = Engine(FieldSpec.prime(PINNED_PRIMES[0]), **engine_options)
+def _cubic_table(cache_dir, **engine_options):
+    engine = Engine(
+        FieldSpec.prime(PINNED_PRIMES[0]), cache=BlockCache.open(cache_dir), **engine_options
+    )
     return engine, betti_table(VeroneseParams(2, 3), engine)
 
 
-def test_threaded_engine_enforces_block_ceiling():
-    limits = ResourceLimits(max_block_cols=20)
-    serial_engine, serial = _cubic_table(limits=limits)
-    pooled_engine, pooled = _cubic_table(limits=limits, threads=2)
-    assert len(serial.skipped) == 23
+def _pooled_matches_serial(tmp_path, serial_run, **engine_options):
+    """Rerun the (2,3) table in a pool: the report, the cache contents in
+    order, the cache file and the engine stats must equal the serial run's."""
+    serial_engine, serial = serial_run
+    pooled_engine, pooled = _cubic_table(tmp_path / "pooled", threads=2, **engine_options)
     assert pooled.to_json_dict() == serial.to_json_dict()
-    assert pooled_engine.stats["refusals"] == serial_engine.stats["refusals"]
-    # the same blocks reach the cache, in the same order
+    assert pooled_engine.stats == serial_engine.stats
     assert list(pooled_engine.cache.ranks.items()) == list(serial_engine.cache.ranks.items())
+    files = [tmp_path / side / "blocks.jsonl" for side in ("serial", "pooled")]
+    assert files[0].read_bytes() == files[1].read_bytes()
 
 
-def test_threaded_engine_certifies_over_rationals():
-    serial_engine, serial = _cubic_table(rational_cap=2000)
-    pooled_engine, pooled = _cubic_table(rational_cap=2000, threads=2)
-    assert serial_engine.stats["rational_certified"] == 953
-    assert pooled_engine.stats["rational_certified"] == 953
-    assert pooled.to_json_dict() == serial.to_json_dict()
+def test_threaded_engine_enforces_block_ceiling(tmp_path):
+    limits = ResourceLimits(max_block_cols=20)
+    serial_run = _cubic_table(tmp_path / "serial", limits=limits)
+    assert len(serial_run[1].skipped) == 23
+    _pooled_matches_serial(tmp_path, serial_run, limits=limits)
+
+
+def test_threaded_engine_certifies_over_rationals(tmp_path):
+    for certify_prime, certified in ((None, 953), (PINNED_PRIMES[1], 2 * 953)):
+        options = dict(rational_cap=2000, certify_prime=certify_prime)
+        run_dir = tmp_path / str(certify_prime)
+        calls = {"rational_rank": [], "differential_block": []}
+
+        def counting(name, key_of):
+            real = getattr(vsl.betti, name)
+
+            def counted(*args, **kwargs):
+                calls[name].append(key_of(args[0]))
+                return real(*args, **kwargs)
+            return counted
+
+        with pytest.MonkeyPatch.context() as mp:
+            for name, key_of in (
+                ("rational_rank", lambda block: block.key),
+                ("differential_block", lambda key: key),
+            ):
+                mp.setattr(vsl.betti, name, counting(name, key_of))
+            serial_run = _cubic_table(run_dir / "serial", **options)
+        # one assembly and one rational elimination per distinct block,
+        # however many primes rank it; each stored rank of it is certified
+        for keys in calls.values():
+            assert keys and len(keys) == len(set(keys))
+        assert len(calls["rational_rank"]) == 953
+        assert serial_run[0].stats["rational_certified"] == certified
+        _pooled_matches_serial(run_dir, serial_run, **options)
 
 
 def test_invariant_checks_survive_optimized_mode():
