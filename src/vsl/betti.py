@@ -115,7 +115,9 @@ class Engine:
         self.threads = max(1, threads)
         self.certify_prime = certify_prime
         self.rational_cap = rational_cap
-        if certify_prime is not None and field.kind == "prime" and certify_prime == field.p:
+        if certify_prime is not None and field.kind != "prime":
+            raise ValueError("a certification prime needs a prime field engine")
+        if certify_prime is not None and certify_prime == field.p:
             raise ValueError("certification prime must differ from the primary prime")
         self.stats = {
             "blocks_ranked": 0,

@@ -26,12 +26,11 @@ from .bounds import (
 )
 from .betti import Engine, ResourceRefusal, duality_check, euler_check
 from .cache import BlockCache
-from .koszul import BlockKey, differential_block, space_blocks, orbit_reduce
+from .koszul import BlockKey, differential_block, space_blocks
 from .linalg import FieldSpec, PINNED_PRIMES, dense_rank_mod, sparse_rank
 from .polyspace import monomial_basis, monomial_index, multiply
 from .syzygy import (
     ChainSpace,
-    KoszulClass,
     apply_differential,
     contract_chain,
     cycle_basis,
@@ -285,22 +284,15 @@ class SelfTestResult:
 
 def _compose_blocks(a, b) -> bool:
     """Is the composite of two sparse blocks zero (b applied after a)?"""
-    rows_a: dict[int, dict[int, int]] = {}
-    for r, c, v in a.entries:
-        rows_a.setdefault(c, {})[r] = rows_a.setdefault(c, {}).get(r, 0) + v
-    out: dict[tuple[int, int], int] = {}
-    rows_b: dict[int, dict[int, int]] = {}
-    for r, c, v in b.entries:
-        rows_b.setdefault(c, {})[r] = rows_b.setdefault(c, {}).get(r, 0) + v
-    for col, mids in rows_a.items():
-        acc: dict[int, int] = {}
-        for mid, v1 in mids.items():
-            for r, v2 in rows_b.get(mid, {}).items():
-                acc[r] = acc.get(r, 0) + v1 * v2
-        for r, v in acc.items():
-            if v:
-                out[(r, col)] = v
-    return not out
+    if not a.entries or not b.entries:
+        return True
+    dense = []
+    for blk in (a, b):
+        m = np.zeros((blk.nrows, blk.ncols), dtype=np.int64)
+        rows, cols, vals = np.array(blk.entries, dtype=np.int64).T
+        np.add.at(m, (rows, cols), vals)
+        dense.append(m)
+    return not (dense[1] @ dense[0]).any()
 
 
 def selftest(fast: bool = False) -> SelfTestResult:

@@ -20,12 +20,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, factorial
+from math import comb
 from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import InvariantViolation, VeroneseParams, h0
+from .bounds import InvariantViolation, h0
 from .polyspace import MultiDegree, monomial_basis, mult_table
 
 
@@ -143,25 +143,9 @@ def space_blocks(n: int, d: int, p: int, m: int):
     return blocks
 
 
-def block_multidegrees(params: VeroneseParams, p: int, q: int) -> list[tuple[MultiDegree, int]]:
-    """Multidegrees of the middle space at (p, q) with their slice sizes,
-    largest multidegree first."""
-    m = params.b + q * params.d
-    blocks = space_blocks(params.n, params.d, p, m)
-    return [(w, len(blocks[w][0])) for w in sorted(blocks, reverse=True)]
-
-
 def orbit_rep(mdeg: MultiDegree) -> MultiDegree:
     """Canonical representative of a multidegree under coordinate permutation."""
     return tuple(sorted(mdeg, reverse=True))
-
-
-def rep_orbit_size(rep: MultiDegree) -> int:
-    """Number of distinct coordinate permutations of a multidegree."""
-    size = factorial(len(rep))
-    for w in set(rep):
-        size //= factorial(rep.count(w))
-    return size
 
 
 def orbit_reduce(mdegs) -> list[tuple[MultiDegree, int]]:

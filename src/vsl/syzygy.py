@@ -11,7 +11,8 @@ number of degree-d monomials free of x_0.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field as dc_field
+from collections.abc import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -154,13 +155,31 @@ def _dense_block(key: BlockKey) -> np.ndarray:
     return a
 
 
+def _block_system(
+    space: ChainSpace, mdeg, nmid: int, extra: np.ndarray
+) -> tuple[np.ndarray, int]:
+    """[incoming image | extra] over the nmid elements of block mdeg, and the
+    image's width (0 when the incoming term vanishes or its block is empty)."""
+    params = space.params
+    a_in = None
+    if params.b + (space.q - 1) * params.d >= 0 and space.p + 1 <= h0(params.n, params.d):
+        a_in = _dense_block(_block_key(space.shifted(+1, -1), mdeg))
+    width = a_in.shape[1] if a_in is not None else 0
+    a = np.zeros((nmid, width + extra.shape[1]), dtype=np.int64)
+    if width:
+        a[:, :width] = a_in
+    a[:, width:] = extra
+    return a, width
+
+
 def cycle_basis(params: VeroneseParams, p: int, q: int, engine: Engine) -> list[KoszulClass]:
     """Representatives of a basis of K_{p,q}, one multidegree block at a time.
 
     Within each block: kernel vectors of the outgoing differential, kept
-    only when independent modulo the incoming image.  The total count must
-    agree with the blockwise dimension computation, and does by construction
-    of both paths from the same block matrices.
+    only when independent modulo the incoming image and the vectors kept
+    before them (the pivot columns of the echelonized [image | kernel]).
+    The total count must agree with the blockwise dimension computation,
+    and does by construction of both paths from the same block matrices.
     """
     if engine.field.kind != "prime":
         raise ValueError("cycle_basis needs a prime field engine")
@@ -171,32 +190,22 @@ def cycle_basis(params: VeroneseParams, p: int, q: int, engine: Engine) -> list[
         return []
     blocks = space_blocks(n, d, p, space.m)
     classes: list[KoszulClass] = []
-    m_in = params.b + (q - 1) * d
     for mdeg in sorted(blocks, reverse=True):
         elements = _block_elements(space, mdeg)
         nmid = len(elements)
         if p >= 1:
-            a_out = _dense_block(_block_key(space, mdeg))
-            kern = nullspace_mod(a_out, prime)
+            kern = nullspace_mod(_dense_block(_block_key(space, mdeg)), prime)
         else:
             kern = np.eye(nmid, dtype=np.int64)
         if kern.shape[1] == 0:
             continue
-        rows: list[np.ndarray] = []
-        if m_in >= 0 and p + 1 <= h0(n, d):
-            a_in = _dense_block(_block_key(space.shifted(+1, -1), mdeg))
-            if a_in.shape[1]:
-                img_rref, piv = rref_mod(a_in.T, prime)
-                rows = [img_rref[i] for i in range(len(piv))]
-        for k in range(kern.shape[1]):
-            vec = kern[:, k] % prime
-            residue = _reduce_against(vec, rows, prime)
-            if residue is None:
+        a, width = _block_system(space, mdeg, nmid, kern % prime)
+        _, pivots = rref_mod(a, prime)
+        for c in pivots:
+            if c < width:
                 continue
-            rows.append(residue)
-            coeffs = {
-                elements[i]: int(vec[i]) for i in np.nonzero(vec)[0]
-            }
+            vec = a[:, c]
+            coeffs = {elements[i]: int(vec[i]) for i in np.nonzero(vec)[0]}
             classes.append(KoszulClass(space, coeffs))
     expected = engine.kpq_dim(params, p, q)
     if len(classes) != expected:
@@ -204,20 +213,6 @@ def cycle_basis(params: VeroneseParams, p: int, q: int, engine: Engine) -> list[
             f"cycle count {len(classes)} != homology dimension {expected}"
         )
     return classes
-
-
-def _reduce_against(vec: np.ndarray, rows: list[np.ndarray], prime: int):
-    """Reduce vec by echelonized rows; None if it vanishes, else the reduced
-    vector normalized to leading coefficient 1 (appended-row form)."""
-    v = vec % prime
-    for row in rows:
-        lead = int(np.nonzero(row)[0][0])
-        if v[lead]:
-            v = (v - int(v[lead]) * row) % prime
-    nz = np.nonzero(v)[0]
-    if nz.size == 0:
-        return None
-    return v * pow(int(v[nz[0]]), -1, prime) % prime
 
 
 # -- evaluation maps ----------------------------------------------------------
@@ -238,12 +233,7 @@ def ev_point(cls: KoszulClass, point: PointOverField) -> KoszulClass:
     if point.prime != space.prime:
         raise ValueError("point lives over a different prime")
     phi = point_functional(space.params, point)
-    out: ChainCoeffs = {}
-    for (sub, ui), val in cls.coeffs.items():
-        for rest, c in contract_terms(sub, phi, space.prime):
-            key = (rest, ui)
-            out[key] = (out.get(key, 0) + val * c) % space.prime
-    return KoszulClass(space.shifted(-1, 0), out)
+    return KoszulClass(space.shifted(-1, 0), contract_chain(space, cls.coeffs, phi))
 
 
 def contract_chain(
@@ -355,31 +345,49 @@ def _block_vector(
     return v
 
 
+def _solve_in_block(
+    space: ChainSpace,
+    coeffs: ChainCoeffs,
+    mdeg,
+    extra: Callable[[list[ChainKey]], np.ndarray] | None = None,
+) -> tuple[ChainCoeffs, np.ndarray] | None:
+    """Solve the block-mdeg part of coeffs = d(y) + extra * z.
+
+    extra, if given, maps the block's elements to the columns of z.  Returns
+    (y as a chain of the incoming term, z), or None when the block has no
+    solution.
+    """
+    elements = _block_elements(space, mdeg)
+    target = _block_vector(space, coeffs, mdeg, elements)
+    if extra is None:
+        cols = np.zeros((len(elements), 0), dtype=np.int64)
+    else:
+        cols = extra(elements)
+    a, width = _block_system(space, mdeg, len(elements), cols)
+    x = solve_mod(a, target, space.prime)
+    if x is None:
+        return None
+    y: ChainCoeffs = {}
+    if width:
+        up_elements = _block_elements(space.shifted(+1, -1), mdeg)
+        for i in np.nonzero(x[:width])[0]:
+            y[up_elements[int(i)]] = int(x[i])
+    return y, x[width:]
+
+
 def is_boundary(cls: KoszulClass) -> tuple[bool, ChainCoeffs | None]:
     """Decide membership in the image of the incoming differential, block by
     block; on success returns a preimage chain as witness."""
     space = cls.space
-    params = space.params
-    m_in = params.b + (space.q - 1) * params.d
     if not cls.coeffs:
         return True, {}
-    if m_in < 0 or space.p + 1 > h0(params.n, params.d):
-        return False, None
-    up = space.shifted(+1, -1)
     witness: ChainCoeffs = {}
     for mdeg in _support_mdegs(space, cls.coeffs):
-        elements = _block_elements(space, mdeg)
-        target = _block_vector(space, cls.coeffs, mdeg, elements)
-        a_in = _dense_block(_block_key(up, mdeg))
-        if a_in.shape[1] == 0:
+        solved = _solve_in_block(space, cls.coeffs, mdeg)
+        if solved is None:
             return False, None
-        x = solve_mod(a_in, target, space.prime)
-        if x is None:
-            return False, None
-        up_elements = _block_elements(up, mdeg)
-        for i in np.nonzero(x)[0]:
-            witness[up_elements[int(i)]] = int(x[i])
-    check = apply_differential(up, witness)
+        witness.update(solved[0])
+    check = apply_differential(space.shifted(+1, -1), witness)
     if normalize(space, check) != cls.coeffs:
         raise InvariantViolation("boundary witness does not map onto the class")
     return True, witness
@@ -393,38 +401,22 @@ def homology_coordinates(
     space = cls.space
     prime = space.prime
     coords = np.zeros(len(basis), dtype=np.int64)
-    params = space.params
-    m_in = params.b + (space.q - 1) * params.d
-    up = space.shifted(+1, -1)
-    support = _support_mdegs(space, cls.coeffs)
-    for mdeg in support:
-        elements = _block_elements(space, mdeg)
-        target = _block_vector(space, cls.coeffs, mdeg, elements)
-        cols: list[np.ndarray] = []
-        owners: list[int] = []
-        for idx, b in enumerate(basis):
-            if b.space != space:
-                raise ValueError("basis class in a different space")
-            vec = _block_vector(space, b.coeffs, mdeg, elements)
-            if vec.any():
-                cols.append(vec)
-                owners.append(idx)
-        a_in = None
-        if m_in >= 0 and space.p + 1 <= h0(params.n, params.d):
-            a_in = _dense_block(_block_key(up, mdeg))
-        width = len(cols) + (a_in.shape[1] if a_in is not None else 0)
-        if width == 0:
-            raise ValueError("cycle not representable: empty solve")
-        a = np.zeros((len(elements), width), dtype=np.int64)
-        for j, vec in enumerate(cols):
-            a[:, j] = vec
-        if a_in is not None and a_in.shape[1]:
-            a[:, len(cols):] = a_in
-        x = solve_mod(a, target, prime)
-        if x is None:
+    for mdeg in _support_mdegs(space, cls.coeffs):
+
+        def basis_columns(elements: list[ChainKey]) -> np.ndarray:
+            # a basis class without support here is a zero column: never a
+            # pivot, so it gets coordinate 0 and leaves the others unchanged
+            cols = np.zeros((len(elements), len(basis)), dtype=np.int64)
+            for j, b in enumerate(basis):
+                if b.space != space:
+                    raise ValueError("basis class in a different space")
+                cols[:, j] = _block_vector(space, b.coeffs, mdeg, elements)
+            return cols
+
+        solved = _solve_in_block(space, cls.coeffs, mdeg, basis_columns)
+        if solved is None:
             raise ValueError("cycle is not in span(basis) + image")
-        for j, idx in enumerate(owners):
-            coords[idx] = (coords[idx] + int(x[j])) % prime
+        coords = (coords + solved[1]) % prime
     # blockwise solves may disagree only on class coordinates shared across
     # blocks; basis classes are single-block, so sums are well-defined
     return coords
@@ -462,35 +454,23 @@ def projection_factor_check(
     """
     image = ev_D(cls, points)
     space = image.space
-    params = space.params
     prime = space.prime
-    divisible, _ = restriction_split(params.n, params.d)
+    divisible, _ = restriction_split(space.params.n, space.params.d)
     allowed = set(divisible)
-    up = space.shifted(+1, -1)
-    m_in = params.b + (space.q - 1) * params.d
+
+    def selectors(elements: list[ChainKey]) -> np.ndarray:
+        chosen = [i for i, (sub, _ui) in enumerate(elements) if set(sub) <= allowed]
+        cols = np.zeros((len(elements), len(chosen)), dtype=np.int64)
+        cols[chosen, range(len(chosen))] = 1
+        return cols
+
     witness: ChainCoeffs = {}
     for mdeg in _support_mdegs(space, image.coeffs):
-        elements = _block_elements(space, mdeg)
-        target = _block_vector(space, image.coeffs, mdeg, elements)
-        a_in = None
-        if m_in >= 0 and space.p + 1 <= h0(params.n, params.d):
-            a_in = _dense_block(_block_key(up, mdeg))
-        n_bnd = a_in.shape[1] if a_in is not None else 0
-        selectors = [
-            i for i, (sub, _ui) in enumerate(elements) if set(sub) <= allowed
-        ]
-        a = np.zeros((len(elements), n_bnd + len(selectors)), dtype=np.int64)
-        if n_bnd:
-            a[:, :n_bnd] = a_in
-        for j, i in enumerate(selectors):
-            a[i, n_bnd + j] = 1
-        x = solve_mod(a, target, prime)
-        if x is None:
+        solved = _solve_in_block(space, image.coeffs, mdeg, selectors)
+        if solved is None:
             return {"factors": False, "witness": None, "mdeg_failed": mdeg}
-        if n_bnd:
-            up_elements = _block_elements(up, mdeg)
-            for i in np.nonzero(x[:n_bnd])[0]:
-                witness[up_elements[int(i)]] = int(x[i])
+        witness.update(solved[0])
+    up = space.shifted(+1, -1)
     residual = dict(image.coeffs)
     bdry = apply_differential(up, witness) if witness else {}
     for key, val in bdry.items():

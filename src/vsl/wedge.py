@@ -1,6 +1,6 @@
-"""Exterior algebra over the space of degree-d forms: sparse wedge vectors,
-colex ranking of basis elements, contraction by functionals, and the s-fold
-contraction whose coefficients are s x s minors of functional values.
+"""Exterior algebra over the space of degree-d forms: contraction of a basis
+wedge by one functional, and the s-fold contraction whose coefficients are
+s x s minors of functional values.
 
 A wedge basis element is a strictly increasing tuple of indices into the
 fixed monomial basis.  All coefficients live in GF(prime).
@@ -8,98 +8,10 @@ fixed monomial basis.  All coefficients live in GF(prime).
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-
-from .polyspace import monomial_basis
+import itertools
 
 # Values of a linear functional on the degree-d monomial basis, reduced mod p.
 Functional = tuple[int, ...]
-
-
-def wedge_rank(indices: tuple[int, ...]) -> int:
-    """Colexicographic rank of a strictly increasing index tuple.
-
-    rank(c_0 < c_1 < ... < c_{p-1}) = sum_j C(c_j, j+1).
-    """
-    rank = 0
-    prev = -1
-    for j, c in enumerate(indices):
-        if c <= prev:
-            raise ValueError(f"wedge_rank: indices not strictly increasing: {indices}")
-        rank += math.comb(c, j + 1)
-        prev = c
-    return rank
-
-
-def wedge_unrank(p: int, rank: int, size: int) -> tuple[int, ...]:
-    """Inverse of wedge_rank among p-subsets of {0, ..., size-1}."""
-    if p < 0 or rank < 0 or rank >= math.comb(size, p):
-        raise ValueError(f"wedge_unrank: rank {rank} out of range for C({size},{p})")
-    out = []
-    r = rank
-    c = size - 1
-    for j in range(p, 0, -1):
-        while math.comb(c, j) > r:
-            c -= 1
-        out.append(c)
-        r -= math.comb(c, j)
-        c -= 1
-    out.reverse()
-    return tuple(out)
-
-
-def deletion_sign(e: tuple[int, ...], j: int) -> int:
-    """Sign (-1)^j picked up by removing the factor at position j (0-based)."""
-    if not 0 <= j < len(e):
-        raise ValueError(f"deletion_sign: position {j} out of range for {e}")
-    return -1 if j % 2 else 1
-
-
-@dataclass
-class WedgeVector:
-    """Sparse element of the p-th wedge power of the degree-d forms on P^n.
-
-    coeffs maps strictly increasing index tuples to nonzero values mod prime.
-    """
-
-    n: int
-    d: int
-    p: int
-    prime: int
-    coeffs: dict[tuple[int, ...], int] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        size = len(monomial_basis(self.n, self.d))
-        cleaned = {}
-        for key, val in self.coeffs.items():
-            if len(key) != self.p:
-                raise ValueError(f"key {key} has length != p={self.p}")
-            if any(key[i] >= key[i + 1] for i in range(len(key) - 1)):
-                raise ValueError(f"key {key} is not strictly increasing")
-            if key and key[-1] >= size:
-                raise ValueError(f"key {key} exceeds basis size {size}")
-            v = val % self.prime
-            if v:
-                cleaned[key] = v
-        self.coeffs = cleaned
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def scaled(self, c: int) -> "WedgeVector":
-        return WedgeVector(
-            self.n, self.d, self.p, self.prime,
-            {k: v * c % self.prime for k, v in self.coeffs.items()},
-        )
-
-    def plus(self, other: "WedgeVector") -> "WedgeVector":
-        if (self.n, self.d, self.p, self.prime) != (other.n, other.d, other.p, other.prime):
-            raise ValueError("adding wedge vectors from different spaces")
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = (out.get(k, 0) + v) % self.prime
-        return WedgeVector(self.n, self.d, self.p, self.prime, out)
 
 
 def contract_terms(
@@ -117,17 +29,6 @@ def contract_terms(
                 c = prime - c
             out.append((key[:j] + key[j + 1:], c))
     return out
-
-
-def contract(phi: Functional, v: WedgeVector) -> WedgeVector:
-    """Interior product: contraction of a wedge vector by one functional."""
-    if v.p < 1:
-        raise ValueError("contract: need p >= 1")
-    out: dict[tuple[int, ...], int] = {}
-    for key, coeff in v.coeffs.items():
-        for rest, c in contract_terms(key, phi, v.prime):
-            out[rest] = (out.get(rest, 0) + coeff * c) % v.prime
-    return WedgeVector(v.n, v.d, v.p - 1, v.prime, out)
 
 
 def det_mod(rows: list[list[int]], prime: int) -> int:
@@ -184,8 +85,6 @@ def alpha_terms(
     contributes (-1)^(j_1+...+j_s) times the minor of functional values at
     the deleted factors, on the wedge of the remaining p-s factors.
     """
-    import itertools
-
     s = len(functionals)
     p = len(key)
     out = []
@@ -200,20 +99,3 @@ def alpha_terms(
         rest = tuple(idx for j, idx in enumerate(key) if j not in pos_set)
         out.append((rest, g))
     return out
-
-
-def alpha_s(functionals: list[Functional], v: WedgeVector) -> WedgeVector:
-    """s-fold contraction by a list of functionals, p >= s required.
-
-    Agrees with composing the single contractions in sequence up to one
-    overall sign depending only on s.
-    """
-    s = len(functionals)
-    if v.p < s:
-        raise ValueError(f"alpha_s: need p >= s, got p={v.p}, s={s}")
-    cache: dict = {}
-    out: dict[tuple[int, ...], int] = {}
-    for key, coeff in v.coeffs.items():
-        for rest, c in alpha_terms(key, functionals, v.prime, cache):
-            out[rest] = (out.get(rest, 0) + coeff * c) % v.prime
-    return WedgeVector(v.n, v.d, v.p - s, v.prime, out)

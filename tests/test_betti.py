@@ -197,6 +197,13 @@ def test_certify_prime_must_differ():
         )
 
 
+def test_rationals_engine_refuses_a_certify_prime():
+    # the rationals engine never ranks at a prime, so it could not back the
+    # `primes: [P], certified: true` provenance that a certify prime reports
+    with pytest.raises(ValueError, match="prime field"):
+        Engine(FieldSpec.rationals(), certify_prime=PINNED_PRIMES[1])
+
+
 def test_rational_certification_path():
     engine = Engine(FieldSpec.prime(PINNED_PRIMES[0]), rational_cap=2000)
     table = betti_table(VeroneseParams(1, 3), engine)

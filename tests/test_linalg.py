@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vsl.harness import dense_differential
-from vsl.koszul import BlockKey, KoszulBlockMatrix, differential_block
+from vsl.koszul import BlockKey, KoszulBlockMatrix, differential_block, space_blocks
 from vsl.linalg import (
     DEFAULT_DENSE_LIMIT,
     PINNED_PRIMES,
@@ -182,10 +182,7 @@ def test_full_matrix_rank_for_line_quadric():
 
 
 def test_blockwise_and_rational_agree_on_veronese_blocks():
-    from vsl.bounds import VeroneseParams
-    from vsl.koszul import block_multidegrees
-
-    for mdeg, _ in block_multidegrees(VeroneseParams(2, 2), 2, 1):
+    for mdeg in space_blocks(2, 2, 2, 2):
         block = differential_block(BlockKey(2, 2, 0, 2, 1, mdeg))
         assert sparse_rank(block, FIELD) == rational_rank(block)
 

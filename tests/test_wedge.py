@@ -5,112 +5,75 @@ import random
 
 import pytest
 
+from vsl.bounds import VeroneseParams
 from vsl.polyspace import monomial_basis
-from vsl.wedge import (
-    WedgeVector,
-    alpha_s,
-    alpha_terms,
-    contract,
-    deletion_sign,
-    det_mod,
-    gamma_value,
-    wedge_rank,
-    wedge_unrank,
+from vsl.syzygy import (
+    ChainSpace,
+    KoszulClass,
+    alpha_chain,
+    contract_chain,
+    cycle_basis,
+    ev_D,
+    sample_general_points,
 )
+from vsl.wedge import alpha_terms, contract_terms, det_mod, gamma_value
 
 PRIME = 2147483647
 
 
-def test_wedge_rank_singletons_and_pairs():
-    for i in range(8):
-        assert wedge_rank((i,)) == i
-    assert [wedge_rank(s) for s in ((0, 1), (0, 2), (1, 2))] == [0, 1, 2]
-    assert wedge_rank(()) == 0
-    with pytest.raises(ValueError):
-        wedge_rank((2, 2))
-    with pytest.raises(ValueError):
-        wedge_rank((3, 1))
+def _random_chain(rng, space: ChainSpace, terms: int = 5) -> dict:
+    size = len(monomial_basis(space.params.n, space.params.d))
+    nmons = len(monomial_basis(space.params.n, space.m))
+    subs = list(itertools.combinations(range(size), space.p))
+    return {
+        (subs[rng.randrange(len(subs))], rng.randrange(nmons)): rng.randrange(1, PRIME)
+        for _ in range(terms)
+    }
 
 
-def test_wedge_rank_unrank_roundtrip_exhaustive():
-    # the rank is colexicographic: subsets compare by largest element first
-    for size in range(1, 13):
-        for p in range(0, min(size, 6) + 1):
-            combos = sorted(
-                itertools.combinations(range(size), p),
-                key=lambda sub: tuple(reversed(sub)),
-            )
-            for rank, sub in enumerate(combos):
-                assert wedge_rank(sub) == rank
-                assert wedge_unrank(p, rank, size) == sub
-
-
-def test_wedge_unrank_range_check():
-    with pytest.raises(ValueError):
-        wedge_unrank(2, 3, 3)  # only C(3,2) = 3 subsets
-    with pytest.raises(ValueError):
-        wedge_unrank(2, -1, 3)
-
-
-def test_deletion_sign():
-    assert deletion_sign((4, 7), 0) == 1
-    assert deletion_sign((4, 7), 1) == -1
-    assert deletion_sign((1, 2, 3), 2) == 1
-    with pytest.raises(ValueError):
-        deletion_sign((1, 2), 2)
-
-
-def test_wedge_vector_validation():
-    with pytest.raises(ValueError):
-        WedgeVector(1, 2, 2, PRIME, {(1, 1): 1})
-    with pytest.raises(ValueError):
-        WedgeVector(1, 2, 2, PRIME, {(2, 1): 1})
-    with pytest.raises(ValueError):
-        WedgeVector(1, 2, 2, PRIME, {(1, 3): 1})  # basis of size 3
-    v = WedgeVector(1, 2, 2, PRIME, {(0, 1): PRIME})  # reduces to zero
-    assert v.is_zero()
+def _scaled(chain: dict, c: int) -> dict:
+    return {key: val * c % PRIME for key, val in chain.items()}
 
 
 def test_contraction_derivation_signs():
     # contracting v_0 ^ v_1 gives phi(v_0) v_1 - phi(v_1) v_0
-    v = WedgeVector(1, 2, 2, PRIME, {(0, 1): 1})
     phi = (3, 5, 0)
-    out = contract(phi, v)
-    assert out.coeffs == {(1,): 3, (0,): PRIME - 5}
+    assert contract_terms((0, 1), phi, PRIME) == [((1,), 3), ((0,), PRIME - 5)]
+    space = ChainSpace(VeroneseParams(1, 2), 2, 1, PRIME)
+    chain = {((0, 1), 2): 1}
+    assert contract_chain(space, chain, phi) == {((1,), 2): 3, ((0,), 2): PRIME - 5}
     # dual functional of the first factor picks out the second
     dual0 = (1, 0, 0)
-    assert contract(dual0, v).coeffs == {(1,): 1}
+    assert contract_chain(space, chain, dual0) == {((1,), 2): 1}
 
 
 def test_contraction_squares_to_zero():
     rng = random.Random(20240902)
     size = len(monomial_basis(2, 2))  # 6
     for p in (2, 3, 5):
-        subs = list(itertools.combinations(range(size), p))
+        space = ChainSpace(VeroneseParams(2, 2), p, 1, PRIME)
         for _ in range(25):
-            coeffs = {
-                subs[rng.randrange(len(subs))]: rng.randrange(1, PRIME)
-                for _ in range(4)
-            }
-            v = WedgeVector(2, 2, p, PRIME, coeffs)
+            chain = _random_chain(rng, space, terms=4)
             phi = tuple(rng.randrange(PRIME) for _ in range(size))
-            assert contract(phi, contract(phi, v)).is_zero()
+            once = contract_chain(space, chain, phi)
+            assert contract_chain(space.shifted(-1, 0), once, phi) == {}
 
 
 def test_contraction_anticommutes():
     rng = random.Random(3)
     size = len(monomial_basis(2, 2))
-    subs = list(itertools.combinations(range(size), 3))
+    space = ChainSpace(VeroneseParams(2, 2), 3, 1, PRIME)
+    down = space.shifted(-1, 0)
     for _ in range(10):
-        v = WedgeVector(
-            2, 2, 3, PRIME,
-            {subs[rng.randrange(len(subs))]: rng.randrange(1, PRIME) for _ in range(4)},
-        )
+        chain = _random_chain(rng, space, terms=4)
         phi = tuple(rng.randrange(PRIME) for _ in range(size))
         psi = tuple(rng.randrange(PRIME) for _ in range(size))
-        ab = contract(phi, contract(psi, v))
-        ba = contract(psi, contract(phi, v))
-        assert ab.plus(ba).is_zero()
+        ab = contract_chain(down, contract_chain(space, chain, psi), phi)
+        ba = contract_chain(down, contract_chain(space, chain, phi), psi)
+        total = dict(ab)
+        for key, val in ba.items():
+            total[key] = (total.get(key, 0) + val) % PRIME
+        assert not any(total.values())
 
 
 def test_det_mod():
@@ -132,62 +95,52 @@ def test_gamma_antisymmetry():
 def test_alpha_one_functional_is_contraction():
     rng = random.Random(17)
     size = len(monomial_basis(2, 2))
-    subs = list(itertools.combinations(range(size), 3))
+    space = ChainSpace(VeroneseParams(2, 2), 3, 1, PRIME)
     for _ in range(10):
-        v = WedgeVector(
-            2, 2, 3, PRIME,
-            {subs[rng.randrange(len(subs))]: rng.randrange(1, PRIME) for _ in range(4)},
-        )
+        chain = _random_chain(rng, space, terms=4)
         phi = tuple(rng.randrange(PRIME) for _ in range(size))
-        assert alpha_s([phi], v).coeffs == contract(phi, v).coeffs
+        assert alpha_chain(space, chain, [phi]) == contract_chain(space, chain, phi)
 
 
 def test_alpha_paired_block_example():
     # v = w_0 ^ w_1 ^ u with the two functionals dual to w_0, w_1 and
     # vanishing on u: the double contraction leaves +-u
-    v = WedgeVector(1, 3, 3, PRIME, {(0, 1, 3): 1})  # basis size 4
+    space = ChainSpace(VeroneseParams(1, 3), 3, 1, PRIME)  # basis size 4
     phi0 = (1, 0, 0, 0)
     phi1 = (0, 1, 0, 0)
-    out = alpha_s([phi0, phi1], v)
-    assert out.coeffs in ({(3,): 1}, {(3,): PRIME - 1})
+    out = alpha_chain(space, {((0, 1, 3), 0): 1}, [phi0, phi1])
     # gamma is the identity minor; deleting positions {0,1} carries sign -1
-    assert out.coeffs == {(3,): PRIME - 1}
+    assert out == {((3,), 0): PRIME - 1}
 
 
-def test_alpha_requires_enough_factors():
-    v = WedgeVector(1, 3, 1, PRIME, {(2,): 1})
-    phi = (1, 1, 1, 1)
-    with pytest.raises(ValueError):
-        alpha_s([phi, phi], v)
-    # p = s is allowed and lands in wedge degree zero
-    out = alpha_s([phi], v)
-    assert out.p == 0
-
-
-def _random_wedge(rng, n, d, p, terms=5):
-    size = len(monomial_basis(n, d))
-    subs = list(itertools.combinations(range(size), p))
-    coeffs = {
-        subs[rng.randrange(len(subs))]: rng.randrange(1, PRIME) for _ in range(terms)
-    }
-    return WedgeVector(n, d, p, PRIME, coeffs)
+def test_alpha_requires_enough_factors(eng):
+    # ev_D refuses p < s; p = s is allowed and lands in wedge degree zero
+    params = VeroneseParams(1, 3)  # s = 1
+    pts = sample_general_points(params, PRIME, seed=0)
+    with pytest.raises(ValueError, match="p >= s"):
+        ev_D(KoszulClass(ChainSpace(params, 0, 1, PRIME), {}), pts)
+    assert ev_D(cycle_basis(params, 1, 1, eng)[0], pts).space.p == 0
+    space = ChainSpace(params, 1, 1, PRIME)
+    assert alpha_chain(space, {((2,), 0): 1}, [(1, 1, 1, 1)]) == {((), 0): 1}
 
 
 def test_alpha_matches_composed_contractions_up_to_global_sign():
     # the s-fold minor-weighted contraction equals the composite of single
-    # contractions up to one sign depending only on s; 100 random vectors
+    # contractions up to one sign depending only on s; 100 random chains
     rng = random.Random(20240903)
     size = len(monomial_basis(2, 2))
     s = 3
     expected_sign = (-1) ** (s * (s - 1) // 2)
+    space = ChainSpace(VeroneseParams(2, 2), 5, 1, PRIME)
     for _ in range(100):
-        v = _random_wedge(rng, 2, 2, 5)
+        chain = _random_chain(rng, space)
         phis = [tuple(rng.randrange(PRIME) for _ in range(size)) for _ in range(s)]
-        fast = alpha_s(phis, v)
-        slow = v
+        fast = alpha_chain(space, chain, phis)
+        slow, sp = chain, space
         for phi in phis:
-            slow = contract(phi, slow)
-        assert fast.coeffs == slow.scaled(expected_sign % PRIME).coeffs
+            slow = contract_chain(sp, slow, phi)
+            sp = sp.shifted(-1, 0)
+        assert fast == _scaled(slow, expected_sign % PRIME)
 
 
 def test_alpha_scales_linearly_in_each_functional():
@@ -195,11 +148,12 @@ def test_alpha_scales_linearly_in_each_functional():
     # rank/vanishing verdict downstream is scale-invariant
     rng = random.Random(99)
     size = len(monomial_basis(2, 2))
-    v = _random_wedge(rng, 2, 2, 4)
+    space = ChainSpace(VeroneseParams(2, 2), 4, 1, PRIME)
+    chain = _random_chain(rng, space)
     phis = [tuple(rng.randrange(PRIME) for _ in range(size)) for _ in range(2)]
     lam = 123457
     scaled = [tuple(x * lam % PRIME for x in phis[0]), phis[1]]
-    assert alpha_s(scaled, v).coeffs == alpha_s(phis, v).scaled(lam).coeffs
+    assert alpha_chain(space, chain, scaled) == _scaled(alpha_chain(space, chain, phis), lam)
 
 
 def test_alpha_terms_antisymmetry_kills_repeated_functional():
