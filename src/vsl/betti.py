@@ -46,7 +46,7 @@ class ResourceLimits:
 
     max_block_cols: int = 250_000
     max_space_dim: int = 30_000_000
-    dense_limit: int = 2000  # rational certification size cap
+    dense_limit: int = 2000  # largest side of a block certified over QQ
 
 
 ZERO = "ZERO"

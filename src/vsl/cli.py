@@ -320,7 +320,7 @@ def _add_common(sp: argparse.ArgumentParser, *groups: str) -> None:
         sp.add_argument("--certify", action="store_const", const=True, default=None,
                         help="re-rank each block at a second prime and rationally when small")
         sp.add_argument("--dense-limit", type=int, dest="dense_limit",
-                        help="max matrix side for exact rational elimination")
+                        help="max block side certified by exact rational elimination")
         sp.add_argument("--threads", type=int, help="worker processes for block ranks")
         sp.add_argument("--cache", help="block-rank cache directory (or VSL_CACHE_DIR)")
         sp.add_argument("--max-block-cols", type=int, dest="max_block_cols")

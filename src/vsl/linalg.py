@@ -1,16 +1,17 @@
 """Exact rank computation: sparse elimination over word-size prime fields,
-dense elimination mod p, and fraction-free rational elimination.
+dense elimination mod p, and sparse fraction-free elimination over ZZ.
 
 The sparse GF(p) path is the production route for block ranks; the rational
-path is a certification oracle for blocks small enough to eliminate densely
-without fractions.  Primes come from a fixed list of ten 31-bit primes so a
-run can be reproduced and cross-checked at a second prime.
+path certifies blocks within a size cap with no modular arithmetic.  Primes
+come from a fixed list of ten 31-bit primes so a run can be reproduced and
+cross-checked at a second prime.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from math import gcd
 
 import numpy as np
 
@@ -194,49 +195,46 @@ def dense_rank_mod(a: np.ndarray, p: int) -> int:
 
 
 def rational_rank(block, dense_limit: int = DEFAULT_DENSE_LIMIT) -> int:
-    """Exact rank over the rationals by fraction-free (integer) elimination.
+    """Exact rank over the rationals by sparse fraction-free elimination.
 
-    Refuses matrices beyond dense_limit on either side: the caller asked
-    for a certificate this routine cannot produce at that size.
+    Columns enter, in index order, an echelon basis of primitive integer
+    vectors keyed by leading (lowest) row.  A column meeting a stored pivot
+    becomes v <- a*v - b*pivot, a = pv/g, b = f/g, g = gcd(pv, f) of the two
+    leading entries, divided by its content.  Every step is invertible over
+    QQ and nothing is reduced mod p, so this independently checks the GF(p)
+    path.  Refuses matrices beyond dense_limit on either side.
     """
     nrows, ncols = block.nrows, block.ncols
     if nrows > dense_limit or ncols > dense_limit:
         raise ValueError(
             f"rational_rank: {nrows}x{ncols} exceeds dense limit {dense_limit}"
         )
-    m = np.zeros((nrows, ncols), dtype=object)
+    columns: dict[int, dict[int, int]] = {}
     for r, c, v in block.entries:
-        m[r, c] += v
-    return bareiss_rank(m)
-
-
-def bareiss_rank(m: np.ndarray) -> int:
-    """Fraction-free elimination on an object-dtype integer matrix.
-
-    Classic two-step update new = (piv * a - b * c) // prev_piv; all
-    divisions are exact, entries stay integers of minor-determinant size.
-    """
-    m = m.copy()
-    nrows, ncols = m.shape
-    rank = 0
-    prev = 1
-    for col in range(ncols):
-        if rank == nrows:
-            break
-        piv = next((r for r in range(rank, nrows) if m[r, col] != 0), None)
-        if piv is None:
-            continue
-        if piv != rank:
-            m[[rank, piv]] = m[[piv, rank]]
-        pv = m[rank, col]
-        below = m[rank + 1:, :]
-        if below.shape[0]:
-            factors = m[rank + 1:, col].copy()
-            below[:] = below * pv - np.outer(factors, m[rank, :])
-            below[:] = below // prev
-        prev = pv
-        rank += 1
-    return rank
+        col = columns.setdefault(c, {})
+        col[r] = col.get(r, 0) + v
+    basis: dict[int, dict[int, int]] = {}
+    for c in sorted(columns):
+        vec = {r: v for r, v in columns[c].items() if v}
+        while vec:
+            g = gcd(*vec.values())
+            if g != 1:
+                vec = {r: v // g for r, v in vec.items()}
+            lead = min(vec)
+            pivot = basis.get(lead)
+            if pivot is None:
+                basis[lead] = vec
+                break
+            g = gcd(pivot[lead], vec[lead])
+            a, b = pivot[lead] // g, vec[lead] // g
+            if a != 1:
+                vec = {r: a * v for r, v in vec.items()}
+            for r, v in pivot.items():
+                if x := vec.get(r, 0) - b * v:
+                    vec[r] = x
+                else:
+                    del vec[r]
+    return len(basis)
 
 
 def rref_mod(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:

@@ -13,7 +13,6 @@ from vsl.linalg import (
     DEFAULT_DENSE_LIMIT,
     PINNED_PRIMES,
     FieldSpec,
-    bareiss_rank,
     dense_rank_mod,
     is_prime,
     nullspace_mod,
@@ -132,20 +131,19 @@ def test_rank_routes_agree_on_random_sign_matrices():
         expected = rank_modp_fraction_check(a)
         assert dense_rank_mod(a, P) == expected
         assert sparse_rank_entries(entries, P) == expected
-        assert bareiss_rank(a.astype(object)) == expected
         assert rational_rank(_block(entries, nrows, ncols)) == expected
 
 
 @st.composite
-def sign_triples_with_cancellation(draw):
-    """Sparse +-1 triples with repeated positions, some of them cancelling,
-    plus rows repeated or scaled into other rows.  The flags mark triples to
-    write as their residue mod p, so -1 becomes p-1 and a pair can sum to 0
-    mod p without summing to 0."""
+def triples_with_cancellation(draw, values=(1, -1)):
+    """Sparse triples with entries from `values` and repeated positions, some
+    of them cancelling, plus rows repeated or scaled into other rows.  The
+    flags mark triples to write as their residue mod p, so -1 becomes p-1 and
+    a pair can sum to 0 mod p without summing to 0."""
     nrows = draw(st.integers(1, 12))
     ncols = draw(st.integers(1, 12))
     cell = st.tuples(
-        st.integers(0, nrows - 1), st.integers(0, ncols - 1), st.sampled_from((1, -1))
+        st.integers(0, nrows - 1), st.integers(0, ncols - 1), st.sampled_from(values)
     )
     entries = draw(st.lists(cell, max_size=60))
     if entries:
@@ -161,7 +159,7 @@ def sign_triples_with_cancellation(draw):
 
 @pytest.mark.parametrize("prime", PINNED_PRIMES[:2])
 @settings(max_examples=150, deadline=None)
-@given(case=sign_triples_with_cancellation())
+@given(case=triples_with_cancellation())
 def test_sparse_rank_matches_dense_under_cancellation(prime, case):
     nrows, ncols, entries, flags = case
     entries = [(r, c, v % prime if f else v) for (r, c, v), f in zip(entries, flags)]
@@ -194,10 +192,35 @@ def test_rational_rank_refuses_oversized_input():
     assert rational_rank(big, dense_limit=DEFAULT_DENSE_LIMIT + 1) == 0
 
 
-def test_bareiss_on_known_integer_matrix():
-    m = np.array([[2, 3, 5], [4, 6, 10], [1, 1, 1]], dtype=object)
-    assert bareiss_rank(m) == 2
-    assert bareiss_rank(np.zeros((3, 3), dtype=object)) == 0
+def test_rational_rank_on_known_integer_matrix():
+    m = [[2, 3, 5], [4, 6, 10], [1, 1, 1]]
+    triples = [(r, c, v) for r, row in enumerate(m) for c, v in enumerate(row)]
+    assert rational_rank(_block(triples, 3, 3)) == 2
+    assert rational_rank(_block([], 3, 3)) == 0
+
+
+def test_rational_rank_is_not_modular():
+    # [[P, 0], [0, 1]] has rank 2 over QQ but rank 1 over GF(P): a
+    # certificate reduced mod P would agree with the prime it checks
+    block = _block([(0, 0, P), (1, 1, 1)], 2, 2)
+    assert rational_rank(block) == 2
+    assert sparse_rank(block, FieldSpec.prime(P)) == 1
+    # the same entry split into duplicate triples that sum to P
+    split = _block([(0, 0, P - 1), (0, 0, 1), (1, 1, 1)], 2, 2)
+    assert rational_rank(split) == 2
+    # duplicate triples summing to zero vanish at every position
+    cancel = [(0, 0, 3), (0, 0, -3), (1, 2, -2), (1, 2, 1), (1, 2, 1), (2, 1, P), (2, 1, -P)]
+    assert rational_rank(_block(cancel, 3, 3)) == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=triples_with_cancellation(values=tuple(range(-3, 4))))
+def test_rational_rank_matches_fraction_elimination(case):
+    nrows, ncols, entries, _ = case
+    a = np.zeros((nrows, ncols), dtype=np.int64)
+    for r, c, v in entries:
+        a[r, c] += v
+    assert rational_rank(_block(entries, nrows, ncols)) == rank_modp_fraction_check(a)
 
 
 def test_rref_and_nullspace():
