@@ -5,6 +5,11 @@ evaluated one multidegree block at a time with coordinate-permutation orbits
 collapsed to a single representative.  Oversized work is refused with an
 explicit ResourceRefusal rather than attempted; refused table entries are
 reported as skipped, never silently as zero.
+
+On P^n, Green's duality K_{p,q}(b) = K_{r-n-p, n+1-q}(-n-1-b)^dual holds for
+every twist b, because P^n has no intermediate line-bundle cohomology
+(Green, J. Diff. Geom. 19, 1984).  Each entry can therefore be computed on
+either side; the engine's route picks one (see `_side`).
 """
 
 from __future__ import annotations
@@ -53,6 +58,49 @@ ZERO = "ZERO"
 NONZERO = "NONZERO"
 SKIPPED = "SKIPPED"
 
+ROUTES = ("auto", "direct", "dual")
+
+
+def _cost(params: VeroneseParams, p: int, q: int) -> int:
+    """Closed-form size of the complex that computes K_{p,q} at params.
+
+    The space dims of its in, middle and out terms; 0 when the middle term
+    vanishes, since the entry is then 0 without any rank.
+    """
+    n, d, b = params.n, params.d, params.b
+    if not space_dim(n, d, p, b + q * d):
+        return 0
+    return sum(space_dim(n, d, p + k, b + (q - k) * d) for k in (-1, 0, 1))
+
+
+def _side(
+    params: VeroneseParams, p: int, q: int, route: str
+) -> tuple[VeroneseParams, int, int]:
+    """The entry whose complex `kpq_dim` ranks for K_{p,q} at params.
+
+    "direct" keeps (params, p, q); "dual" takes the duality partner;
+    "auto" takes the partner only when its `_cost` is strictly smaller, so
+    a tie goes direct.  Nothing is enumerated to decide.
+    """
+    if route not in ROUTES:
+        raise ValueError(f"route must be one of {ROUTES}, got {route!r}")
+    if route == "direct":
+        return params, p, q
+    p2, q2, b2 = duality_partner(params, p, q)
+    dual = (VeroneseParams(params.n, params.d, b2), p2, q2)
+    if route == "dual" or _cost(*dual) < _cost(params, p, q):
+        return dual
+    return params, p, q
+
+
+def partner_via(params: VeroneseParams, p: int, q: int, route: str) -> dict | None:
+    """A report's "via" field: the partner index K_{p,q} is computed
+    through under `route`, or None when it is computed directly."""
+    side, p2, q2 = _side(params, p, q, route)
+    if (side, p2, q2) == (params, p, q):
+        return None
+    return {"p": p2, "q": q2, "b": side.b}
+
 
 def _rank_job(
     key: BlockKey, primes: tuple[int, ...], limits: ResourceLimits, rational_cap: int | None
@@ -90,6 +138,9 @@ class Engine:
     recomputed there and a mismatch raises PrimeDisagreement (never
     averaged away).  rational_cap: blocks with both sides at most this
     size are additionally certified by fraction-free rational elimination.
+    route: "auto", "direct" or "dual", the side of the duality `kpq_dim`
+    computes each entry on (see `_side`); ceilings, certification, the
+    pool and the cache apply to whichever side is computed.
 
     Block ranks go through one path: `_rank_job` applies the column
     ceiling and computes the prime and rational ranks, serially or in a
@@ -108,13 +159,17 @@ class Engine:
         threads: int = 1,
         certify_prime: int | None = None,
         rational_cap: int | None = None,
+        route: str = "auto",
     ) -> None:
+        if route not in ROUTES:
+            raise ValueError(f"route must be one of {ROUTES}, got {route!r}")
         self.field = field
         self.cache = cache if cache is not None else BlockCache()
         self.limits = limits if limits is not None else ResourceLimits()
         self.threads = max(1, threads)
         self.certify_prime = certify_prime
         self.rational_cap = rational_cap
+        self.route = route
         if certify_prime is not None and field.kind != "prime":
             raise ValueError("a certification prime needs a prime field engine")
         if certify_prime is not None and certify_prime == field.p:
@@ -208,8 +263,12 @@ class Engine:
                 f"exceeds ceiling {self.limits.max_space_dim}"
             )
 
-    def kpq_dim(self, params: VeroneseParams, p: int, q: int) -> int:
-        """dim K_{p,q} at params, orbit-reduced blockwise computation."""
+    def kpq_dim(
+        self, params: VeroneseParams, p: int, q: int, route: str | None = None
+    ) -> int:
+        """dim K_{p,q} at params, orbit-reduced blockwise computation on
+        the side of the duality that `route` (default: the engine's) picks."""
+        params, p, q = _side(params, p, q, self.route if route is None else route)
         n, d, b = params.n, params.d, params.b
         m_mid = b + q * d
         if p < 0 or p > h0(n, d) or m_mid < 0:
@@ -246,13 +305,15 @@ class BettiTable:
     """Computed table slice with three-valued entry status.
 
     dims holds every successfully computed entry (zeros included); skipped
-    maps refused entries to the refusal reason.
+    maps refused entries to the refusal reason; via maps each entry computed
+    through its duality partner to the partner's index.
     """
 
     params: VeroneseParams
     field: FieldSpec
     dims: dict[tuple[int, int], int] = dc_field(default_factory=dict)
     skipped: dict[tuple[int, int], str] = dc_field(default_factory=dict)
+    via: dict[tuple[int, int], dict] = dc_field(default_factory=dict)
     primes: tuple[int, ...] = ()
     certified: bool = False
 
@@ -329,6 +390,7 @@ class BettiTable:
                         if (p, q) in self.skipped
                         else {}
                     ),
+                    **({"via": self.via[(p, q)]} if (p, q) in self.via else {}),
                 }
                 for (p, q) in sorted(set(self.dims) | set(self.skipped))
             ],
@@ -364,6 +426,9 @@ def betti_table(
     )
     for q in range(q_lo, q_hi + 1):
         for p in range(p_lo, p_hi + 1):
+            via = partner_via(params, p, q, engine.route)
+            if via is not None:
+                table.via[(p, q)] = via
             try:
                 table.dims[(p, q)] = engine.kpq_dim(params, p, q)
             except ResourceRefusal as refusal:
@@ -372,12 +437,16 @@ def betti_table(
 
 
 def duality_check(params: VeroneseParams, p: int, q: int, engine: Engine) -> dict:
-    """Compare dim K_{p,q} with its Serre-dual partner entry."""
+    """Compare dim K_{p,q} with its Serre-dual partner entry.
+
+    Both sides are computed directly: a routed engine would compute them
+    on the same side and compare a number with itself.
+    """
     p2, q2, b2 = duality_partner(params, p, q)
     partner = VeroneseParams(params.n, params.d, b2)
     try:
-        lhs = engine.kpq_dim(params, p, q)
-        rhs = engine.kpq_dim(partner, p2, q2)
+        lhs = engine.kpq_dim(params, p, q, route="direct")
+        rhs = engine.kpq_dim(partner, p2, q2, route="direct")
     except ResourceRefusal as refusal:
         return {"p": p, "q": q, "verdict": SKIPPED, "reason": str(refusal)}
     return {

@@ -16,7 +16,7 @@ import os
 import sys
 
 from .bounds import VeroneseParams, h0, projection_codim, range_predictions
-from .betti import Engine, ResourceLimits, betti_table
+from .betti import ROUTES, Engine, ResourceLimits, betti_table
 from .cache import BlockCache, cache_gc, cache_stats
 from .harness import selftest, verify
 from .linalg import PINNED_PRIMES, FieldSpec, is_prime
@@ -127,6 +127,7 @@ def _build_engine(opts: Options) -> Engine:
         threads=opts.get_int("threads", 1),
         certify_prime=certify_prime,
         rational_cap=rational_cap,
+        route=opts.get("route", "auto"),
     )
 
 
@@ -211,7 +212,9 @@ def cmd_verify(opts: Options) -> int:
     engine = _build_engine(opts)
     raw = opts.get("strands")
     strands = _parse_int_list(raw) if raw else list(range(1, params.n + 1))
-    report = verify(params, strands, engine, p_max=opts.get_int("p_max"))
+    report = verify(
+        params, strands, engine, p_max=opts.get_int("p_max"), p_min=opts.get_int("p_min", 0)
+    )
     if opts.get("format", "text") == "json":
         _emit(opts, _json_text(report.to_json_dict()))
     else:
@@ -325,6 +328,9 @@ def _add_common(sp: argparse.ArgumentParser, *groups: str) -> None:
         sp.add_argument("--cache", help="block-rank cache directory (or VSL_CACHE_DIR)")
         sp.add_argument("--max-block-cols", type=int, dest="max_block_cols")
         sp.add_argument("--max-space-dim", type=int, dest="max_space_dim")
+        sp.add_argument("--route", choices=ROUTES,
+                        help="side of Green's duality each entry is computed on: "
+                        "'auto' (default, the smaller complex), 'direct' or 'dual'")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -352,6 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="grade computed strands against predictions")
     _add_common(sp, "params", "engine")
     sp.add_argument("--strands", help="comma-separated q values (default 1..n)")
+    sp.add_argument("--p-min", type=int, dest="p_min", help="first p graded (default 0)")
     sp.add_argument("--p-max", type=int, dest="p_max")
     sp.add_argument("--format", choices=["json", "text"])
     sp.set_defaults(func=cmd_verify)

@@ -24,7 +24,7 @@ from .bounds import (
     projection_codim,
     range_predictions,
 )
-from .betti import Engine, ResourceRefusal, duality_check, euler_check
+from .betti import Engine, ResourceRefusal, duality_check, euler_check, partner_via
 from .cache import BlockCache
 from .koszul import BlockKey, differential_block, space_blocks
 from .linalg import FieldSpec, PINNED_PRIMES, dense_rank_mod, sparse_rank
@@ -54,6 +54,7 @@ class VerificationRow:
     dim: int | None
     skipped_reason: str | None
     checks: list[dict]
+    via: dict | None = None
 
     @property
     def verdict(self) -> str:
@@ -74,6 +75,7 @@ class VerificationReport:
     field: FieldSpec
     strands: list[int]
     p_max: int
+    p_min: int = 0
     rows: list[VerificationRow] = dc_field(default_factory=list)
 
     def source_summary(self) -> dict[str, str]:
@@ -101,17 +103,24 @@ class VerificationReport:
     def ok(self) -> bool:
         return all(row.verdict in (CONSISTENT, OUT_OF_APPLICABILITY) for row in self.rows)
 
+    def degeneracy_note(self) -> str:
+        note = (
+            f"entries with p > {self.p_max} have zero middle space"
+            if self.p_max >= h0(self.params.n, self.params.d)
+            else f"entries with p > {self.p_max} not examined"
+        )
+        if self.p_min > 0:
+            note = f"entries with p < {self.p_min} not examined; {note}"
+        return note
+
     def to_json_dict(self) -> dict:
         return {
             "params": {"n": self.params.n, "d": self.params.d, "b": self.params.b},
             "field": self.field.label(),
             "strands": self.strands,
+            **({"p_min": self.p_min} if self.p_min else {}),
             "p_max": self.p_max,
-            "degeneracy_note": (
-                f"entries with p > {self.p_max} have zero middle space"
-                if self.p_max >= h0(self.params.n, self.params.d)
-                else f"entries with p > {self.p_max} not examined"
-            ),
+            "degeneracy_note": self.degeneracy_note(),
             "rows": [
                 {
                     "p": row.p,
@@ -122,6 +131,7 @@ class VerificationReport:
                         if row.skipped_reason
                         else {}
                     ),
+                    **({"via": row.via} if row.via else {}),
                     "verdict": row.verdict,
                     "checks": row.checks,
                 }
@@ -133,7 +143,9 @@ class VerificationReport:
     def text(self) -> str:
         lines = [
             f"verification {self.params.label()} over {self.field.label()}, "
-            f"strands {self.strands}, p <= {self.p_max}"
+            f"strands {self.strands}, "
+            + (f"{self.p_min} <= " if self.p_min else "")
+            + f"p <= {self.p_max}"
         ]
         for row in self.rows:
             dim = "?" if row.dim is None else row.dim
@@ -173,17 +185,20 @@ def verify(
     strands: list[int],
     engine: Engine,
     p_max: int | None = None,
+    p_min: int = 0,
 ) -> VerificationReport:
     """Compute whole strands and grade every published claim against them.
 
-    p runs from 0 to p_max (default: the wedge size bound h0(n,d), beyond
-    which every entry is zero for dimension reasons).
+    p runs from p_min to p_max (default: the wedge size bound h0(n,d),
+    beyond which every entry is zero for dimension reasons).  Rows record
+    the duality partner an entry was computed through, if any.
     """
     cap = h0(params.n, params.d) if p_max is None else p_max
-    report = VerificationReport(params, engine.field, list(strands), cap)
+    report = VerificationReport(params, engine.field, list(strands), cap, p_min)
     for q in strands:
         preds = range_predictions(params, q)
-        for p in range(0, cap + 1):
+        for p in range(p_min, cap + 1):
+            via = partner_via(params, p, q, engine.route)
             try:
                 dim = engine.kpq_dim(params, p, q)
                 skipped = None
@@ -202,7 +217,7 @@ def verify(
                 ]
             else:
                 checks = [_check_prediction(pr, p, dim) for pr in preds]
-            report.rows.append(VerificationRow(p, q, dim, skipped, checks))
+            report.rows.append(VerificationRow(p, q, dim, skipped, checks, via))
     return report
 
 

@@ -181,6 +181,7 @@ def test_prime_disagreement_is_raised_not_averaged():
         FieldSpec.prime(PINNED_PRIMES[0]),
         cache=cache,
         certify_prime=PINNED_PRIMES[1],
+        route="direct",
     )
     pr = VeroneseParams(1, 2)
     mdeg = max(space_blocks(1, 2, 1, 2))  # (4,0): its own orbit representative
@@ -255,14 +256,16 @@ def _pooled_matches_serial(tmp_path, serial_run, **engine_options):
 
 def test_threaded_engine_enforces_block_ceiling(tmp_path):
     limits = ResourceLimits(max_block_cols=20)
-    serial_run = _cubic_table(tmp_path / "serial", limits=limits)
-    assert len(serial_run[1].skipped) == 23
-    _pooled_matches_serial(tmp_path, serial_run, limits=limits)
+    for route, skipped in (("direct", 23), ("auto", 6)):
+        options = dict(limits=limits, route=route)
+        serial_run = _cubic_table(tmp_path / route / "serial", **options)
+        assert len(serial_run[1].skipped) == skipped
+        _pooled_matches_serial(tmp_path / route, serial_run, **options)
 
 
 def test_threaded_engine_certifies_over_rationals(tmp_path):
     for certify_prime, certified in ((None, 953), (PINNED_PRIMES[1], 2 * 953)):
-        options = dict(rational_cap=2000, certify_prime=certify_prime)
+        options = dict(rational_cap=2000, certify_prime=certify_prime, route="direct")
         run_dir = tmp_path / str(certify_prime)
         calls = {"rational_rank": [], "differential_block": []}
 

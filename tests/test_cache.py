@@ -15,7 +15,8 @@ P1, P2 = PINNED_PRIMES[0], PINNED_PRIMES[1]
 
 
 def expected_block_keys(params: VeroneseParams) -> set[tuple]:
-    """Every cache key a full-table run must touch, enumerated directly."""
+    """Every cache key a full-table run on the direct route must touch,
+    enumerated directly."""
     n, d, b = params.n, params.d, params.b
     keys = set()
     for q in range(0, n + 2):
@@ -40,7 +41,7 @@ def test_empty_directory_has_zero_records(tmp_path):
 
 def test_record_count_matches_block_enumeration(tmp_path):
     cache = BlockCache.open(str(tmp_path))
-    engine = Engine(FieldSpec.prime(P1), cache=cache)
+    engine = Engine(FieldSpec.prime(P1), cache=cache, route="direct")
     params = VeroneseParams(2, 2)
     betti_table(params, engine)
     stats = cache.stats()
@@ -53,7 +54,9 @@ def test_record_count_matches_block_enumeration(tmp_path):
 def test_two_primes_give_two_records_per_block(tmp_path):
     params = VeroneseParams(1, 3)
     for prime in (P1, P2):
-        engine = Engine(FieldSpec.prime(prime), cache=BlockCache.open(str(tmp_path)))
+        engine = Engine(
+            FieldSpec.prime(prime), cache=BlockCache.open(str(tmp_path)), route="direct"
+        )
         betti_table(params, engine)
     stats = cache_stats(str(tmp_path))
     per_key = len(expected_block_keys(params))

@@ -198,7 +198,9 @@ def test_cli_betti_csv_window(capsys):
 def test_cli_verify_exit_codes(capsys):
     assert main(["verify", "--n", "1", "--d", "2"]) == 0
     capsys.readouterr()
-    assert main(["verify", "--n", "1", "--d", "2", "--max-block-cols", "1"]) == 1
+    # the direct complexes have blocks over the ceiling; the dual ones do not
+    argv = ["verify", "--n", "1", "--d", "2", "--max-block-cols", "1", "--route", "direct"]
+    assert main(argv) == 1
     out = capsys.readouterr().out
     assert "SKIPPED" in out
 
@@ -247,7 +249,7 @@ def test_cli_config_boolean_values(tmp_path, capsys):
 
 def test_cli_cache_env_and_stats(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("VSL_CACHE_DIR", str(tmp_path))
-    assert main(["betti", "--n", "1", "--d", "2"]) == 0
+    assert main(["betti", "--n", "1", "--d", "2", "--route", "direct"]) == 0
     capsys.readouterr()
     assert main(["cache", "stats"]) == 0
     stats = json.loads(capsys.readouterr().out)
