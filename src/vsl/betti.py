@@ -58,7 +58,7 @@ ZERO = "ZERO"
 NONZERO = "NONZERO"
 SKIPPED = "SKIPPED"
 
-ROUTES = ("auto", "direct", "dual")
+ROUTES = ("auto", "direct")
 
 
 def _cost(params: VeroneseParams, p: int, q: int) -> int:
@@ -76,30 +76,20 @@ def _cost(params: VeroneseParams, p: int, q: int) -> int:
 def _side(
     params: VeroneseParams, p: int, q: int, route: str
 ) -> tuple[VeroneseParams, int, int]:
-    """The entry whose complex `kpq_dim` ranks for K_{p,q} at params.
+    """The entry whose complex is ranked first for K_{p,q} at params.
 
-    "direct" keeps (params, p, q); "dual" takes the duality partner;
-    "auto" takes the partner only when its `_cost` is strictly smaller, so
-    a tie goes direct.  Nothing is enumerated to decide.
+    "direct" keeps (params, p, q); "auto" takes the duality partner only
+    when its `_cost` is strictly smaller, so a tie goes direct.  Nothing
+    is enumerated to decide.
     """
     if route not in ROUTES:
         raise ValueError(f"route must be one of {ROUTES}, got {route!r}")
-    if route == "direct":
-        return params, p, q
-    p2, q2, b2 = duality_partner(params, p, q)
-    dual = (VeroneseParams(params.n, params.d, b2), p2, q2)
-    if route == "dual" or _cost(*dual) < _cost(params, p, q):
-        return dual
+    if route == "auto":
+        p2, q2, b2 = duality_partner(params, p, q)
+        dual = (VeroneseParams(params.n, params.d, b2), p2, q2)
+        if _cost(*dual) < _cost(params, p, q):
+            return dual
     return params, p, q
-
-
-def partner_via(params: VeroneseParams, p: int, q: int, route: str) -> dict | None:
-    """A report's "via" field: the partner index K_{p,q} is computed
-    through under `route`, or None when it is computed directly."""
-    side, p2, q2 = _side(params, p, q, route)
-    if (side, p2, q2) == (params, p, q):
-        return None
-    return {"p": p2, "q": q2, "b": side.b}
 
 
 def _rank_job(
@@ -138,7 +128,7 @@ class Engine:
     recomputed there and a mismatch raises PrimeDisagreement (never
     averaged away).  rational_cap: blocks with both sides at most this
     size are additionally certified by fraction-free rational elimination.
-    route: "auto", "direct" or "dual", the side of the duality `kpq_dim`
+    route: "auto" or "direct", the side of the duality `kpq_entry`
     computes each entry on (see `_side`); ceilings, certification, the
     pool and the cache apply to whichever side is computed.
 
@@ -161,8 +151,7 @@ class Engine:
         rational_cap: int | None = None,
         route: str = "auto",
     ) -> None:
-        if route not in ROUTES:
-            raise ValueError(f"route must be one of {ROUTES}, got {route!r}")
+        _side(VeroneseParams(1, 1), 0, 0, route)  # an unknown route fails here
         self.field = field
         self.cache = cache if cache is not None else BlockCache()
         self.limits = limits if limits is not None else ResourceLimits()
@@ -266,9 +255,29 @@ class Engine:
     def kpq_dim(
         self, params: VeroneseParams, p: int, q: int, route: str | None = None
     ) -> int:
-        """dim K_{p,q} at params, orbit-reduced blockwise computation on
-        the side of the duality that `route` (default: the engine's) picks."""
-        params, p, q = _side(params, p, q, self.route if route is None else route)
+        """dim K_{p,q} at params, on the side of the duality that `route`
+        (default: the engine's) picks; see `kpq_entry`."""
+        return self.kpq_entry(params, p, q, route)[0]
+
+    def kpq_entry(
+        self, params: VeroneseParams, p: int, q: int, route: str | None = None
+    ) -> tuple[int, dict | None]:
+        """dim K_{p,q} at params and the partner index {"p", "q", "b"} it
+        was computed through, or None when it was computed directly.
+
+        A partner the ceilings refuse falls back to the direct complex, so
+        routing never skips an entry the direct route computes.
+        """
+        side = _side(params, p, q, self.route if route is None else route)
+        if side != (params, p, q):
+            try:
+                return self._direct_dim(*side), {"p": side[1], "q": side[2], "b": side[0].b}
+            except ResourceRefusal:
+                pass
+        return self._direct_dim(params, p, q), None
+
+    def _direct_dim(self, params: VeroneseParams, p: int, q: int) -> int:
+        """dim K_{p,q} at params by its own complex, orbit-reduced blockwise."""
         n, d, b = params.n, params.d, params.b
         m_mid = b + q * d
         if p < 0 or p > h0(n, d) or m_mid < 0:
@@ -426,13 +435,13 @@ def betti_table(
     )
     for q in range(q_lo, q_hi + 1):
         for p in range(p_lo, p_hi + 1):
-            via = partner_via(params, p, q, engine.route)
-            if via is not None:
-                table.via[(p, q)] = via
             try:
-                table.dims[(p, q)] = engine.kpq_dim(params, p, q)
+                table.dims[(p, q)], via = engine.kpq_entry(params, p, q)
             except ResourceRefusal as refusal:
                 table.skipped[(p, q)] = str(refusal)
+                continue
+            if via is not None:
+                table.via[(p, q)] = via
     return table
 
 

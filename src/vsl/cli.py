@@ -212,9 +212,11 @@ def cmd_verify(opts: Options) -> int:
     engine = _build_engine(opts)
     raw = opts.get("strands")
     strands = _parse_int_list(raw) if raw else list(range(1, params.n + 1))
-    report = verify(
-        params, strands, engine, p_max=opts.get_int("p_max"), p_min=opts.get_int("p_min", 0)
-    )
+    p_min = opts.get_int("p_min", 0)
+    p_max = opts.get_int("p_max")
+    if not 0 <= p_min <= (h0(params.n, params.d) if p_max is None else p_max):
+        raise SystemExit(f"--p-min {p_min} is below 0 or above the last p graded")
+    report = verify(params, strands, engine, p_max=p_max, p_min=p_min)
     if opts.get("format", "text") == "json":
         _emit(opts, _json_text(report.to_json_dict()))
     else:
@@ -330,7 +332,7 @@ def _add_common(sp: argparse.ArgumentParser, *groups: str) -> None:
         sp.add_argument("--max-space-dim", type=int, dest="max_space_dim")
         sp.add_argument("--route", choices=ROUTES,
                         help="side of Green's duality each entry is computed on: "
-                        "'auto' (default, the smaller complex), 'direct' or 'dual'")
+                        "'auto' (default, the smaller complex) or 'direct'")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -24,7 +24,7 @@ from .bounds import (
     projection_codim,
     range_predictions,
 )
-from .betti import Engine, ResourceRefusal, duality_check, euler_check, partner_via
+from .betti import Engine, ResourceRefusal, duality_check, euler_check
 from .cache import BlockCache
 from .koszul import BlockKey, differential_block, space_blocks
 from .linalg import FieldSpec, PINNED_PRIMES, dense_rank_mod, sparse_rank
@@ -198,12 +198,11 @@ def verify(
     for q in strands:
         preds = range_predictions(params, q)
         for p in range(p_min, cap + 1):
-            via = partner_via(params, p, q, engine.route)
             try:
-                dim = engine.kpq_dim(params, p, q)
+                dim, via = engine.kpq_entry(params, p, q)
                 skipped = None
             except ResourceRefusal as refusal:
-                dim = None
+                dim, via = None, None
                 skipped = str(refusal)
             if skipped is not None:
                 checks = [

@@ -8,7 +8,7 @@ import pytest
 
 import vsl
 from vsl.bounds import VeroneseParams, duality_partner, h0
-from vsl.betti import Engine, _cost, _side, betti_table, duality_check
+from vsl.betti import Engine, ResourceLimits, _cost, _side, betti_table, duality_check
 from vsl.cli import main
 from vsl.harness import verify
 from vsl.linalg import PINNED_PRIMES, FieldSpec
@@ -18,17 +18,20 @@ ROUTED_TABLES = ((1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (3, 2))
 
 @pytest.mark.parametrize("prime", PINNED_PRIMES[:2])
 def test_routes_agree_on_small_tables(prime):
+    # each entry, its partner's own complex, and whichever side auto picks
     engine = Engine(FieldSpec.prime(prime))
     for n, d in ROUTED_TABLES:
         for b in (-1, 0, 1):
             params = VeroneseParams(n, d, b)
             for q in range(0, n + 2):
                 for p in range(0, h0(n, d) + 1):
-                    dims = {
-                        route: engine.kpq_dim(params, p, q, route=route)
-                        for route in ("direct", "dual", "auto")
-                    }
-                    assert len(set(dims.values())) == 1, (params, p, q, dims)
+                    p2, q2, b2 = duality_partner(params, p, q)
+                    dims = (
+                        engine.kpq_dim(params, p, q, route="direct"),
+                        engine.kpq_dim(VeroneseParams(n, d, b2), p2, q2, route="direct"),
+                        engine.kpq_dim(params, p, q),
+                    )
+                    assert len(set(dims)) == 1, (params, p, q, dims)
 
 
 def test_chooser_is_deterministic_and_prefers_the_smaller_complex():
@@ -39,29 +42,39 @@ def test_chooser_is_deterministic_and_prefers_the_smaller_complex():
                 for p in range(0, h0(n, d) + 1):
                     side = _side(params, p, q, "auto")
                     assert side == _side(params, p, q, "auto")
+                    assert _side(params, p, q, "direct") == (params, p, q)
                     p2, q2, b2 = duality_partner(params, p, q)
                     dual = (VeroneseParams(n, d, b2), p2, q2)
-                    assert _side(params, p, q, "dual") == dual
-                    assert _side(params, p, q, "direct") == (params, p, q)
                     expected = dual if _cost(*dual) < _cost(params, p, q) else (params, p, q)
                     assert side == expected
-    with pytest.raises(ValueError, match="route"):
-        _side(VeroneseParams(1, 2), 1, 1, "partner")
-    with pytest.raises(ValueError, match="route"):
-        Engine(FieldSpec.prime(PINNED_PRIMES[0]), route="partner")
-
-
-def test_ties_go_direct():
-    # the self-dual entry, and two entries whose partner is a different
-    # complex of exactly the same closed-form cost
+    # ties go direct: the self-dual entry, and two entries whose partner is
+    # a different complex of exactly the same closed-form cost
     for params, p, q, cost in (
         (VeroneseParams(1, 3, -1), 1, 1, 18),
         (VeroneseParams(1, 2), 1, 0, 6),
         (VeroneseParams(3, 2), 3, 1, 2985),
     ):
-        dual = _side(params, p, q, "dual")
-        assert _cost(params, p, q) == _cost(*dual) == cost
+        p2, q2, b2 = duality_partner(params, p, q)
+        assert _cost(params, p, q) == _cost(VeroneseParams(params.n, params.d, b2), p2, q2) == cost
         assert _side(params, p, q, "auto") == (params, p, q)
+    for route in ("dual", "partner"):
+        with pytest.raises(ValueError, match="route"):
+            _side(VeroneseParams(1, 2), 1, 1, route)
+        with pytest.raises(ValueError, match="route"):
+            Engine(FieldSpec.prime(PINNED_PRIMES[0]), route=route)
+
+
+def test_refused_partner_falls_back_to_the_direct_complex():
+    # (2,3) K_{6,0}'s cheaper partner K_{1,3}(-3) has a block over 20
+    # columns; its own complex has none, so auto computes it directly
+    limits = ResourceLimits(max_block_cols=20)
+    cubic = VeroneseParams(2, 3)
+    assert _side(cubic, 6, 0, "auto") != (cubic, 6, 0)
+    engine = Engine(FieldSpec.prime(PINNED_PRIMES[0]), limits=limits)
+    assert engine.kpq_entry(cubic, 6, 0) == (0, None)
+    assert engine.stats["refusals"] == 1
+    entries = {(e["p"], e["q"]): e for e in betti_table(cubic, engine).to_json_dict()["entries"]}
+    assert entries[(6, 0)] == {"p": 6, "q": 0, "dim": 0, "status": "ZERO"}
 
 
 def test_entries_routed_through_the_partner_carry_via():
@@ -132,6 +145,10 @@ def test_verify_p_min_starts_rows_there(capsys):
     )
     assert payload["summary"]["LINEAR_CONJ"] == "VERIFIED"
     assert all(row["dim"] == 0 for row in payload["rows"])
+    # a window that grades no row, or starts below p = 0, is refused
+    for p_min in ("-1", "11"):
+        with pytest.raises(SystemExit, match="p-min"):
+            main(argv[:-3] + [p_min, "--p-max", "10"])
     # without --p-min the report has no p_min field, as before
     assert main(argv[:-4] + ["--format", "json"]) == 0
     assert "p_min" not in json.loads(capsys.readouterr().out)
