@@ -51,7 +51,6 @@ class ResourceLimits:
 
     max_block_cols: int = 250_000
     max_space_dim: int = 30_000_000
-    dense_limit: int = 2000  # largest side of a block certified over QQ
 
 
 ZERO = "ZERO"
@@ -100,9 +99,8 @@ def _rank_job(
     The column ceiling is applied here and a refusal is returned as a
     value, so a pooled run can meet it in serial order.  The block is
     ranked at every prime in `primes`, and over the rationals when both
-    sides are within rational_cap, or always when `primes` is empty (the
-    rationals engine).  Returns ({prime: rank}, rational rank or None);
-    `Engine._rank_blocks` compares these ranks and stores them.
+    sides are within rational_cap.  Returns ({prime: rank}, rational rank
+    or None); `Engine._rank_blocks` compares these ranks and stores them.
     """
     block = differential_block(key)
     if block.ncols > limits.max_block_cols:
@@ -112,22 +110,23 @@ def _rank_job(
         )
     ranks = {prime: sparse_rank(block, FieldSpec.prime(prime)) for prime in primes}
     exact = None
-    if not primes or (
+    if (
         rational_cap is not None
         and block.nrows <= rational_cap
         and block.ncols <= rational_cap
     ):
-        exact = rational_rank(block, dense_limit=limits.dense_limit)
+        exact = rational_rank(block, dense_limit=rational_cap)
     return ranks, exact
 
 
 class Engine:
-    """Computes and caches block ranks for one coefficient field.
+    """Computes and caches block ranks over one prime field.
 
     certify_prime: optional second pinned prime; every block rank is
     recomputed there and a mismatch raises PrimeDisagreement (never
-    averaged away).  rational_cap: blocks with both sides at most this
-    size are additionally certified by fraction-free rational elimination.
+    averaged away).  `primes` holds the field's prime, then certify_prime
+    if given.  rational_cap: blocks with both sides at most this size are
+    additionally certified by fraction-free rational elimination.
     route: "auto" or "direct", the side of the duality `kpq_entry`
     computes each entry on (see `_side`); ceilings, certification, the
     pool and the cache apply to whichever side is computed.
@@ -159,10 +158,9 @@ class Engine:
         self.certify_prime = certify_prime
         self.rational_cap = rational_cap
         self.route = route
-        if certify_prime is not None and field.kind != "prime":
-            raise ValueError("a certification prime needs a prime field engine")
-        if certify_prime is not None and certify_prime == field.p:
+        if certify_prime == field.p:
             raise ValueError("certification prime must differ from the primary prime")
+        self.primes = (field.p,) if certify_prime is None else (field.p, certify_prime)
         self.stats = {
             "blocks_ranked": 0,
             "cache_hits": 0,
@@ -179,16 +177,12 @@ class Engine:
     def _rank_blocks(self, keys: list[BlockKey]) -> dict[BlockKey, int]:
         """Rank blocks through `_rank_job`, serially or across a process pool.
 
-        Jobs cover the keys with an uncached engine prime (every key for
-        the rationals engine).  A serial run maps them lazily, so it stops
-        at the first refusal; a pool runs them all, in sorted key order.
-        Either way their results are checked and stored in `keys` order.
+        Jobs cover the keys with an uncached engine prime.  A serial run
+        maps them lazily, so it stops at the first refusal; a pool runs them
+        all, in sorted key order.  Either way their results are checked and
+        stored in `keys` order.
         """
-        primes = []
-        if self.field.kind == "prime":
-            primes = [self.field.p]
-            if self.certify_prime is not None:
-                primes.append(self.certify_prime)
+        primes = self.primes
         cached = {
             key: {prime: self.cache.get(self._cache_key(key, prime)) for prime in primes}
             for key in keys
@@ -196,7 +190,7 @@ class Engine:
         todo = {
             key: tuple(prime for prime, rank in found.items() if rank is None)
             for key, found in cached.items()
-            if not primes or None in found.values()
+            if None in found.values()
         }
         fixed = (repeat(self.limits), repeat(self.rational_cap))
         if self.threads > 1 and len(todo) >= 4:
@@ -238,7 +232,7 @@ class Engine:
                         f"GF({primes[0]}) rank {ranks[0]} != "
                         f"GF({primes[1]}) rank {ranks[1]} at {key}"
                     )
-            out[key] = ranks[0] if ranks else exact
+            out[key] = ranks[0]
         return out
 
     # -- homology ranks ----------------------------------------------------
@@ -337,10 +331,6 @@ class BettiTable:
     def dim(self, p: int, q: int) -> int | None:
         return self.dims.get((p, q))
 
-    def nonzero_range(self, q: int) -> tuple[int, int] | None:
-        ps = [p for (p, qq), v in self.dims.items() if qq == q and v]
-        return (min(ps), max(ps)) if ps else None
-
     def p_values(self) -> list[int]:
         keys = set(self.dims) | set(self.skipped)
         return sorted({p for p, _ in keys})
@@ -424,13 +414,10 @@ def betti_table(
     n = params.n
     p_lo, p_hi = p_range if p_range else (0, h0(n, params.d))
     q_lo, q_hi = q_range if q_range else (0, n + 1)
-    primes = [engine.field.p] if engine.field.kind == "prime" else []
-    if engine.certify_prime is not None:
-        primes.append(engine.certify_prime)
     table = BettiTable(
         params,
         engine.field,
-        primes=tuple(primes),
+        primes=engine.primes,
         certified=engine.certify_prime is not None,
     )
     for q in range(q_lo, q_hi + 1):

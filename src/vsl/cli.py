@@ -2,8 +2,9 @@
 
 Subcommands: bounds, betti, verify, maps (ev | chain), selftest, cache
 (stats | gc).  Every flag can also be supplied through a key=value config
-file (--config FILE); explicit command-line values win on conflict.  The
-cache directory defaults to the VSL_CACHE_DIR environment variable.
+file (--config FILE), whose values become the subcommand's defaults:
+explicit command-line values win on conflict.  The cache directory defaults
+to the VSL_CACHE_DIR environment variable.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .bounds import VeroneseParams, h0, projection_codim, range_predictions
 from .betti import ROUTES, Engine, ResourceLimits, betti_table
 from .cache import BlockCache, cache_gc, cache_stats
 from .harness import selftest, verify
-from .linalg import PINNED_PRIMES, FieldSpec, is_prime
+from .linalg import DEFAULT_DENSE_LIMIT, PINNED_PRIMES, FieldSpec, is_prime
 from .polyspace import PointOverField
 from .syzygy import (
     cycle_basis,
@@ -51,46 +52,34 @@ _TRUE = {"1", "true", "yes", "on"}
 _FALSE = {"0", "false", "no", "off"}
 
 
-def _as_bool(raw: str, key: str) -> bool:
-    low = raw.lower()
-    if low in _TRUE:
-        return True
-    if low in _FALSE:
-        return False
-    raise SystemExit(f"config value for {key} is not a boolean: {raw!r}")
+def _config_defaults(sp: argparse.ArgumentParser, path: str) -> None:
+    """Make the values in config file `path` defaults of subcommand sp.
+
+    argparse parses a string default with its flag's `type` when the flag
+    is not on the command line, so a value the type refuses is a usage
+    error.
+    store_true flags take the _TRUE/_FALSE spellings, and choices are
+    checked here.  Keys that name no flag of sp are ignored.
+    """
+    config = _read_config(path)
+    defaults = {}
+    for action in sp._actions:
+        raw = config.get(action.dest)
+        if raw is None or not action.option_strings or action.dest in ("config", "help"):
+            continue
+        if action.nargs == 0:  # store_true
+            if raw.lower() not in _TRUE | _FALSE:
+                sp.error(f"config value for {action.dest} is not a boolean: {raw!r}")
+            defaults[action.dest] = raw.lower() in _TRUE
+        elif action.choices is not None and raw not in action.choices:
+            sp.error(f"config value for {action.dest} is not one of {action.choices}: {raw!r}")
+        else:
+            defaults[action.dest] = raw
+    sp.set_defaults(**defaults)
 
 
-class Options:
-    """Merged view of CLI args over config-file values over defaults."""
-
-    def __init__(self, args: argparse.Namespace) -> None:
-        self.args = args
-        self.config = _read_config(args.config) if getattr(args, "config", None) else {}
-
-    def get(self, key: str, default=None, cast=None):
-        value = getattr(self.args, key, None)
-        if value is None and key in self.config:
-            raw = self.config[key]
-            if cast is bool:
-                return _as_bool(raw, key)
-            value = cast(raw) if cast else raw
-        if value is None:
-            return default
-        return value
-
-    def get_int(self, key: str, default=None):
-        return self.get(key, default, cast=int)
-
-    def get_flag(self, key: str) -> bool:
-        # store_true flags default to None so config can supply them
-        value = getattr(self.args, key, None)
-        if value is None:
-            return _as_bool(self.config[key], key) if key in self.config else False
-        return bool(value)
-
-
-def _parse_prime(raw: str | int | None) -> int:
-    if raw is None or raw == "auto":
+def _parse_prime(raw: str) -> int:
+    if raw == "auto":
         return PINNED_PRIMES[0]
     p = int(raw)
     if not is_prime(p):
@@ -102,47 +91,28 @@ def _parse_int_list(raw: str) -> list[int]:
     return [int(x) for x in raw.replace(",", " ").split()]
 
 
-def _cache_dir(opts: Options) -> str | None:
-    return opts.get("cache", os.environ.get("VSL_CACHE_DIR"))
-
-
-def _build_engine(opts: Options) -> Engine:
-    prime = _parse_prime(opts.get("prime"))
-    dense_limit = opts.get_int("dense_limit", 2000)
-    limits = ResourceLimits(
-        max_block_cols=opts.get_int("max_block_cols", ResourceLimits.max_block_cols),
-        max_space_dim=opts.get_int("max_space_dim", ResourceLimits.max_space_dim),
-        dense_limit=dense_limit,
-    )
-    certify = opts.get_flag("certify")
-    certify_prime = None
-    rational_cap = None
-    if certify:
-        certify_prime = next(p for p in PINNED_PRIMES if p != prime)
-        rational_cap = dense_limit
+def _build_engine(args: argparse.Namespace) -> Engine:
+    prime = _parse_prime(args.prime)
     return Engine(
         FieldSpec.prime(prime),
-        cache=BlockCache.open(_cache_dir(opts)),
-        limits=limits,
-        threads=opts.get_int("threads", 1),
-        certify_prime=certify_prime,
-        rational_cap=rational_cap,
-        route=opts.get("route", "auto"),
+        cache=BlockCache.open(args.cache),
+        limits=ResourceLimits(args.max_block_cols, args.max_space_dim),
+        threads=args.threads,
+        certify_prime=next(p for p in PINNED_PRIMES if p != prime) if args.certify else None,
+        rational_cap=args.dense_limit if args.certify else None,
+        route=args.route,
     )
 
 
-def _params(opts: Options) -> VeroneseParams:
-    n = opts.get_int("n")
-    d = opts.get_int("d")
-    if n is None or d is None:
+def _params(args: argparse.Namespace) -> VeroneseParams:
+    if args.n is None or args.d is None:
         raise SystemExit("--n and --d are required")
-    return VeroneseParams(n, d, opts.get_int("b", 0))
+    return VeroneseParams(args.n, args.d, args.b)
 
 
-def _emit(opts: Options, text: str) -> None:
-    out = opts.get("out")
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
+def _emit(args: argparse.Namespace, text: str) -> None:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text if text.endswith("\n") else text + "\n")
     else:
         print(text)
@@ -155,10 +125,9 @@ def _json_text(payload) -> str:
 # -- subcommands ----------------------------------------------------------
 
 
-def cmd_bounds(opts: Options) -> int:
-    params = _params(opts)
-    q = opts.get_int("q")
-    strands = [q] if q is not None else list(range(1, params.n + 1))
+def cmd_bounds(args: argparse.Namespace) -> int:
+    params = _params(args)
+    strands = [args.q] if args.q is not None else list(range(1, params.n + 1))
     preds = []
     for strand in strands:
         for pr in range_predictions(params, strand):
@@ -172,8 +141,8 @@ def cmd_bounds(opts: Options) -> int:
                     "reason": pr.reason,
                 }
             )
-    if opts.get("format", "text") == "json":
-        _emit(opts, _json_text(preds))
+    if args.format == "json":
+        _emit(args, _json_text(preds))
     else:
         lines = [f"predicted ranges for {params.label()}"]
         for pr in preds:
@@ -182,45 +151,40 @@ def cmd_bounds(opts: Options) -> int:
                 f"  q={pr['q']} {pr['source']:<16} "
                 f"[{pr['lo']}, {pr['hi']}]{flag}  ({pr['reason']})"
             )
-        _emit(opts, "\n".join(lines))
+        _emit(args, "\n".join(lines))
     return 0
 
 
-def cmd_betti(opts: Options) -> int:
-    params = _params(opts)
-    engine = _build_engine(opts)
-    p_lo = opts.get_int("p_min", 0)
-    p_hi = opts.get_int("p_max", h0(params.n, params.d))
-    q_lo = opts.get_int("q_min", 0)
-    q_hi = opts.get_int("q_max", params.n + 1)
-    table = betti_table(params, engine, (p_lo, p_hi), (q_lo, q_hi))
-    fmt = opts.get("format", "ascii")
-    if fmt == "json":
-        _emit(opts, _json_text(table.to_json_dict()))
-    elif fmt == "csv":
+def cmd_betti(args: argparse.Namespace) -> int:
+    params = _params(args)
+    engine = _build_engine(args)
+    p_hi = h0(params.n, params.d) if args.p_max is None else args.p_max
+    q_hi = params.n + 1 if args.q_max is None else args.q_max
+    table = betti_table(params, engine, (args.p_min, p_hi), (args.q_min, q_hi))
+    if args.format == "json":
+        _emit(args, _json_text(table.to_json_dict()))
+    elif args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerows(table.csv_rows())
-        _emit(opts, buf.getvalue().rstrip("\n"))
+        _emit(args, buf.getvalue().rstrip("\n"))
     else:
-        _emit(opts, table.ascii())
+        _emit(args, table.ascii())
     return 0
 
 
-def cmd_verify(opts: Options) -> int:
-    params = _params(opts)
-    engine = _build_engine(opts)
-    raw = opts.get("strands")
-    strands = _parse_int_list(raw) if raw else list(range(1, params.n + 1))
-    p_min = opts.get_int("p_min", 0)
-    p_max = opts.get_int("p_max")
+def cmd_verify(args: argparse.Namespace) -> int:
+    params = _params(args)
+    engine = _build_engine(args)
+    strands = _parse_int_list(args.strands) if args.strands else list(range(1, params.n + 1))
+    p_min, p_max = args.p_min, args.p_max
     if not 0 <= p_min <= (h0(params.n, params.d) if p_max is None else p_max):
         raise SystemExit(f"--p-min {p_min} is below 0 or above the last p graded")
     report = verify(params, strands, engine, p_max=p_max, p_min=p_min)
-    if opts.get("format", "text") == "json":
-        _emit(opts, _json_text(report.to_json_dict()))
+    if args.format == "json":
+        _emit(args, _json_text(report.to_json_dict()))
     else:
-        _emit(opts, report.text())
+        _emit(args, report.text())
     return 0 if report.ok() else 1
 
 
@@ -232,15 +196,14 @@ def _load_points(raw: str, prime: int, seed: int, params: VeroneseParams):
     return [PointOverField.make(tuple(int(x) for x in c), prime) for c in coords]
 
 
-def cmd_maps_ev(opts: Options) -> int:
-    params = _params(opts)
-    engine = _build_engine(opts)
+def cmd_maps_ev(args: argparse.Namespace) -> int:
+    params = _params(args)
+    engine = _build_engine(args)
     prime = engine.field.p
-    p = opts.get_int("p")
+    p = args.p
     if p is None:
         raise SystemExit("--p is required")
-    seed = opts.get_int("seed", 0)
-    points = _load_points(opts.get("points", "random"), prime, seed, params)
+    points = _load_points(args.points, prime, args.seed, params)
     s = projection_codim(params)
     classes = cycle_basis(params, p, 1, engine)
     target_basis = cycle_basis(params, p - s, 1, engine) if p - s >= 0 else []
@@ -263,22 +226,21 @@ def cmd_maps_ev(opts: Options) -> int:
         "field": engine.field.label(),
         "p": p,
         "s": s,
-        "seed": seed,
+        "seed": args.seed,
         "source_dim": len(classes),
         "target_dim": len(target_basis),
         "induced_rank": rank,
         "classes": rows,
     }
-    _emit(opts, _json_text(payload))
+    _emit(args, _json_text(payload))
     return 0
 
 
-def cmd_maps_chain(opts: Options) -> int:
-    params = _params(opts)
-    engine = _build_engine(opts)
-    p = opts.get_int("p")
-    p_lo = opts.get_int("p_min", p)
-    p_hi = opts.get_int("p_max", p)
+def cmd_maps_chain(args: argparse.Namespace) -> int:
+    params = _params(args)
+    engine = _build_engine(args)
+    p_lo = args.p if args.p_min is None else args.p_min
+    p_hi = args.p if args.p_max is None else args.p_max
     if p_lo is None or p_hi is None:
         raise SystemExit("--p or --p-min/--p-max is required")
     rows = [theorem_chain_check(params, pp, engine) for pp in range(p_lo, p_hi + 1)]
@@ -287,26 +249,24 @@ def cmd_maps_chain(opts: Options) -> int:
         "field": engine.field.label(),
         "rows": rows,
     }
-    _emit(opts, _json_text(payload))
+    _emit(args, _json_text(payload))
     return 0 if all(r["verdict"] == "CONSISTENT" for r in rows) else 1
 
 
-def cmd_selftest(opts: Options) -> int:
-    result = selftest(fast=opts.get_flag("fast"))
-    _emit(opts, result.text())
+def cmd_selftest(args: argparse.Namespace) -> int:
+    result = selftest(fast=args.fast)
+    _emit(args, result.text())
     return 0 if result.ok() else 1
 
 
-def cmd_cache(opts: Options) -> int:
-    directory = _cache_dir(opts)
-    if directory is None:
+def cmd_cache(args: argparse.Namespace) -> int:
+    if args.cache is None:
         raise SystemExit("cache directory required (--cache or VSL_CACHE_DIR)")
-    if opts.args.cache_action == "stats":
-        _emit(opts, _json_text(cache_stats(directory)))
+    if args.cache_action == "stats":
+        _emit(args, _json_text(cache_stats(args.cache)))
         return 0
-    raw = opts.get("keep_primes")
-    keep = _parse_int_list(raw) if raw else list(PINNED_PRIMES)
-    _emit(opts, _json_text(cache_gc(directory, keep_primes=keep)))
+    keep = _parse_int_list(args.keep_primes) if args.keep_primes else list(PINNED_PRIMES)
+    _emit(args, _json_text(cache_gc(args.cache, keep_primes=keep)))
     return 0
 
 
@@ -319,20 +279,34 @@ def _add_common(sp: argparse.ArgumentParser, *groups: str) -> None:
     if "params" in groups:
         sp.add_argument("--n", type=int, help="ambient projective dimension")
         sp.add_argument("--d", type=int, help="embedding degree")
-        sp.add_argument("--b", type=int, help="coefficient twist (default 0)")
+        sp.add_argument("--b", type=int, default=0, help="coefficient twist (default 0)")
     if "engine" in groups:
-        sp.add_argument("--prime", help="'auto' (largest pinned 31-bit prime) or an explicit prime")
-        sp.add_argument("--certify", action="store_const", const=True, default=None,
+        sp.add_argument("--prime", default="auto",
+                        help="'auto' (largest pinned 31-bit prime) or an explicit prime")
+        sp.add_argument("--certify", action="store_true",
                         help="re-rank each block at a second prime and rationally when small")
         sp.add_argument("--dense-limit", type=int, dest="dense_limit",
-                        help="max block side certified by exact rational elimination")
-        sp.add_argument("--threads", type=int, help="worker processes for block ranks")
-        sp.add_argument("--cache", help="block-rank cache directory (or VSL_CACHE_DIR)")
-        sp.add_argument("--max-block-cols", type=int, dest="max_block_cols")
-        sp.add_argument("--max-space-dim", type=int, dest="max_space_dim")
-        sp.add_argument("--route", choices=ROUTES,
+                        default=DEFAULT_DENSE_LIMIT,
+                        help="max block side certified by exact rational elimination "
+                        "(default %(default)s)")
+        sp.add_argument("--threads", type=int, default=1,
+                        help="worker processes for block ranks")
+        sp.add_argument("--cache", default=os.environ.get("VSL_CACHE_DIR"),
+                        help="block-rank cache directory (or VSL_CACHE_DIR)")
+        sp.add_argument("--max-block-cols", type=int, dest="max_block_cols",
+                        default=ResourceLimits.max_block_cols)
+        sp.add_argument("--max-space-dim", type=int, dest="max_space_dim",
+                        default=ResourceLimits.max_space_dim)
+        sp.add_argument("--route", choices=ROUTES, default="auto",
                         help="side of Green's duality each entry is computed on: "
                         "'auto' (default, the smaller complex) or 'direct'")
+
+
+def _command(sub, name: str, func, help: str) -> argparse.ArgumentParser:
+    """A subcommand parser; it is also a default, for `--config` to fill."""
+    sp = sub.add_parser(name, help=help)
+    sp.set_defaults(func=func, parser=sp)
+    return sp
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -342,66 +316,65 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("bounds", help="predicted nonvanishing ranges and bounds")
+    sp = _command(sub, "bounds", cmd_bounds, "predicted nonvanishing ranges and bounds")
     _add_common(sp, "params")
     sp.add_argument("--q", type=int, help="restrict to one strand")
-    sp.add_argument("--format", choices=["json", "text"])
-    sp.set_defaults(func=cmd_bounds)
+    sp.add_argument("--format", choices=["json", "text"], default="text")
 
-    sp = sub.add_parser("betti", help="compute a Betti table rectangle")
+    sp = _command(sub, "betti", cmd_betti, "compute a Betti table rectangle")
     _add_common(sp, "params", "engine")
-    sp.add_argument("--p-min", type=int, dest="p_min")
+    sp.add_argument("--p-min", type=int, dest="p_min", default=0)
     sp.add_argument("--p-max", type=int, dest="p_max")
-    sp.add_argument("--q-min", type=int, dest="q_min")
+    sp.add_argument("--q-min", type=int, dest="q_min", default=0)
     sp.add_argument("--q-max", type=int, dest="q_max")
-    sp.add_argument("--format", choices=["json", "csv", "ascii"])
-    sp.set_defaults(func=cmd_betti)
+    sp.add_argument("--format", choices=["json", "csv", "ascii"], default="ascii")
 
-    sp = sub.add_parser("verify", help="grade computed strands against predictions")
+    sp = _command(sub, "verify", cmd_verify, "grade computed strands against predictions")
     _add_common(sp, "params", "engine")
     sp.add_argument("--strands", help="comma-separated q values (default 1..n)")
-    sp.add_argument("--p-min", type=int, dest="p_min", help="first p graded (default 0)")
+    sp.add_argument("--p-min", type=int, dest="p_min", default=0,
+                    help="first p graded (default 0)")
     sp.add_argument("--p-max", type=int, dest="p_max")
-    sp.add_argument("--format", choices=["json", "text"])
-    sp.set_defaults(func=cmd_verify)
+    sp.add_argument("--format", choices=["json", "text"], default="text")
 
     sp_maps = sub.add_parser("maps", help="cycle-level contraction and chain reports")
     maps_sub = sp_maps.add_subparsers(dest="maps_action", required=True)
 
-    sp = maps_sub.add_parser("ev", help="multi-point contraction on a cycle basis")
+    sp = _command(maps_sub, "ev", cmd_maps_ev, "multi-point contraction on a cycle basis")
     _add_common(sp, "params", "engine")
     sp.add_argument("--p", type=int, help="wedge index of the source strand-1 group")
-    sp.add_argument("--seed", type=int, help="point-sampling seed (default 0)")
-    sp.add_argument("--points", help="'random' or a JSON file of point coordinates")
-    sp.set_defaults(func=cmd_maps_ev)
+    sp.add_argument("--seed", type=int, default=0, help="point-sampling seed (default 0)")
+    sp.add_argument("--points", default="random",
+                    help="'random' or a JSON file of point coordinates")
 
-    sp = maps_sub.add_parser("chain", help="degree-drop implication at one or more p")
+    sp = _command(maps_sub, "chain", cmd_maps_chain, "degree-drop implication at one or more p")
     _add_common(sp, "params", "engine")
     sp.add_argument("--p", type=int)
     sp.add_argument("--p-min", type=int, dest="p_min")
     sp.add_argument("--p-max", type=int, dest="p_max")
-    sp.set_defaults(func=cmd_maps_chain)
 
-    sp = sub.add_parser("selftest", help="pinned invariant suite; exit 0 iff all pass")
+    sp = _command(sub, "selftest", cmd_selftest, "pinned invariant suite; exit 0 iff all pass")
     _add_common(sp)
-    sp.add_argument("--fast", action="store_const", const=True, default=None)
-    sp.set_defaults(func=cmd_selftest)
+    sp.add_argument("--fast", action="store_true")
 
-    sp = sub.add_parser("cache", help="inspect or compact the block-rank cache")
+    sp = _command(sub, "cache", cmd_cache, "inspect or compact the block-rank cache")
     sp.add_argument("cache_action", choices=["stats", "gc"])
     _add_common(sp)
-    sp.add_argument("--cache", help="cache directory (or VSL_CACHE_DIR)")
+    sp.add_argument("--cache", default=os.environ.get("VSL_CACHE_DIR"),
+                    help="cache directory (or VSL_CACHE_DIR)")
     sp.add_argument("--keep-primes", dest="keep_primes",
                     help="gc: comma-separated primes to keep (default: pinned list)")
-    sp.set_defaults(func=cmd_cache)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    opts = Options(args)
-    return args.func(opts)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.config:
+        _config_defaults(args.parser, args.config)
+        args = parser.parse_args(argv)
+    return args.func(args)
 
 
 if __name__ == "__main__":

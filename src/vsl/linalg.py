@@ -1,8 +1,8 @@
 """Exact rank computation: sparse elimination over word-size prime fields,
 dense elimination mod p, and sparse fraction-free elimination over ZZ.
 
-The sparse GF(p) path is the production route for block ranks; the rational
-path certifies blocks within a size cap with no modular arithmetic.  Primes
+The sparse GF(p) path computes every block rank; the rational path
+certifies blocks within a size cap with no modular arithmetic.  Primes
 come from a fixed list of ten 31-bit primes so a run can be reproduced and
 cross-checked at a second prime.
 """
@@ -59,33 +59,25 @@ def is_prime(p: int) -> bool:
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """Coefficient field for rank computations: GF(p) or the rationals."""
+    """Coefficient field for rank computations: GF(p), p an odd 31-bit prime."""
 
-    kind: str  # "prime" or "rationals"
+    kind: str  # always "prime"
     p: int | None = None
 
     def __post_init__(self) -> None:
-        if self.kind == "prime":
-            if self.p is None or not is_prime(self.p) or self.p % 2 == 0:
-                raise ValueError(f"FieldSpec: {self.p} is not an odd prime")
-            if self.p >= 2**31:
-                raise ValueError(f"FieldSpec: prime {self.p} does not fit in 31 bits")
-        elif self.kind == "rationals":
-            if self.p is not None:
-                raise ValueError("FieldSpec: rationals take no prime")
-        else:
+        if self.kind != "prime":
             raise ValueError(f"FieldSpec: unknown kind {self.kind!r}")
+        if self.p is None or not is_prime(self.p) or self.p % 2 == 0:
+            raise ValueError(f"FieldSpec: {self.p} is not an odd prime")
+        if self.p >= 2**31:
+            raise ValueError(f"FieldSpec: prime {self.p} does not fit in 31 bits")
 
     @classmethod
     def prime(cls, p: int) -> "FieldSpec":
         return cls("prime", p)
 
-    @classmethod
-    def rationals(cls) -> "FieldSpec":
-        return cls("rationals")
-
     def label(self) -> str:
-        return f"GF({self.p})" if self.kind == "prime" else "QQ"
+        return f"GF({self.p})"
 
 
 class PrimeDisagreement(Exception):
@@ -104,8 +96,6 @@ def sparse_rank(block, field: FieldSpec) -> int:
     pivot row, the only ones whose counts it can change, and entries whose
     column is gone or whose count is out of date are skipped when popped.
     """
-    if field.kind != "prime":
-        raise ValueError("sparse_rank runs over a prime field")
     return sparse_rank_entries(block.entries, field.p)
 
 

@@ -181,8 +181,6 @@ def cycle_basis(params: VeroneseParams, p: int, q: int, engine: Engine) -> list[
     The total count must agree with the blockwise dimension computation,
     and does by construction of both paths from the same block matrices.
     """
-    if engine.field.kind != "prime":
-        raise ValueError("cycle_basis needs a prime field engine")
     prime = engine.field.p
     space = ChainSpace(params, p, q, prime)
     n, d = params.n, params.d

@@ -55,7 +55,6 @@ def test_plane_conic_table(eng):
     for (p, q), dim in table.dims.items():
         if p >= 1 and (p, q) not in ((1, 1), (2, 1), (3, 1)):
             assert dim == 0, (p, q)
-    assert table.nonzero_range(1) == (1, 3)
 
 
 def test_quartic_line_strand_is_eagon_northcott(eng):
@@ -198,13 +197,6 @@ def test_certify_prime_must_differ():
         )
 
 
-def test_rationals_engine_refuses_a_certify_prime():
-    # the rationals engine never ranks at a prime, so it could not back the
-    # `primes: [P], certified: true` provenance that a certify prime reports
-    with pytest.raises(ValueError, match="prime field"):
-        Engine(FieldSpec.rationals(), certify_prime=PINNED_PRIMES[1])
-
-
 def test_rational_certification_path():
     engine = Engine(FieldSpec.prime(PINNED_PRIMES[0]), rational_cap=2000)
     table = betti_table(VeroneseParams(1, 3), engine)
@@ -219,12 +211,16 @@ def test_rational_certification_path():
     assert betti_table(VeroneseParams(1, 3), dual).certified is True
 
 
-def test_rationals_field_engine_matches_prime_engine(eng):
-    engine_q = Engine(FieldSpec.rationals())
+def test_rational_cap_certifies_every_block_and_matches_prime_engine(eng):
+    # no (1,3) block is wider than 6, so a cap of 10 certifies every rank
+    # over the rationals; "direct" ranks every entry's own complex
+    engine_q = Engine(FieldSpec.prime(PINNED_PRIMES[0]), rational_cap=10, route="direct")
     pr = VeroneseParams(1, 3)
     for q in (0, 1, 2):
         for p in range(0, h0(1, 3) + 1):
             assert engine_q.kpq_dim(pr, p, q) == eng.kpq_dim(pr, p, q)
+    assert engine_q.stats["blocks_ranked"] > 0
+    assert engine_q.stats["rational_certified"] == engine_q.stats["blocks_ranked"]
 
 
 def test_threaded_engine_matches_serial(eng):

@@ -243,8 +243,29 @@ def test_cli_config_boolean_values(tmp_path, capsys):
     assert main(["selftest", "--config", str(cfg)]) == 0
     assert "checks passed" in capsys.readouterr().out
     cfg.write_text("fast = maybe\n")
-    with pytest.raises(SystemExit, match="not a boolean"):
+    with pytest.raises(SystemExit) as exc:
         main(["selftest", "--config", str(cfg)])
+    assert exc.value.code == 2
+    assert "config value for fast is not a boolean: 'maybe'" in capsys.readouterr().err
+
+
+def test_cli_config_values_parse_like_their_flags(tmp_path, capsys):
+    # a malformed config value is argparse's usage error (exit 2), not a
+    # ValueError traceback; an explicit flag still wins over it
+    cfg = tmp_path / "bad.cfg"
+    for text, message in (
+        ("n = two\nd = 2\n", "argument --n: invalid int value: 'two'"),
+        ("n = 1\nd = 2\nthreads = many\n", "argument --threads: invalid int value: 'many'"),
+        ("n = 1\nd = 2\nroute = sideways\n", "config value for route is not one of"),
+    ):
+        cfg.write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            main(["betti", "--config", str(cfg)])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+    cfg.write_text("n = two\nd = 2\nformat = csv\nunknown-key = 3\n")
+    assert main(["betti", "--config", str(cfg), "--n", "1"]) == 0
+    assert capsys.readouterr().out.startswith("p,q,dim,status")
 
 
 def test_cli_cache_env_and_stats(tmp_path, monkeypatch, capsys):
