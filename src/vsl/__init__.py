@@ -27,7 +27,6 @@ from .betti import (
     betti_table,
     duality_check,
     euler_check,
-    green_vanishing_check,
 )
 from .cache import BlockCache, CacheCorruption, cache_gc, cache_stats
 from .harness import VerificationReport, selftest, verify
@@ -79,7 +78,6 @@ __all__ = [
     "ev_point",
     "gb_bound",
     "green_vanishing_bound",
-    "green_vanishing_check",
     "h0",
     "is_boundary",
     "linear_conj_bound",

@@ -22,7 +22,6 @@ from .bounds import (
     InvariantViolation,
     VeroneseParams,
     duality_partner,
-    green_vanishing_bound,
     h0,
 )
 from .cache import BlockCache, CacheKey
@@ -452,40 +451,6 @@ def duality_check(params: VeroneseParams, p: int, q: int, engine: Engine) -> dic
         "lhs": lhs,
         "rhs": rhs,
         "verdict": "CONSISTENT" if lhs == rhs else "VIOLATION",
-    }
-
-
-def green_vanishing_check(
-    params: VeroneseParams, q: int, engine: Engine, p_cap: int | None = None
-) -> dict:
-    """Verify K_{p,q} = 0 for all p >= h0(n, b + q d), and report the edge.
-
-    Rows run from the bound to the last p with a nonzero middle space.  The
-    entry one below the bound is reported (dimension and nonzeroness) but
-    not asserted: the bound is sharp for some parameter families, not all.
-    """
-    bound = green_vanishing_bound(params, q)
-    top = h0(params.n, params.d)
-    if p_cap is not None:
-        top = min(top, p_cap)
-    rows = []
-    ok = True
-    for p in range(bound, top + 1):
-        dim = engine.kpq_dim(params, p, q)
-        rows.append((p, dim))
-        if dim:
-            ok = False
-    edge_p = bound - 1
-    edge_dim = engine.kpq_dim(params, edge_p, q) if edge_p >= 0 else None
-    return {
-        "q": q,
-        "bound": bound,
-        "rows": rows,
-        "all_zero_from_bound": ok,
-        "edge_p": edge_p,
-        "edge_dim": edge_dim,
-        "edge_nonzero": bool(edge_dim),
-        "verdict": "CONSISTENT" if ok else "VIOLATION",
     }
 
 

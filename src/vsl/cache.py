@@ -36,6 +36,19 @@ def record_key(rec: dict) -> CacheKey:
     )
 
 
+def _read_records(path: str):
+    """(line, key, rank) for each non-blank line of a cache file, stripped;
+    key and rank are None when the line is not a readable record."""
+    with open(path, encoding="utf-8") as fh:
+        for line in filter(None, map(str.strip, fh)):
+            try:
+                rec = json.loads(line)
+                key, rank = record_key(rec), int(rec["rank"])
+            except (ValueError, KeyError, TypeError):
+                key = rank = None
+            yield line, key, rank
+
+
 @dataclass
 class BlockCache:
     """In-memory rank table with optional JSONL persistence."""
@@ -57,21 +70,13 @@ class BlockCache:
     def _load(self) -> None:
         if self.path is None or not os.path.exists(self.path):
             return
-        with open(self.path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    rec = json.loads(line)
-                    key = record_key(rec)
-                    rank = int(rec["rank"])
-                except (ValueError, KeyError, TypeError):
-                    self.unreadable += 1
-                    continue
-                if self.ranks.get(key, rank) != rank:
-                    raise CacheCorruption(f"conflicting ranks for {key}")
-                self.ranks[key] = rank
+        for _line, key, rank in _read_records(self.path):
+            if key is None:
+                self.unreadable += 1
+                continue
+            if self.ranks.get(key, rank) != rank:
+                raise CacheCorruption(f"conflicting ranks for {key}")
+            self.ranks[key] = rank
 
     def get(self, key: CacheKey) -> int | None:
         return self.ranks.get(key)
@@ -127,28 +132,20 @@ def cache_gc(directory: str, keep_primes=PINNED_PRIMES) -> dict:
     bad_lines: list[str] = []
     dropped = 0
     seen: dict[CacheKey, int] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            stripped = line.strip()
-            if not stripped:
-                continue
-            try:
-                rec = json.loads(stripped)
-                key = record_key(rec)
-                rank = int(rec["rank"])
-            except (ValueError, KeyError, TypeError):
-                bad_lines.append(stripped)
-                continue
-            if key[-1] not in keep:
-                dropped += 1
-                continue
-            if seen.get(key, rank) != rank:
-                raise CacheCorruption(f"conflicting ranks for {key}")
-            if key in seen:
-                dropped += 1
-                continue
-            seen[key] = rank
-            kept_lines.append(stripped)
+    for line, key, rank in _read_records(path):
+        if key is None:
+            bad_lines.append(line)
+            continue
+        if key[-1] not in keep:
+            dropped += 1
+            continue
+        if seen.get(key, rank) != rank:
+            raise CacheCorruption(f"conflicting ranks for {key}")
+        if key in seen:
+            dropped += 1
+            continue
+        seen[key] = rank
+        kept_lines.append(line)
     if bad_lines:
         with open(path + ".quarantine", "a", encoding="utf-8") as fh:
             for line in bad_lines:

@@ -20,7 +20,7 @@ from .bounds import VeroneseParams, h0, projection_codim, range_predictions
 from .betti import ROUTES, Engine, ResourceLimits, betti_table
 from .cache import BlockCache, cache_gc, cache_stats
 from .harness import selftest, verify
-from .linalg import DEFAULT_DENSE_LIMIT, PINNED_PRIMES, FieldSpec, is_prime
+from .linalg import DEFAULT_DENSE_LIMIT, PINNED_PRIMES, FieldSpec
 from .polyspace import PointOverField
 from .syzygy import (
     cycle_basis,
@@ -78,27 +78,36 @@ def _config_defaults(sp: argparse.ArgumentParser, path: str) -> None:
     sp.set_defaults(**defaults)
 
 
-def _parse_prime(raw: str) -> int:
+def _prime_arg(raw: str) -> int:
+    """--prime: 'auto' (the first pinned prime) or a prime FieldSpec accepts."""
     if raw == "auto":
         return PINNED_PRIMES[0]
-    p = int(raw)
-    if not is_prime(p):
-        raise SystemExit(f"--prime {p} is not prime")
-    return p
+    try:
+        return FieldSpec.prime(int(raw)).p
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected 'auto' or an odd prime below 2^31, got {raw!r}"
+        ) from None
 
 
-def _parse_int_list(raw: str) -> list[int]:
-    return [int(x) for x in raw.replace(",", " ").split()]
+def _int_list_arg(raw: str) -> list[int]:
+    try:
+        return [int(x) for x in raw.replace(",", " ").split()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {raw!r}"
+        ) from None
 
 
 def _build_engine(args: argparse.Namespace) -> Engine:
-    prime = _parse_prime(args.prime)
     return Engine(
-        FieldSpec.prime(prime),
+        FieldSpec.prime(args.prime),
         cache=BlockCache.open(args.cache),
         limits=ResourceLimits(args.max_block_cols, args.max_space_dim),
         threads=args.threads,
-        certify_prime=next(p for p in PINNED_PRIMES if p != prime) if args.certify else None,
+        certify_prime=(
+            next(p for p in PINNED_PRIMES if p != args.prime) if args.certify else None
+        ),
         rational_cap=args.dense_limit if args.certify else None,
         route=args.route,
     )
@@ -176,7 +185,7 @@ def cmd_betti(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     params = _params(args)
     engine = _build_engine(args)
-    strands = _parse_int_list(args.strands) if args.strands else list(range(1, params.n + 1))
+    strands = args.strands or list(range(1, params.n + 1))
     p_min, p_max = args.p_min, args.p_max
     if not 0 <= p_min <= (h0(params.n, params.d) if p_max is None else p_max):
         raise SystemExit(f"--p-min {p_min} is below 0 or above the last p graded")
@@ -265,7 +274,7 @@ def cmd_cache(args: argparse.Namespace) -> int:
     if args.cache_action == "stats":
         _emit(args, _json_text(cache_stats(args.cache)))
         return 0
-    keep = _parse_int_list(args.keep_primes) if args.keep_primes else list(PINNED_PRIMES)
+    keep = args.keep_primes or list(PINNED_PRIMES)
     _emit(args, _json_text(cache_gc(args.cache, keep_primes=keep)))
     return 0
 
@@ -281,7 +290,7 @@ def _add_common(sp: argparse.ArgumentParser, *groups: str) -> None:
         sp.add_argument("--d", type=int, help="embedding degree")
         sp.add_argument("--b", type=int, default=0, help="coefficient twist (default 0)")
     if "engine" in groups:
-        sp.add_argument("--prime", default="auto",
+        sp.add_argument("--prime", type=_prime_arg, default="auto",
                         help="'auto' (largest pinned 31-bit prime) or an explicit prime")
         sp.add_argument("--certify", action="store_true",
                         help="re-rank each block at a second prime and rationally when small")
@@ -331,7 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = _command(sub, "verify", cmd_verify, "grade computed strands against predictions")
     _add_common(sp, "params", "engine")
-    sp.add_argument("--strands", help="comma-separated q values (default 1..n)")
+    sp.add_argument("--strands", type=_int_list_arg,
+                    help="comma-separated q values (default 1..n)")
     sp.add_argument("--p-min", type=int, dest="p_min", default=0,
                     help="first p graded (default 0)")
     sp.add_argument("--p-max", type=int, dest="p_max")
@@ -362,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
     sp.add_argument("--cache", default=os.environ.get("VSL_CACHE_DIR"),
                     help="cache directory (or VSL_CACHE_DIR)")
-    sp.add_argument("--keep-primes", dest="keep_primes",
+    sp.add_argument("--keep-primes", dest="keep_primes", type=_int_list_arg,
                     help="gc: comma-separated primes to keep (default: pinned list)")
 
     return parser
@@ -374,7 +384,15 @@ def main(argv: list[str] | None = None) -> int:
     if args.config:
         _config_defaults(args.parser, args.config)
         args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        status = args.func(args)
+        # flush here, so a closed stdout fails inside the guard, not at exit
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away: silence the interpreter's own final flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return status
 
 
 if __name__ == "__main__":

@@ -300,13 +300,7 @@ def _compose_blocks(a, b) -> bool:
     """Is the composite of two sparse blocks zero (b applied after a)?"""
     if not a.entries or not b.entries:
         return True
-    dense = []
-    for blk in (a, b):
-        m = np.zeros((blk.nrows, blk.ncols), dtype=np.int64)
-        rows, cols, vals = np.array(blk.entries, dtype=np.int64).T
-        np.add.at(m, (rows, cols), vals)
-        dense.append(m)
-    return not (dense[1] @ dense[0]).any()
+    return not (b.dense() @ a.dense()).any()
 
 
 def selftest(fast: bool = False) -> SelfTestResult:

@@ -54,6 +54,14 @@ class KoszulBlockMatrix:
     ncols: int
     entries: list[tuple[int, int, int]]
 
+    def dense(self) -> np.ndarray:
+        """The block as a dense int64 matrix (repeated positions add up)."""
+        a = np.zeros((self.nrows, self.ncols), dtype=np.int64)
+        if self.entries:
+            rows, cols, vals = np.array(self.entries, dtype=np.int64).T
+            np.add.at(a, (rows, cols), vals)
+        return a
+
 
 @lru_cache(maxsize=32)
 def wedge_subsets(n: int, d: int, p: int):

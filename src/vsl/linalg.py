@@ -61,20 +61,17 @@ def is_prime(p: int) -> bool:
 class FieldSpec:
     """Coefficient field for rank computations: GF(p), p an odd 31-bit prime."""
 
-    kind: str  # always "prime"
-    p: int | None = None
+    p: int
 
     def __post_init__(self) -> None:
-        if self.kind != "prime":
-            raise ValueError(f"FieldSpec: unknown kind {self.kind!r}")
-        if self.p is None or not is_prime(self.p) or self.p % 2 == 0:
+        if not is_prime(self.p) or self.p % 2 == 0:
             raise ValueError(f"FieldSpec: {self.p} is not an odd prime")
         if self.p >= 2**31:
             raise ValueError(f"FieldSpec: prime {self.p} does not fit in 31 bits")
 
     @classmethod
     def prime(cls, p: int) -> "FieldSpec":
-        return cls("prime", p)
+        return cls(p)
 
     def label(self) -> str:
         return f"GF({self.p})"
@@ -158,30 +155,8 @@ def sparse_rank_entries(entries, p: int) -> int:
 
 
 def dense_rank_mod(a: np.ndarray, p: int) -> int:
-    """Rank over GF(p) of a dense integer matrix, vectorized elimination.
-
-    Requires p < 2^31 so products of reduced entries fit in int64.
-    """
-    m = np.array(a, dtype=np.int64) % p
-    nrows, ncols = m.shape
-    rank = 0
-    for col in range(ncols):
-        if rank == nrows:
-            break
-        piv = np.nonzero(m[rank:, col])[0]
-        if piv.size == 0:
-            continue
-        pr = rank + piv[0]
-        if pr != rank:
-            m[[rank, pr]] = m[[pr, rank]]
-        inv = pow(int(m[rank, col]), -1, p)
-        m[rank] = m[rank] * inv % p
-        rest = np.nonzero(m[rank + 1:, col])[0]
-        if rest.size:
-            rows = rank + 1 + rest
-            m[rows] = (m[rows] - np.outer(m[rows, col], m[rank])) % p
-        rank += 1
-    return rank
+    """Rank over GF(p) of a dense integer matrix."""
+    return len(rref_mod(a, p)[1])
 
 
 def rational_rank(block, dense_limit: int = DEFAULT_DENSE_LIMIT) -> int:
@@ -228,12 +203,17 @@ def rational_rank(block, dense_limit: int = DEFAULT_DENSE_LIMIT) -> int:
 
 
 def rref_mod(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form over GF(p); returns (matrix, pivot columns)."""
+    """Reduced row echelon form over GF(p); returns (matrix, pivot columns).
+
+    The one dense elimination: each pivot clears its column from every
+    other row in one outer-product update.  Requires p < 2^31 so products
+    of reduced entries fit in int64.
+    """
     m = np.array(a, dtype=np.int64) % p
     nrows, ncols = m.shape
     pivots: list[int] = []
-    rank = 0
     for col in range(ncols):
+        rank = len(pivots)
         if rank == nrows:
             break
         nz = np.nonzero(m[rank:, col])[0]
@@ -243,11 +223,13 @@ def rref_mod(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         if pr != rank:
             m[[rank, pr]] = m[[pr, rank]]
         m[rank] = m[rank] * pow(int(m[rank, col]), -1, p) % p
-        others = [r for r in np.nonzero(m[:, col])[0] if r != rank]
-        for r in others:
-            m[r] = (m[r] - m[r, col] * m[rank]) % p
+        others = np.nonzero(m[:, col])[0]
+        others = others[others != rank]
+        if others.size:
+            # the pivot row is zero left of col, so only columns col: change
+            update = np.outer(m[others, col], m[rank, col:])
+            m[others, col:] = (m[others, col:] - update) % p
         pivots.append(col)
-        rank += 1
     return m, pivots
 
 

@@ -147,14 +147,6 @@ def _block_key(space: ChainSpace, mdeg) -> BlockKey:
     return BlockKey(par.n, par.d, par.b, space.p, space.q, tuple(mdeg))
 
 
-def _dense_block(key: BlockKey) -> np.ndarray:
-    blk = differential_block(key)
-    a = np.zeros((blk.nrows, blk.ncols), dtype=np.int64)
-    for r, c, v in blk.entries:
-        a[r, c] += v
-    return a
-
-
 def _block_system(
     space: ChainSpace, mdeg, nmid: int, extra: np.ndarray
 ) -> tuple[np.ndarray, int]:
@@ -163,7 +155,7 @@ def _block_system(
     params = space.params
     a_in = None
     if params.b + (space.q - 1) * params.d >= 0 and space.p + 1 <= h0(params.n, params.d):
-        a_in = _dense_block(_block_key(space.shifted(+1, -1), mdeg))
+        a_in = differential_block(_block_key(space.shifted(+1, -1), mdeg)).dense()
     width = a_in.shape[1] if a_in is not None else 0
     a = np.zeros((nmid, width + extra.shape[1]), dtype=np.int64)
     if width:
@@ -192,7 +184,8 @@ def cycle_basis(params: VeroneseParams, p: int, q: int, engine: Engine) -> list[
         elements = _block_elements(space, mdeg)
         nmid = len(elements)
         if p >= 1:
-            kern = nullspace_mod(_dense_block(_block_key(space, mdeg)), prime)
+            block = differential_block(_block_key(space, mdeg))
+            kern = nullspace_mod(block.dense(), prime)
         else:
             kern = np.eye(nmid, dtype=np.int64)
         if kern.shape[1] == 0:

@@ -10,7 +10,7 @@ import pytest
 
 import vsl
 
-from vsl.bounds import VeroneseParams, binom, h0
+from vsl.bounds import VeroneseParams, binom, green_vanishing_bound, h0
 from vsl.betti import (
     Engine,
     ResourceLimits,
@@ -18,9 +18,9 @@ from vsl.betti import (
     betti_table,
     duality_check,
     euler_check,
-    green_vanishing_check,
 )
 from vsl.cache import BlockCache
+from vsl.harness import verify
 from vsl.koszul import space_blocks
 from vsl.linalg import PINNED_PRIMES, FieldSpec, PrimeDisagreement
 
@@ -88,24 +88,23 @@ def test_duality_partner_entry_computed_directly(eng):
     assert eng.kpq_dim(VeroneseParams(2, 3, -3), 0, 1) == 1
 
 
-def test_green_vanishing_check_twisted_plane(eng):
-    out = green_vanishing_check(VeroneseParams(2, 2, -1), 1, eng)
-    assert out["bound"] == 3
-    assert out["all_zero_from_bound"] is True
-    assert out["edge_p"] == 2
-    assert out["edge_nonzero"] is True
-    assert out["verdict"] == "CONSISTENT"
+def test_green_vanishing_verified_twisted_plane(eng):
+    # K_{p,1} = 0 from the bound on, and the entry just below it is nonzero
+    pr = VeroneseParams(2, 2, -1)
+    assert green_vanishing_bound(pr, 1) == 3
+    summary = verify(pr, [1], eng).source_summary()
+    assert summary["GREEN_VANISHING"] == "VERIFIED"
+    assert eng.kpq_dim(pr, 2, 1) != 0
 
 
-def test_green_vanishing_check_line_cubic_edge_gap(eng):
+def test_green_vanishing_verified_line_cubic_edge_gap(eng):
     # vanishing holds from the bound, but here the edge below it is zero
     # too: the bound is not tight at these parameters
-    out = green_vanishing_check(VeroneseParams(1, 3), 1, eng)
-    assert out["bound"] == 4
-    assert out["all_zero_from_bound"] is True
-    assert out["edge_p"] == 3
-    assert out["edge_nonzero"] is False
-    assert out["verdict"] == "CONSISTENT"
+    pr = VeroneseParams(1, 3)
+    assert green_vanishing_bound(pr, 1) == 4
+    summary = verify(pr, [1], eng).source_summary()
+    assert summary["GREEN_VANISHING"] == "VERIFIED"
+    assert eng.kpq_dim(pr, 3, 1) == 0
 
 
 def test_strand_zero_twisted_kernel_dimensions(eng):

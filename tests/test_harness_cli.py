@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 
@@ -253,19 +254,35 @@ def test_cli_config_values_parse_like_their_flags(tmp_path, capsys):
     # a malformed config value is argparse's usage error (exit 2), not a
     # ValueError traceback; an explicit flag still wins over it
     cfg = tmp_path / "bad.cfg"
-    for text, message in (
-        ("n = two\nd = 2\n", "argument --n: invalid int value: 'two'"),
-        ("n = 1\nd = 2\nthreads = many\n", "argument --threads: invalid int value: 'many'"),
-        ("n = 1\nd = 2\nroute = sideways\n", "config value for route is not one of"),
+    betti = ["betti", "--config", str(cfg)]
+    verify_cmd = ["verify", "--config", str(cfg)]
+    gc = ["cache", "gc", "--cache", str(tmp_path), "--config", str(cfg)]
+    bad_prime = "argument --prime: expected 'auto' or an odd prime below 2^31"
+    bad_list = "expected comma-separated integers"
+    for argv, text, message in (
+        (betti, "n = two\nd = 2\n", "argument --n: invalid int value: 'two'"),
+        (betti, "n = 1\nd = 2\nthreads = many\n",
+         "argument --threads: invalid int value: 'many'"),
+        (betti, "n = 1\nd = 2\nroute = sideways\n", "config value for route is not one of"),
+        (betti, "n = 1\nd = 2\nprime = abc\n", bad_prime),
+        (betti, "n = 1\nd = 2\nprime = 2\n", bad_prime),
+        (betti, "n = 1\nd = 2\nprime = 4294967311\n", bad_prime),
+        (verify_cmd, "n = 1\nd = 2\nstrands = x\n", "argument --strands: " + bad_list),
+        (gc, "keep-primes = x\n", "argument --keep-primes: " + bad_list),
     ):
         cfg.write_text(text)
         with pytest.raises(SystemExit) as exc:
-            main(["betti", "--config", str(cfg)])
+            main(argv)
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
     cfg.write_text("n = two\nd = 2\nformat = csv\nunknown-key = 3\n")
     assert main(["betti", "--config", str(cfg), "--n", "1"]) == 0
     assert capsys.readouterr().out.startswith("p,q,dim,status")
+    cfg.write_text("n = 1\nd = 2\nprime = 2147483629\nstrands = 1\nformat = json\n")
+    assert main(verify_cmd) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["field"] == "GF(2147483629)"
+    assert report["strands"] == [1]
 
 
 def test_cli_cache_env_and_stats(tmp_path, monkeypatch, capsys):
@@ -309,9 +326,15 @@ def test_cli_out_writes_file(tmp_path, capsys):
     assert preds[0]["source"] == "EL_CONJ"
 
 
-def test_cli_rejects_bad_prime():
-    with pytest.raises(SystemExit, match="not prime"):
-        main(["betti", "--n", "1", "--d", "2", "--prime", "91"])
+def test_cli_rejects_bad_prime(capsys):
+    # not a number, even, composite, or too wide for the 31-bit engine
+    for raw in ("abc", "2", "91", "4294967311"):
+        with pytest.raises(SystemExit) as exc:
+            main(["betti", "--n", "1", "--d", "2", "--prime", raw])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --prime: expected 'auto' or an odd prime below 2^31" in err
+        assert f"got '{raw}'" in err
 
 
 def test_cli_requires_params():
@@ -364,6 +387,27 @@ def test_cli_maps_chain_requires_p():
 def test_cli_selftest(capsys):
     assert main(["selftest", "--fast"]) == 0
     assert "checks passed" in capsys.readouterr().out
+
+
+def test_cli_closed_stdout_exits_quietly():
+    # `vsl betti ... | head` with head gone: exit 1 with neither a
+    # BrokenPipeError traceback nor the interpreter's shutdown message
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "vsl.cli", "betti", "--n", "2", "--d", "3",
+             "--format", "json"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=300,
+        )
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in proc.stderr
+    assert "Exception ignored" not in proc.stderr
+    assert proc.returncode == 1
 
 
 def test_cli_module_entry_point():

@@ -85,12 +85,6 @@ def test_field_spec():
         FieldSpec.prime(4)
     with pytest.raises(ValueError):
         FieldSpec.prime(2**31 + 11)
-    with pytest.raises(ValueError):
-        FieldSpec("rationals")
-    with pytest.raises(ValueError):
-        FieldSpec("rationals", 7)
-    with pytest.raises(ValueError):
-        FieldSpec("padic", 7)
 
 
 def test_primes_from_seed():
