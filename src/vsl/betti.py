@@ -52,9 +52,12 @@ class ResourceLimits:
     max_space_dim: int = 30_000_000
 
 
+# entry statuses, and the verdicts of the reports that grade entries
 ZERO = "ZERO"
 NONZERO = "NONZERO"
 SKIPPED = "SKIPPED"
+CONSISTENT = "CONSISTENT"
+VIOLATION = "VIOLATION"
 
 ROUTES = ("auto", "direct")
 
@@ -128,7 +131,8 @@ class Engine:
     additionally certified by fraction-free rational elimination.
     route: "auto" or "direct", the side of the duality `kpq_entry`
     computes each entry on (see `_side`); ceilings, certification, the
-    pool and the cache apply to whichever side is computed.
+    pool and the cache apply to whichever side is computed.  `direct_dim`
+    computes an entry by its own complex whatever the route.
 
     Block ranks go through one path: `_rank_job` applies the column
     ceiling and computes the prime and rational ranks, serially or in a
@@ -245,31 +249,27 @@ class Engine:
                 f"exceeds ceiling {self.limits.max_space_dim}"
             )
 
-    def kpq_dim(
-        self, params: VeroneseParams, p: int, q: int, route: str | None = None
-    ) -> int:
-        """dim K_{p,q} at params, on the side of the duality that `route`
-        (default: the engine's) picks; see `kpq_entry`."""
-        return self.kpq_entry(params, p, q, route)[0]
+    def kpq_dim(self, params: VeroneseParams, p: int, q: int) -> int:
+        """dim K_{p,q} at params, on the side of the duality the engine's
+        route picks; see `kpq_entry`."""
+        return self.kpq_entry(params, p, q)[0]
 
-    def kpq_entry(
-        self, params: VeroneseParams, p: int, q: int, route: str | None = None
-    ) -> tuple[int, dict | None]:
+    def kpq_entry(self, params: VeroneseParams, p: int, q: int) -> tuple[int, dict | None]:
         """dim K_{p,q} at params and the partner index {"p", "q", "b"} it
         was computed through, or None when it was computed directly.
 
         A partner the ceilings refuse falls back to the direct complex, so
         routing never skips an entry the direct route computes.
         """
-        side = _side(params, p, q, self.route if route is None else route)
+        side = _side(params, p, q, self.route)
         if side != (params, p, q):
             try:
-                return self._direct_dim(*side), {"p": side[1], "q": side[2], "b": side[0].b}
+                return self.direct_dim(*side), {"p": side[1], "q": side[2], "b": side[0].b}
             except ResourceRefusal:
                 pass
-        return self._direct_dim(params, p, q), None
+        return self.direct_dim(params, p, q), None
 
-    def _direct_dim(self, params: VeroneseParams, p: int, q: int) -> int:
+    def direct_dim(self, params: VeroneseParams, p: int, q: int) -> int:
         """dim K_{p,q} at params by its own complex, orbit-reduced blockwise."""
         n, d, b = params.n, params.d, params.b
         m_mid = b + q * d
@@ -304,7 +304,8 @@ class Engine:
 
 @dataclass
 class BettiTable:
-    """Computed table slice with three-valued entry status.
+    """Computed table slice with three-valued entry status: the one entry
+    record, which `betti` renders and `verify` grades.
 
     dims holds every successfully computed entry (zeros included); skipped
     maps refused entries to the refusal reason; via maps each entry computed
@@ -319,9 +320,11 @@ class BettiTable:
     primes: tuple[int, ...] = ()
     certified: bool = False
 
+    def keys(self) -> list[tuple[int, int]]:
+        """The (p, q) of every entry, computed or skipped, in sorted order."""
+        return sorted(self.dims.keys() | self.skipped.keys())
+
     def status(self, p: int, q: int) -> str:
-        if (p, q) in self.skipped:
-            return SKIPPED
         dim = self.dims.get((p, q))
         if dim is None:
             return SKIPPED
@@ -330,25 +333,15 @@ class BettiTable:
     def dim(self, p: int, q: int) -> int | None:
         return self.dims.get((p, q))
 
-    def p_values(self) -> list[int]:
-        keys = set(self.dims) | set(self.skipped)
-        return sorted({p for p, _ in keys})
-
-    def q_values(self) -> list[int]:
-        keys = set(self.dims) | set(self.skipped)
-        return sorted({q for _, q in keys})
-
     def ascii(self) -> str:
         """Betti-diagram style rendering: rows q, columns p, '.' for zero,
-        '?' for skipped."""
-        ps, qs = self.p_values(), self.q_values()
+        '?' for skipped, blank outside the computed entries."""
+        keys = self.keys()
+        ps, qs = sorted({p for p, _ in keys}), sorted({q for _, q in keys})
         def cell(p: int, q: int) -> str:
-            if (p, q) in self.skipped:
-                return "?"
-            v = self.dims.get((p, q))
-            if v is None:
+            if (p, q) not in keys:
                 return ""
-            return str(v) if v else "."
+            return {SKIPPED: "?", ZERO: "."}.get(self.status(p, q), str(self.dims.get((p, q))))
         totals = []
         for p in ps:
             col = [self.dims.get((p, q)) for q in qs]
@@ -364,18 +357,14 @@ class BettiTable:
         )
 
     def csv_rows(self) -> list[tuple]:
-        out = [("p", "q", "dim", "status")]
-        for (p, q) in sorted(set(self.dims) | set(self.skipped)):
-            if (p, q) in self.skipped:
-                out.append((p, q, "", SKIPPED))
-            else:
-                dim = self.dims[(p, q)]
-                out.append((p, q, dim, NONZERO if dim else ZERO))
-        return out
+        return [("p", "q", "dim", "status")] + [
+            (p, q, self.dims.get((p, q), ""), self.status(p, q))
+            for p, q in self.keys()
+        ]
 
     def to_json_dict(self) -> dict:
         return {
-            "params": {"n": self.params.n, "d": self.params.d, "b": self.params.b},
+            "params": self.params.as_json(),
             "field": self.field.label(),
             "entries": [
                 {
@@ -390,7 +379,7 @@ class BettiTable:
                     ),
                     **({"via": self.via[(p, q)]} if (p, q) in self.via else {}),
                 }
-                for (p, q) in sorted(set(self.dims) | set(self.skipped))
+                for p, q in self.keys()
             ],
             "provenance": {
                 "primes": list(self.primes),
@@ -402,25 +391,26 @@ class BettiTable:
 def betti_table(
     params: VeroneseParams,
     engine: Engine,
-    p_range: tuple[int, int] | None = None,
-    q_range: tuple[int, int] | None = None,
+    p_range: tuple[int | None, int | None] = (None, None),
+    q_range: tuple[int | None, int | None] = (None, None),
 ) -> BettiTable:
     """Compute a rectangle of the Betti table, refusals recorded as skipped.
 
-    Defaults cover everything that can be nonzero: p in [0, h0(n,d)] and
-    q in [0, n+1].
+    Entries are computed q by q, p ascending within each q.  An end given
+    as None defaults to the edge of everything that can be nonzero: p in
+    [0, h0(n,d)] and q in [0, n+1].
     """
-    n = params.n
-    p_lo, p_hi = p_range if p_range else (0, h0(n, params.d))
-    q_lo, q_hi = q_range if q_range else (0, n + 1)
+    (p_lo, p_hi), (q_lo, q_hi) = p_range, q_range
+    p_hi = h0(params.n, params.d) if p_hi is None else p_hi
+    q_hi = params.n + 1 if q_hi is None else q_hi
     table = BettiTable(
         params,
         engine.field,
         primes=engine.primes,
         certified=engine.certify_prime is not None,
     )
-    for q in range(q_lo, q_hi + 1):
-        for p in range(p_lo, p_hi + 1):
+    for q in range(q_lo or 0, q_hi + 1):
+        for p in range(p_lo or 0, p_hi + 1):
             try:
                 table.dims[(p, q)], via = engine.kpq_entry(params, p, q)
             except ResourceRefusal as refusal:
@@ -440,8 +430,8 @@ def duality_check(params: VeroneseParams, p: int, q: int, engine: Engine) -> dic
     p2, q2, b2 = duality_partner(params, p, q)
     partner = VeroneseParams(params.n, params.d, b2)
     try:
-        lhs = engine.kpq_dim(params, p, q, route="direct")
-        rhs = engine.kpq_dim(partner, p2, q2, route="direct")
+        lhs = engine.direct_dim(params, p, q)
+        rhs = engine.direct_dim(partner, p2, q2)
     except ResourceRefusal as refusal:
         return {"p": p, "q": q, "verdict": SKIPPED, "reason": str(refusal)}
     return {
@@ -450,7 +440,7 @@ def duality_check(params: VeroneseParams, p: int, q: int, engine: Engine) -> dic
         "partner": {"p": p2, "q": q2, "b": b2},
         "lhs": lhs,
         "rhs": rhs,
-        "verdict": "CONSISTENT" if lhs == rhs else "VIOLATION",
+        "verdict": CONSISTENT if lhs == rhs else VIOLATION,
     }
 
 
@@ -471,4 +461,4 @@ def euler_check(params: VeroneseParams, k: int, engine: Engine) -> dict:
         lhs += sign * space_dim(n, d, p, m)
         rhs += sign * engine.kpq_dim(params, p, k - p)
     return {"k": k, "alternating_space_sum": lhs, "alternating_homology_sum": rhs,
-            "verdict": "CONSISTENT" if lhs == rhs else "VIOLATION"}
+            "verdict": CONSISTENT if lhs == rhs else VIOLATION}

@@ -80,6 +80,10 @@ class VeroneseParams:
             return f"(n={self.n}, d={self.d})"
         return f"(n={self.n}, d={self.d}, b={self.b})"
 
+    def as_json(self) -> dict:
+        """The "params" object of every JSON report."""
+        return {"n": self.n, "d": self.d, "b": self.b}
+
 
 class Source(str, Enum):
     """Which published statement a predicted range comes from."""

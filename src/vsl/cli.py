@@ -17,7 +17,7 @@ import os
 import sys
 
 from .bounds import VeroneseParams, h0, projection_codim, range_predictions
-from .betti import ROUTES, Engine, ResourceLimits, betti_table
+from .betti import CONSISTENT, ROUTES, Engine, ResourceLimits, betti_table
 from .cache import BlockCache, cache_gc, cache_stats
 from .harness import selftest, verify
 from .linalg import DEFAULT_DENSE_LIMIT, PINNED_PRIMES, FieldSpec
@@ -90,13 +90,28 @@ def _prime_arg(raw: str) -> int:
         ) from None
 
 
+def _int_at_least(lo: int):
+    """An argparse type: an integer no smaller than lo."""
+    def parse(raw: str) -> int:
+        value = int(raw)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {lo}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse reports a ValueError as "invalid int value"
+    return parse
+
+
 def _int_list_arg(raw: str) -> list[int]:
+    """Comma-separated integers >= 0; an empty list is refused, not read as the default."""
     try:
-        return [int(x) for x in raw.replace(",", " ").split()]
+        values = [int(x) for x in raw.replace(",", " ").split()]
     except ValueError:
+        values = []
+    if not values or min(values) < 0:
         raise argparse.ArgumentTypeError(
-            f"expected comma-separated integers, got {raw!r}"
-        ) from None
+            f"expected comma-separated integers, each >= 0, got {raw!r}"
+        )
+    return values
 
 
 def _build_engine(args: argparse.Namespace) -> Engine:
@@ -167,9 +182,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 def cmd_betti(args: argparse.Namespace) -> int:
     params = _params(args)
     engine = _build_engine(args)
-    p_hi = h0(params.n, params.d) if args.p_max is None else args.p_max
-    q_hi = params.n + 1 if args.q_max is None else args.q_max
-    table = betti_table(params, engine, (args.p_min, p_hi), (args.q_min, q_hi))
+    table = betti_table(params, engine, (args.p_min, args.p_max), (args.q_min, args.q_max))
     if args.format == "json":
         _emit(args, _json_text(table.to_json_dict()))
     elif args.format == "csv":
@@ -210,10 +223,12 @@ def cmd_maps_ev(args: argparse.Namespace) -> int:
     engine = _build_engine(args)
     prime = engine.field.p
     p = args.p
+    s = projection_codim(params)
     if p is None:
         raise SystemExit("--p is required")
+    if p < s:
+        raise SystemExit(f"--p {p} is below the projection codimension s = {s}")
     points = _load_points(args.points, prime, args.seed, params)
-    s = projection_codim(params)
     classes = cycle_basis(params, p, 1, engine)
     target_basis = cycle_basis(params, p - s, 1, engine) if p - s >= 0 else []
     rows = []
@@ -231,7 +246,7 @@ def cmd_maps_ev(args: argparse.Namespace) -> int:
         )
     rank = induced_map_rank(classes, images, target_basis, prime) if target_basis else 0
     payload = {
-        "params": {"n": params.n, "d": params.d, "b": params.b},
+        "params": params.as_json(),
         "field": engine.field.label(),
         "p": p,
         "s": s,
@@ -254,12 +269,12 @@ def cmd_maps_chain(args: argparse.Namespace) -> int:
         raise SystemExit("--p or --p-min/--p-max is required")
     rows = [theorem_chain_check(params, pp, engine) for pp in range(p_lo, p_hi + 1)]
     payload = {
-        "params": {"n": params.n, "d": params.d, "b": params.b},
+        "params": params.as_json(),
         "field": engine.field.label(),
         "rows": rows,
     }
     _emit(args, _json_text(payload))
-    return 0 if all(r["verdict"] == "CONSISTENT" for r in rows) else 1
+    return 0 if all(r["verdict"] == CONSISTENT for r in rows) else 1
 
 
 def cmd_selftest(args: argparse.Namespace) -> int:
@@ -286,8 +301,8 @@ def _add_common(sp: argparse.ArgumentParser, *groups: str) -> None:
     sp.add_argument("--config", help="key=value file mirroring these flags")
     sp.add_argument("--out", help="write output to this file instead of stdout")
     if "params" in groups:
-        sp.add_argument("--n", type=int, help="ambient projective dimension")
-        sp.add_argument("--d", type=int, help="embedding degree")
+        sp.add_argument("--n", type=_int_at_least(1), help="ambient projective dimension")
+        sp.add_argument("--d", type=_int_at_least(1), help="embedding degree")
         sp.add_argument("--b", type=int, default=0, help="coefficient twist (default 0)")
     if "engine" in groups:
         sp.add_argument("--prime", type=_prime_arg, default="auto",
@@ -327,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = _command(sub, "bounds", cmd_bounds, "predicted nonvanishing ranges and bounds")
     _add_common(sp, "params")
-    sp.add_argument("--q", type=int, help="restrict to one strand")
+    sp.add_argument("--q", type=_int_at_least(0), help="restrict to one strand")
     sp.add_argument("--format", choices=["json", "text"], default="text")
 
     sp = _command(sub, "betti", cmd_betti, "compute a Betti table rectangle")

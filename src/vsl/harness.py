@@ -24,7 +24,9 @@ from .bounds import (
     projection_codim,
     range_predictions,
 )
-from .betti import Engine, ResourceRefusal, duality_check, euler_check
+from .betti import (
+    CONSISTENT, SKIPPED, VIOLATION, Engine, betti_table, duality_check, euler_check
+)
 from .cache import BlockCache
 from .koszul import BlockKey, differential_block, space_blocks
 from .linalg import FieldSpec, PINNED_PRIMES, dense_rank_mod, sparse_rank
@@ -41,10 +43,7 @@ from .syzygy import (
     twist_identification_check,
 )
 
-CONSISTENT = "CONSISTENT"
-VIOLATION = "VIOLATION"
 OUT_OF_APPLICABILITY = "OUT_OF_APPLICABILITY"
-SKIPPED = "SKIPPED"
 
 
 @dataclass
@@ -115,7 +114,7 @@ class VerificationReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "params": {"n": self.params.n, "d": self.params.d, "b": self.params.b},
+            "params": self.params.as_json(),
             "field": self.field.label(),
             "strands": self.strands,
             **({"p_min": self.p_min} if self.p_min else {}),
@@ -159,7 +158,12 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _check_prediction(pred: RangePrediction, p: int, dim: int) -> dict:
+def _check_prediction(
+    pred: RangePrediction, p: int, dim: int | None, skipped: str | None
+) -> dict:
+    """One statement's verdict on an entry; a skipped entry is SKIPPED."""
+    if skipped is not None:
+        return {"source": pred.source.value, "q": pred.q, "verdict": SKIPPED, "reason": skipped}
     base = {
         "source": pred.source.value,
         "q": pred.q,
@@ -189,34 +193,22 @@ def verify(
 ) -> VerificationReport:
     """Compute whole strands and grade every published claim against them.
 
-    p runs from p_min to p_max (default: the wedge size bound h0(n,d),
-    beyond which every entry is zero for dimension reasons).  Rows record
-    the duality partner an entry was computed through, if any.
+    Each strand is a `betti_table` row with p from p_min to p_max (default:
+    the wedge size bound h0(n,d), beyond which every entry is zero for
+    dimension reasons); rows carry its dims, refusals and the duality
+    partner an entry was computed through, if any.
     """
     cap = h0(params.n, params.d) if p_max is None else p_max
     report = VerificationReport(params, engine.field, list(strands), cap, p_min)
     for q in strands:
         preds = range_predictions(params, q)
+        table = betti_table(params, engine, (p_min, cap), (q, q))
         for p in range(p_min, cap + 1):
-            try:
-                dim, via = engine.kpq_entry(params, p, q)
-                skipped = None
-            except ResourceRefusal as refusal:
-                dim, via = None, None
-                skipped = str(refusal)
-            if skipped is not None:
-                checks = [
-                    {
-                        "source": pr.source.value,
-                        "q": pr.q,
-                        "verdict": SKIPPED,
-                        "reason": skipped,
-                    }
-                    for pr in preds
-                ]
-            else:
-                checks = [_check_prediction(pr, p, dim) for pr in preds]
-            report.rows.append(VerificationRow(p, q, dim, skipped, checks, via))
+            dim, skipped = table.dim(p, q), table.skipped.get((p, q))
+            checks = [_check_prediction(pr, p, dim, skipped) for pr in preds]
+            report.rows.append(
+                VerificationRow(p, q, dim, skipped, checks, table.via.get((p, q)))
+            )
     return report
 
 

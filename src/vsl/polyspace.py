@@ -20,10 +20,6 @@ Monomial = tuple[int, ...]
 MultiDegree = tuple[int, ...]
 
 
-def monomial_degree(m: Monomial) -> int:
-    return sum(m)
-
-
 @lru_cache(maxsize=None)
 def monomial_basis(n: int, m: int) -> tuple[Monomial, ...]:
     """Degree-m monomials in n+1 variables, grevlex order, largest first.

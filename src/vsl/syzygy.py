@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import InvariantViolation, VeroneseParams, binom, h0, projection_codim
-from .betti import Engine
+from .betti import CONSISTENT, VIOLATION, Engine
 from .koszul import BlockKey, differential_block, space_blocks, wedge_subsets
 from .linalg import dense_rank_mod, nullspace_mod, rref_mod, solve_mod
 from .polyspace import (
@@ -487,7 +487,7 @@ def twist_identification_check(
         "lhs": lhs,
         "rhs": rhs,
         "equal": lhs == rhs,
-        "verdict": "CONSISTENT" if lhs == rhs else "VIOLATION",
+        "verdict": CONSISTENT if lhs == rhs else VIOLATION,
     }
 
 
@@ -538,6 +538,6 @@ def theorem_chain_check(params: VeroneseParams, p: int, engine: Engine) -> dict:
         "threshold": threshold,
         "green_bound_second": green_bound,
         "implication_in_scope": in_scope,
-        "verdict": "CONSISTENT" if ok else "VIOLATION",
+        "verdict": CONSISTENT if ok else VIOLATION,
         "notes": notes,
     }

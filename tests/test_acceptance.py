@@ -310,7 +310,7 @@ def test_criterion_10_stretch_degree_five_surface(eng):
     # one keeps the largest sparse ranks of the suite exercised
     dims = {p: eng.kpq_dim(params, p, 1) for p in range(16, 22)}
     routed_s = time.perf_counter() - t0
-    direct = {p: eng.kpq_dim(params, p, 1, route="direct") for p in range(16, 22)}
+    direct = {p: eng.direct_dim(params, p, 1) for p in range(16, 22)}
     elapsed = time.perf_counter() - t0
     assert all(v == 0 for v in dims.values()), dims
     assert direct == dims, direct

@@ -261,6 +261,10 @@ def test_cli_config_values_parse_like_their_flags(tmp_path, capsys):
     bad_list = "expected comma-separated integers"
     for argv, text, message in (
         (betti, "n = two\nd = 2\n", "argument --n: invalid int value: 'two'"),
+        (betti, "n = 0\nd = 2\n", "argument --n: expected an integer >= 1, got 0"),
+        (betti, "n = 1\nd = 0\n", "argument --d: expected an integer >= 1, got 0"),
+        (["bounds", "--config", str(cfg)], "n = 1\nd = 2\nq = -1\n",
+         "argument --q: expected an integer >= 0, got -1"),
         (betti, "n = 1\nd = 2\nthreads = many\n",
          "argument --threads: invalid int value: 'many'"),
         (betti, "n = 1\nd = 2\nroute = sideways\n", "config value for route is not one of"),
@@ -268,7 +272,10 @@ def test_cli_config_values_parse_like_their_flags(tmp_path, capsys):
         (betti, "n = 1\nd = 2\nprime = 2\n", bad_prime),
         (betti, "n = 1\nd = 2\nprime = 4294967311\n", bad_prime),
         (verify_cmd, "n = 1\nd = 2\nstrands = x\n", "argument --strands: " + bad_list),
+        (verify_cmd, "n = 1\nd = 2\nstrands =\n", "argument --strands: " + bad_list),
+        (verify_cmd, "n = 1\nd = 2\nstrands = -1\n", "argument --strands: " + bad_list),
         (gc, "keep-primes = x\n", "argument --keep-primes: " + bad_list),
+        (gc, "keep-primes =\n", "argument --keep-primes: " + bad_list),
     ):
         cfg.write_text(text)
         with pytest.raises(SystemExit) as exc:
@@ -307,6 +314,33 @@ def test_cli_cache_gc(tmp_path, capsys):
     assert summary["kept"] > 0
     assert summary["dropped"] == 0
     assert summary["quarantined"] == 0
+
+
+def test_cli_empty_and_out_of_range_values_are_usage_errors(tmp_path, capsys):
+    # an empty list is refused, not read as the default list; dimensions,
+    # degrees, strands and --q out of range exit 2 instead of a traceback
+    assert main(["betti", "--n", "1", "--d", "2", "--cache", str(tmp_path)]) == 0
+    capsys.readouterr()
+    gc = ["cache", "gc", "--cache", str(tmp_path)]
+    bad_list = "expected comma-separated integers, each >= 0"
+    for argv, message in (
+        ([*gc, "--keep-primes", ""], "argument --keep-primes: " + bad_list),
+        ([*gc, "--keep-primes", " , "], "argument --keep-primes: " + bad_list),
+        (["verify", "--n", "1", "--d", "2", "--strands", ""], "argument --strands: " + bad_list),
+        (["verify", "--n", "1", "--d", "2", "--strands", "-1"], "argument --strands: " + bad_list),
+        (["betti", "--n", "0", "--d", "2"], "argument --n: expected an integer >= 1, got 0"),
+        (["betti", "--n", "1", "--d", "0"], "argument --d: expected an integer >= 1, got 0"),
+        (["verify", "--n", "-1", "--d", "2"], "argument --n: expected an integer >= 1, got -1"),
+        (["bounds", "--n", "1", "--d", "2", "--q", "-1"],
+         "argument --q: expected an integer >= 0, got -1"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert message in capsys.readouterr().err, argv
+    # the cache was left alone by the refused gc
+    assert main(["cache", "stats", "--cache", str(tmp_path)]) == 0
+    assert json.loads(capsys.readouterr().out)["records"] > 0
 
 
 def test_cli_cache_requires_directory(monkeypatch):
@@ -363,6 +397,13 @@ def test_cli_maps_ev_small_target(capsys):
     assert payload["target_dim"] == 0
     assert payload["induced_rank"] == 0
     assert all(row["factors"] for row in payload["classes"])
+
+
+def test_cli_maps_ev_refuses_p_below_s():
+    # (2,3) has s = 4; a source index below it has no s-fold contraction
+    for p in ("2", "-1"):
+        with pytest.raises(SystemExit, match=r"--p -?\d+ is below the projection codimension s = 4"):
+            main(["maps", "ev", "--n", "2", "--d", "3", "--p", p])
 
 
 def test_cli_maps_chain(capsys):

@@ -9,7 +9,6 @@ from vsl.polyspace import (
     PointOverField,
     evaluate,
     monomial_basis,
-    monomial_degree,
     monomial_index,
     mult_table,
     multiply,
@@ -53,7 +52,7 @@ def test_multiply():
     assert multiply((2, 0), (1, 1)) == (3, 1)
     assert multiply((1, 2, 0), (0, 0, 0)) == (1, 2, 0)
     a, b = (2, 0, 0), (1, 1, 1)
-    assert monomial_degree(multiply(a, b)) == monomial_degree(a) + monomial_degree(b)
+    assert sum(multiply(a, b)) == sum(a) + sum(b)
     with pytest.raises(ValueError):
         multiply((1, 0), (1, 0, 0))
 

@@ -27,8 +27,8 @@ def test_routes_agree_on_small_tables(prime):
                 for p in range(0, h0(n, d) + 1):
                     p2, q2, b2 = duality_partner(params, p, q)
                     dims = (
-                        engine.kpq_dim(params, p, q, route="direct"),
-                        engine.kpq_dim(VeroneseParams(n, d, b2), p2, q2, route="direct"),
+                        engine.direct_dim(params, p, q),
+                        engine.direct_dim(VeroneseParams(n, d, b2), p2, q2),
                         engine.kpq_dim(params, p, q),
                     )
                     assert len(set(dims)) == 1, (params, p, q, dims)
