@@ -9,7 +9,7 @@ reported as skipped, never silently as zero.
 On P^n, Green's duality K_{p,q}(b) = K_{r-n-p, n+1-q}(-n-1-b)^dual holds for
 every twist b, because P^n has no intermediate line-bundle cohomology
 (Green, J. Diff. Geom. 19, 1984).  Each entry can therefore be computed on
-either side; the engine's route picks one (see `_side`).
+either side; `_side` picks the smaller one from sizes alone.
 """
 
 from __future__ import annotations
@@ -59,8 +59,6 @@ SKIPPED = "SKIPPED"
 CONSISTENT = "CONSISTENT"
 VIOLATION = "VIOLATION"
 
-ROUTES = ("auto", "direct")
-
 
 def _cost(params: VeroneseParams, p: int, q: int) -> int:
     """Closed-form size of the complex that computes K_{p,q} at params.
@@ -74,42 +72,30 @@ def _cost(params: VeroneseParams, p: int, q: int) -> int:
     return sum(space_dim(n, d, p + k, b + (q - k) * d) for k in (-1, 0, 1))
 
 
-def _side(
-    params: VeroneseParams, p: int, q: int, route: str
-) -> tuple[VeroneseParams, int, int]:
+def _side(params: VeroneseParams, p: int, q: int) -> tuple[VeroneseParams, int, int]:
     """The entry whose complex is ranked first for K_{p,q} at params.
 
-    "direct" keeps (params, p, q); "auto" takes the duality partner only
-    when its `_cost` is strictly smaller, so a tie goes direct.  Nothing
-    is enumerated to decide.
+    The duality partner when its `_cost` is strictly smaller, so a tie goes
+    direct.  Nothing is enumerated to decide.
     """
-    if route not in ROUTES:
-        raise ValueError(f"route must be one of {ROUTES}, got {route!r}")
-    if route == "auto":
-        p2, q2, b2 = duality_partner(params, p, q)
-        dual = (VeroneseParams(params.n, params.d, b2), p2, q2)
-        if _cost(*dual) < _cost(params, p, q):
-            return dual
+    p2, q2, b2 = duality_partner(params, p, q)
+    dual = (VeroneseParams(params.n, params.d, b2), p2, q2)
+    if _cost(*dual) < _cost(params, p, q):
+        return dual
     return params, p, q
 
 
 def _rank_job(
-    key: BlockKey, primes: tuple[int, ...], limits: ResourceLimits, rational_cap: int | None
-) -> tuple[dict[int, int], int | None] | ResourceRefusal:
+    key: BlockKey, primes: tuple[int, ...], rational_cap: int | None
+) -> tuple[dict[int, int], int | None]:
     """Assemble one block once and rank it: the Engine's only rank work.
 
-    The column ceiling is applied here and a refusal is returned as a
-    value, so a pooled run can meet it in serial order.  The block is
-    ranked at every prime in `primes`, and over the rationals when both
-    sides are within rational_cap.  Returns ({prime: rank}, rational rank
-    or None); `Engine._rank_blocks` compares these ranks and stores them.
+    The block is ranked at every prime in `primes`, and over the rationals
+    when both sides are within rational_cap.  Returns ({prime: rank},
+    rational rank or None); `Engine._rank_blocks` compares these ranks and
+    stores them.
     """
     block = differential_block(key)
-    if block.ncols > limits.max_block_cols:
-        return ResourceRefusal(
-            f"block {key} has {block.ncols} columns "
-            f"(ceiling {limits.max_block_cols})"
-        )
     ranks = {prime: sparse_rank(block, FieldSpec.prime(prime)) for prime in primes}
     exact = None
     if (
@@ -129,18 +115,15 @@ class Engine:
     averaged away).  `primes` holds the field's prime, then certify_prime
     if given.  rational_cap: blocks with both sides at most this size are
     additionally certified by fraction-free rational elimination.
-    route: "auto" or "direct", the side of the duality `kpq_entry`
-    computes each entry on (see `_side`); ceilings, certification, the
-    pool and the cache apply to whichever side is computed.  `direct_dim`
-    computes an entry by its own complex whatever the route.
+    `kpq_entry` computes each entry on the smaller side of the duality (see
+    `_side`); `direct_dim` computes an entry by its own complex, after
+    checking the ceilings from sizes alone.
 
-    Block ranks go through one path: `_rank_job` applies the column
-    ceiling and computes the prime and rational ranks, serially or in a
-    process pool; `_rank_blocks` then compares the rational rank with each
-    fresh prime rank, stores ranks in key and prime order, compares the
-    two primes, and raises a refusal at the key where a serial run meets
-    it.  Reports, cache files and stats therefore do not depend on
-    `threads`.
+    Block ranks go through one path: `_rank_job` computes the prime and
+    rational ranks, serially or in a process pool; `_rank_blocks` compares
+    the rational rank with each fresh prime rank, stores ranks in key and
+    prime order and compares the two primes.  Reports, cache files and
+    stats therefore do not depend on `threads`, nor refusals on the cache.
     """
 
     def __init__(
@@ -151,16 +134,13 @@ class Engine:
         threads: int = 1,
         certify_prime: int | None = None,
         rational_cap: int | None = None,
-        route: str = "auto",
     ) -> None:
-        _side(VeroneseParams(1, 1), 0, 0, route)  # an unknown route fails here
         self.field = field
         self.cache = cache if cache is not None else BlockCache()
         self.limits = limits if limits is not None else ResourceLimits()
         self.threads = max(1, threads)
         self.certify_prime = certify_prime
         self.rational_cap = rational_cap
-        self.route = route
         if certify_prime == field.p:
             raise ValueError("certification prime must differ from the primary prime")
         self.primes = (field.p,) if certify_prime is None else (field.p, certify_prime)
@@ -180,10 +160,8 @@ class Engine:
     def _rank_blocks(self, keys: list[BlockKey]) -> dict[BlockKey, int]:
         """Rank blocks through `_rank_job`, serially or across a process pool.
 
-        Jobs cover the keys with an uncached engine prime.  A serial run
-        maps them lazily, so it stops at the first refusal; a pool runs them
-        all, in sorted key order.  Either way their results are checked and
-        stored in `keys` order.
+        Jobs cover the keys with an uncached engine prime and run in sorted
+        key order; their results are checked and stored in `keys` order.
         """
         primes = self.primes
         cached = {
@@ -195,25 +173,16 @@ class Engine:
             for key, found in cached.items()
             if None in found.values()
         }
-        fixed = (repeat(self.limits), repeat(self.rational_cap))
+        order = sorted(todo)
+        jobs = (order, map(todo.get, order), repeat(self.rational_cap))
         if self.threads > 1 and len(todo) >= 4:
-            order = sorted(todo)
             with concurrent.futures.ProcessPoolExecutor(self.threads) as pool:
-                done = dict(zip(order, pool.map(
-                    _rank_job, order, map(todo.get, order), *fixed, chunksize=8
-                )))
-            outcomes = map(done.get, todo)
+                done = dict(zip(order, pool.map(_rank_job, *jobs, chunksize=8)))
         else:
-            outcomes = map(_rank_job, todo, todo.values(), *fixed)
+            done = dict(zip(order, map(_rank_job, *jobs)))
         out: dict[BlockKey, int] = {}
         for key in keys:
-            fresh, exact = {}, None
-            if key in todo:
-                outcome = next(outcomes)
-                if isinstance(outcome, ResourceRefusal):
-                    self.stats["refusals"] += 1
-                    raise outcome
-                fresh, exact = outcome
+            fresh, exact = done.get(key, ({}, None))
             ranks = []
             for prime, rank in cached[key].items():
                 if rank is not None:
@@ -240,7 +209,7 @@ class Engine:
 
     # -- homology ranks ----------------------------------------------------
 
-    def _check_space(self, params: VeroneseParams, p: int, m: int) -> None:
+    def _check_space(self, params: VeroneseParams, p: int, m: int) -> int:
         dim = space_dim(params.n, params.d, p, m)
         if dim > self.limits.max_space_dim:
             self.stats["refusals"] += 1
@@ -248,10 +217,11 @@ class Engine:
                 f"space dimension {dim} at {params.label()}, p={p}, deg {m} "
                 f"exceeds ceiling {self.limits.max_space_dim}"
             )
+        return dim
 
     def kpq_dim(self, params: VeroneseParams, p: int, q: int) -> int:
-        """dim K_{p,q} at params, on the side of the duality the engine's
-        route picks; see `kpq_entry`."""
+        """dim K_{p,q} at params, on the smaller side of the duality; see
+        `kpq_entry`."""
         return self.kpq_entry(params, p, q)[0]
 
     def kpq_entry(self, params: VeroneseParams, p: int, q: int) -> tuple[int, dict | None]:
@@ -259,9 +229,9 @@ class Engine:
         was computed through, or None when it was computed directly.
 
         A partner the ceilings refuse falls back to the direct complex, so
-        routing never skips an entry the direct route computes.
+        routing never skips an entry `direct_dim` computes.
         """
-        side = _side(params, p, q, self.route)
+        side = _side(params, p, q)
         if side != (params, p, q):
             try:
                 return self.direct_dim(*side), {"p": side[1], "q": side[2], "b": side[0].b}
@@ -270,7 +240,13 @@ class Engine:
         return self.direct_dim(params, p, q), None
 
     def direct_dim(self, params: VeroneseParams, p: int, q: int) -> int:
-        """dim K_{p,q} at params by its own complex, orbit-reduced blockwise."""
+        """dim K_{p,q} at params by its own complex, orbit-reduced blockwise.
+
+        Every block is checked against the column ceiling before any is
+        ranked, cached or not.  An out-block's columns are a mid block; an
+        in-block can exceed the ceiling only when its whole space does, so
+        the in-space is enumerated only then.
+        """
         n, d, b = params.n, params.d, params.b
         m_mid = b + q * d
         if p < 0 or p > h0(n, d) or m_mid < 0:
@@ -283,12 +259,20 @@ class Engine:
         m_in = b + (q - 1) * d
         want_out = p >= 1
         want_in = m_in >= 0 and p + 1 <= h0(n, d)
-        if want_in:
-            self._check_space(params, p + 1, m_in)
+        in_dim = self._check_space(params, p + 1, m_in) if want_in else 0
         keys_out = [BlockKey(n, d, b, p, q, rep) for rep, _ in orbits] if want_out else []
         keys_in = (
             [BlockKey(n, d, b, p + 1, q - 1, rep) for rep, _ in orbits] if want_in else []
         )
+        ceiling = self.limits.max_block_cols
+        cols = [(key, len(mid_blocks[key.mdeg][0])) for key in keys_out]
+        if in_dim > ceiling:
+            in_blocks = space_blocks(n, d, p + 1, m_in)
+            cols += [(k, len(in_blocks[k.mdeg][0])) for k in keys_in if k.mdeg in in_blocks]
+        for key, ncols in cols:
+            if ncols > ceiling:
+                self.stats["refusals"] += 1
+                raise ResourceRefusal(f"block {key} has {ncols} columns (ceiling {ceiling})")
         ranks = self._rank_blocks(keys_out + keys_in)
         total = 0
         for rep, count in orbits:

@@ -17,7 +17,7 @@ import os
 import sys
 
 from .bounds import VeroneseParams, h0, projection_codim, range_predictions
-from .betti import CONSISTENT, ROUTES, Engine, ResourceLimits, betti_table
+from .betti import CONSISTENT, Engine, ResourceLimits, betti_table
 from .cache import BlockCache, cache_gc, cache_stats
 from .harness import selftest, verify
 from .linalg import DEFAULT_DENSE_LIMIT, PINNED_PRIMES, FieldSpec
@@ -25,6 +25,7 @@ from .polyspace import PointOverField
 from .syzygy import (
     cycle_basis,
     ev_D,
+    genericity_certificate,
     induced_map_rank,
     projection_factor_check,
     sample_general_points,
@@ -61,7 +62,10 @@ def _config_defaults(sp: argparse.ArgumentParser, path: str) -> None:
     store_true flags take the _TRUE/_FALSE spellings, and choices are
     checked here.  Keys that name no flag of sp are ignored.
     """
-    config = _read_config(path)
+    try:
+        config = _read_config(path)
+    except (OSError, UnicodeDecodeError) as err:
+        sp.error(f"cannot read config file: {err}")
     defaults = {}
     for action in sp._actions:
         raw = config.get(action.dest)
@@ -124,7 +128,6 @@ def _build_engine(args: argparse.Namespace) -> Engine:
             next(p for p in PINNED_PRIMES if p != args.prime) if args.certify else None
         ),
         rational_cap=args.dense_limit if args.certify else None,
-        route=args.route,
     )
 
 
@@ -200,8 +203,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     engine = _build_engine(args)
     strands = args.strands or list(range(1, params.n + 1))
     p_min, p_max = args.p_min, args.p_max
-    if not 0 <= p_min <= (h0(params.n, params.d) if p_max is None else p_max):
-        raise SystemExit(f"--p-min {p_min} is below 0 or above the last p graded")
+    if p_min > (h0(params.n, params.d) if p_max is None else p_max):
+        raise SystemExit(f"--p-min {p_min} is above the last p graded")
     report = verify(params, strands, engine, p_max=p_max, p_min=p_min)
     if args.format == "json":
         _emit(args, _json_text(report.to_json_dict()))
@@ -210,12 +213,20 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.ok() else 1
 
 
-def _load_points(raw: str, prime: int, seed: int, params: VeroneseParams):
-    if raw == "random":
-        return sample_general_points(params, prime, seed)
-    with open(raw, encoding="utf-8") as fh:
-        coords = json.load(fh)
-    return [PointOverField.make(tuple(int(x) for x in c), prime) for c in coords]
+def _load_points(args: argparse.Namespace, prime: int, params: VeroneseParams, s: int):
+    """The seeded points, or the s points in general position of the file --points."""
+    if args.points == "random":
+        return sample_general_points(params, prime, args.seed)
+    try:
+        with open(args.points, encoding="utf-8") as fh:
+            points = [PointOverField.make(tuple(map(int, c)), prime) for c in json.load(fh)]
+        if len(points) != s or any(len(pt.coords) != params.n + 1 for pt in points):
+            raise ValueError(f"expected {s} points with {params.n + 1} coordinates each")
+        if not genericity_certificate(params, points):
+            raise ValueError("the points fail the general-position certificate")
+    except (OSError, ValueError, TypeError) as err:
+        args.parser.error(f"--points {args.points}: {err}")
+    return points
 
 
 def cmd_maps_ev(args: argparse.Namespace) -> int:
@@ -228,7 +239,7 @@ def cmd_maps_ev(args: argparse.Namespace) -> int:
         raise SystemExit("--p is required")
     if p < s:
         raise SystemExit(f"--p {p} is below the projection codimension s = {s}")
-    points = _load_points(args.points, prime, args.seed, params)
+    points = _load_points(args, prime, params, s)
     classes = cycle_basis(params, p, 1, engine)
     target_basis = cycle_basis(params, p - s, 1, engine) if p - s >= 0 else []
     rows = []
@@ -321,9 +332,6 @@ def _add_common(sp: argparse.ArgumentParser, *groups: str) -> None:
                         default=ResourceLimits.max_block_cols)
         sp.add_argument("--max-space-dim", type=int, dest="max_space_dim",
                         default=ResourceLimits.max_space_dim)
-        sp.add_argument("--route", choices=ROUTES, default="auto",
-                        help="side of Green's duality each entry is computed on: "
-                        "'auto' (default, the smaller complex) or 'direct'")
 
 
 def _command(sub, name: str, func, help: str) -> argparse.ArgumentParser:
@@ -347,19 +355,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = _command(sub, "betti", cmd_betti, "compute a Betti table rectangle")
     _add_common(sp, "params", "engine")
-    sp.add_argument("--p-min", type=int, dest="p_min", default=0)
-    sp.add_argument("--p-max", type=int, dest="p_max")
-    sp.add_argument("--q-min", type=int, dest="q_min", default=0)
-    sp.add_argument("--q-max", type=int, dest="q_max")
+    sp.add_argument("--p-min", type=_int_at_least(0), dest="p_min", default=0)
+    sp.add_argument("--p-max", type=_int_at_least(0), dest="p_max")
+    sp.add_argument("--q-min", type=_int_at_least(0), dest="q_min", default=0)
+    sp.add_argument("--q-max", type=_int_at_least(0), dest="q_max")
     sp.add_argument("--format", choices=["json", "csv", "ascii"], default="ascii")
 
     sp = _command(sub, "verify", cmd_verify, "grade computed strands against predictions")
     _add_common(sp, "params", "engine")
     sp.add_argument("--strands", type=_int_list_arg,
                     help="comma-separated q values (default 1..n)")
-    sp.add_argument("--p-min", type=int, dest="p_min", default=0,
+    sp.add_argument("--p-min", type=_int_at_least(0), dest="p_min", default=0,
                     help="first p graded (default 0)")
-    sp.add_argument("--p-max", type=int, dest="p_max")
+    sp.add_argument("--p-max", type=_int_at_least(0), dest="p_max")
     sp.add_argument("--format", choices=["json", "text"], default="text")
 
     sp_maps = sub.add_parser("maps", help="cycle-level contraction and chain reports")
@@ -367,16 +375,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = _command(maps_sub, "ev", cmd_maps_ev, "multi-point contraction on a cycle basis")
     _add_common(sp, "params", "engine")
-    sp.add_argument("--p", type=int, help="wedge index of the source strand-1 group")
+    sp.add_argument("--p", type=_int_at_least(0), help="wedge index of the source strand-1 group")
     sp.add_argument("--seed", type=int, default=0, help="point-sampling seed (default 0)")
     sp.add_argument("--points", default="random",
                     help="'random' or a JSON file of point coordinates")
 
     sp = _command(maps_sub, "chain", cmd_maps_chain, "degree-drop implication at one or more p")
     _add_common(sp, "params", "engine")
-    sp.add_argument("--p", type=int)
-    sp.add_argument("--p-min", type=int, dest="p_min")
-    sp.add_argument("--p-max", type=int, dest="p_max")
+    sp.add_argument("--p", type=_int_at_least(0))
+    sp.add_argument("--p-min", type=_int_at_least(0), dest="p_min")
+    sp.add_argument("--p-max", type=_int_at_least(0), dest="p_max")
 
     sp = _command(sub, "selftest", cmd_selftest, "pinned invariant suite; exit 0 iff all pass")
     _add_common(sp)

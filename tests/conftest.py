@@ -2,7 +2,8 @@ from __future__ import annotations
 
 import pytest
 
-from vsl.betti import Engine
+from vsl.betti import BettiTable, Engine, ResourceRefusal
+from vsl.bounds import VeroneseParams, h0
 from vsl.linalg import FieldSpec, PINNED_PRIMES
 
 
@@ -16,6 +17,21 @@ def eng() -> Engine:
 def eng2() -> Engine:
     """Independent engine at the second pinned prime for agreement checks."""
     return Engine(FieldSpec.prime(PINNED_PRIMES[1]))
+
+
+def direct_table(params: VeroneseParams, engine: Engine) -> BettiTable:
+    """The full table of params with every entry computed on its own complex
+    by `Engine.direct_dim`, in `betti_table`'s order; refusals are skipped."""
+    table = BettiTable(
+        params, engine.field, primes=engine.primes, certified=engine.certify_prime is not None
+    )
+    for q in range(0, params.n + 2):
+        for p in range(0, h0(params.n, params.d) + 1):
+            try:
+                table.dims[(p, q)] = engine.direct_dim(params, p, q)
+            except ResourceRefusal as refusal:
+                table.skipped[(p, q)] = str(refusal)
+    return table
 
 
 # One pass/fail line per acceptance criterion, echoed at the end of the run.

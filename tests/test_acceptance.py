@@ -13,7 +13,7 @@ import itertools
 import random
 import time
 
-from conftest import record_criterion
+from conftest import direct_table, record_criterion
 
 from vsl.betti import Engine, betti_table, duality_check
 from vsl.bounds import (
@@ -281,17 +281,17 @@ def test_criterion_09_prime_agreement_and_rational_certification(eng, eng2):
     # fraction-free rational elimination re-derives every block of the small
     # tables (all blocks are within the dense limit there) ...  Both engines
     # rank the direct complexes, so the counts describe that enumeration.
-    ratl = Engine(FieldSpec.prime(PRIME), rational_cap=2000, route="direct")
+    ratl = Engine(FieldSpec.prime(PRIME), rational_cap=2000)
     for n, d in ((1, 2), (1, 3), (1, 4), (2, 2), (2, 3)):
-        betti_table(VeroneseParams(n, d), ratl)
+        direct_table(VeroneseParams(n, d), ratl)
     assert ratl.stats["rational_certified"] > 900
     # ... and, on the two large strands, every block small enough for exact
     # elimination; a disagreement at rank time raises inside the engine
-    ratl64 = Engine(FieldSpec.prime(PRIME), rational_cap=64, route="direct")
+    ratl64 = Engine(FieldSpec.prime(PRIME), rational_cap=64)
     for p in range(h0(2, 4) + 1):
-        ratl64.kpq_dim(VeroneseParams(2, 4), p, 1)
+        ratl64.direct_dim(VeroneseParams(2, 4), p, 1)
     for p in range(h0(3, 2) + 1):
-        ratl64.kpq_dim(VeroneseParams(3, 2), p, 1)
+        ratl64.direct_dim(VeroneseParams(3, 2), p, 1)
     assert ratl64.stats["rational_certified"] > 400
     certified = ratl.stats["rational_certified"] + ratl64.stats["rational_certified"]
     return (

@@ -8,6 +8,8 @@ import textwrap
 
 import pytest
 
+from conftest import direct_table
+
 import vsl
 
 from vsl.bounds import VeroneseParams, binom, green_vanishing_bound, h0
@@ -179,13 +181,12 @@ def test_prime_disagreement_is_raised_not_averaged():
         FieldSpec.prime(PINNED_PRIMES[0]),
         cache=cache,
         certify_prime=PINNED_PRIMES[1],
-        route="direct",
     )
     pr = VeroneseParams(1, 2)
     mdeg = max(space_blocks(1, 2, 1, 2))  # (4,0): its own orbit representative
     cache.put((1, 2, 0, 1, 1, mdeg, PINNED_PRIMES[1]), 99)
     with pytest.raises(PrimeDisagreement):
-        engine.kpq_dim(pr, 1, 1)
+        engine.direct_dim(pr, 1, 1)
 
 
 def test_certify_prime_must_differ():
@@ -212,12 +213,12 @@ def test_rational_certification_path():
 
 def test_rational_cap_certifies_every_block_and_matches_prime_engine(eng):
     # no (1,3) block is wider than 6, so a cap of 10 certifies every rank
-    # over the rationals; "direct" ranks every entry's own complex
-    engine_q = Engine(FieldSpec.prime(PINNED_PRIMES[0]), rational_cap=10, route="direct")
+    # over the rationals; direct_dim ranks every entry's own complex
+    engine_q = Engine(FieldSpec.prime(PINNED_PRIMES[0]), rational_cap=10)
     pr = VeroneseParams(1, 3)
     for q in (0, 1, 2):
         for p in range(0, h0(1, 3) + 1):
-            assert engine_q.kpq_dim(pr, p, q) == eng.kpq_dim(pr, p, q)
+            assert engine_q.direct_dim(pr, p, q) == eng.kpq_dim(pr, p, q)
     assert engine_q.stats["blocks_ranked"] > 0
     assert engine_q.stats["rational_certified"] == engine_q.stats["blocks_ranked"]
 
@@ -230,18 +231,19 @@ def test_threaded_engine_matches_serial(eng):
             assert threaded.kpq_dim(pr, p, q) == eng.kpq_dim(pr, p, q)
 
 
-def _cubic_table(cache_dir, **engine_options):
+def _cubic_table(cache_dir, build=betti_table, **engine_options):
+    """The (2,3) table built by `betti_table` or `direct_table`."""
     engine = Engine(
         FieldSpec.prime(PINNED_PRIMES[0]), cache=BlockCache.open(cache_dir), **engine_options
     )
-    return engine, betti_table(VeroneseParams(2, 3), engine)
+    return engine, build(VeroneseParams(2, 3), engine)
 
 
-def _pooled_matches_serial(tmp_path, serial_run, **engine_options):
+def _pooled_matches_serial(tmp_path, serial_run, build=betti_table, **engine_options):
     """Rerun the (2,3) table in a pool: the report, the cache contents in
     order, the cache file and the engine stats must equal the serial run's."""
     serial_engine, serial = serial_run
-    pooled_engine, pooled = _cubic_table(tmp_path / "pooled", threads=2, **engine_options)
+    pooled_engine, pooled = _cubic_table(tmp_path / "pooled", build, threads=2, **engine_options)
     assert pooled.to_json_dict() == serial.to_json_dict()
     assert pooled_engine.stats == serial_engine.stats
     assert list(pooled_engine.cache.ranks.items()) == list(serial_engine.cache.ranks.items())
@@ -252,19 +254,43 @@ def _pooled_matches_serial(tmp_path, serial_run, **engine_options):
 def test_threaded_engine_enforces_block_ceiling(tmp_path):
     limits = ResourceLimits(max_block_cols=20)
     skipped = {}
-    for route, count in (("direct", 23), ("auto", 5)):
-        options = dict(limits=limits, route=route)
-        serial_run = _cubic_table(tmp_path / route / "serial", **options)
-        skipped[route] = set(serial_run[1].skipped)
-        assert len(skipped[route]) == count
-        _pooled_matches_serial(tmp_path / route, serial_run, **options)
+    for name, build, count in (("direct", direct_table, 23), ("routed", betti_table, 5)):
+        serial_run = _cubic_table(tmp_path / name / "serial", build, limits=limits)
+        skipped[name] = set(serial_run[1].skipped)
+        assert len(skipped[name]) == count
+        _pooled_matches_serial(tmp_path / name, serial_run, build, limits=limits)
     # routing never skips an entry the direct complex computes
-    assert skipped["auto"] <= skipped["direct"]
+    assert skipped["routed"] <= skipped["direct"]
+
+
+def test_refused_side_ranks_no_block_whatever_the_cache_holds():
+    # the column ceiling is decided from block sizes before any rank, for
+    # out-blocks (K_{3,1}) and in-blocks (K_{0,2}) alike: a refused complex
+    # ranks and stores nothing, and a cache filled without the ceiling
+    # does not lift the refusal
+    cubic = VeroneseParams(2, 3)
+    for p, q, cols, message in (
+        (3, 1, 20, "block BlockKey(n=2, d=3, b=0, p=3, q=1, mdeg=(6, 4, 2)) "
+         "has 30 columns (ceiling 20)"),
+        (0, 2, 6, "block BlockKey(n=2, d=3, b=0, p=1, q=1, mdeg=(2, 2, 2)) "
+         "has 7 columns (ceiling 6)"),
+    ):
+        engine = Engine(FieldSpec.prime(PINNED_PRIMES[0]), limits=ResourceLimits(cols))
+        for warm in (False, True):
+            with pytest.raises(ResourceRefusal) as refusal:
+                engine.direct_dim(cubic, p, q)
+            assert str(refusal.value) == message
+            assert engine.stats["blocks_ranked"] == engine.stats["cache_hits"] == 0
+            if not warm:
+                assert not engine.cache.ranks
+                Engine(engine.field, cache=engine.cache).direct_dim(cubic, p, q)
+                assert engine.cache.ranks
+        assert engine.stats["refusals"] == 2
 
 
 def test_threaded_engine_certifies_over_rationals(tmp_path):
     for certify_prime, certified in ((None, 953), (PINNED_PRIMES[1], 2 * 953)):
-        options = dict(rational_cap=2000, certify_prime=certify_prime, route="direct")
+        options = dict(rational_cap=2000, certify_prime=certify_prime)
         run_dir = tmp_path / str(certify_prime)
         calls = {"rational_rank": [], "differential_block": []}
 
@@ -282,14 +308,14 @@ def test_threaded_engine_certifies_over_rationals(tmp_path):
                 ("differential_block", lambda key: key),
             ):
                 mp.setattr(vsl.betti, name, counting(name, key_of))
-            serial_run = _cubic_table(run_dir / "serial", **options)
+            serial_run = _cubic_table(run_dir / "serial", direct_table, **options)
         # one assembly and one rational elimination per distinct block,
         # however many primes rank it; each stored rank of it is certified
         for keys in calls.values():
             assert keys and len(keys) == len(set(keys))
         assert len(calls["rational_rank"]) == 953
         assert serial_run[0].stats["rational_certified"] == certified
-        _pooled_matches_serial(run_dir, serial_run, **options)
+        _pooled_matches_serial(run_dir, serial_run, direct_table, **options)
 
 
 def test_invariant_checks_survive_optimized_mode():

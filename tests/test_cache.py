@@ -5,6 +5,8 @@ import os
 
 import pytest
 
+from conftest import direct_table
+
 from vsl.bounds import VeroneseParams, h0
 from vsl.betti import Engine, betti_table
 from vsl.cache import BlockCache, CacheCorruption, cache_gc, cache_stats
@@ -15,8 +17,7 @@ P1, P2 = PINNED_PRIMES[0], PINNED_PRIMES[1]
 
 
 def expected_block_keys(params: VeroneseParams) -> set[tuple]:
-    """Every cache key a full-table run on the direct route must touch,
-    enumerated directly."""
+    """Every cache key `direct_table` must touch, enumerated directly."""
     n, d, b = params.n, params.d, params.b
     keys = set()
     for q in range(0, n + 2):
@@ -41,9 +42,9 @@ def test_empty_directory_has_zero_records(tmp_path):
 
 def test_record_count_matches_block_enumeration(tmp_path):
     cache = BlockCache.open(str(tmp_path))
-    engine = Engine(FieldSpec.prime(P1), cache=cache, route="direct")
+    engine = Engine(FieldSpec.prime(P1), cache=cache)
     params = VeroneseParams(2, 2)
-    betti_table(params, engine)
+    direct_table(params, engine)
     stats = cache.stats()
     expected = expected_block_keys(params)
     assert stats["records"] == len(expected)
@@ -54,10 +55,8 @@ def test_record_count_matches_block_enumeration(tmp_path):
 def test_two_primes_give_two_records_per_block(tmp_path):
     params = VeroneseParams(1, 3)
     for prime in (P1, P2):
-        engine = Engine(
-            FieldSpec.prime(prime), cache=BlockCache.open(str(tmp_path)), route="direct"
-        )
-        betti_table(params, engine)
+        engine = Engine(FieldSpec.prime(prime), cache=BlockCache.open(str(tmp_path)))
+        direct_table(params, engine)
     stats = cache_stats(str(tmp_path))
     per_key = len(expected_block_keys(params))
     assert stats["by_prime"] == {P1: per_key, P2: per_key}

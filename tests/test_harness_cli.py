@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import vsl.harness as harness
-from vsl.betti import Engine, ResourceLimits
+from vsl.betti import Engine, ResourceLimits, ResourceRefusal
 from vsl.bounds import VeroneseParams
 from vsl.cli import main
 from vsl.harness import (
@@ -20,6 +20,7 @@ from vsl.harness import (
 )
 from vsl.koszul import BlockKey, KoszulBlockMatrix, differential_block, space_blocks
 from vsl.linalg import PINNED_PRIMES, FieldSpec
+from vsl.syzygy import sample_general_points
 
 
 def rows_by_index(report):
@@ -199,11 +200,31 @@ def test_cli_betti_csv_window(capsys):
 def test_cli_verify_exit_codes(capsys):
     assert main(["verify", "--n", "1", "--d", "2"]) == 0
     capsys.readouterr()
-    # the direct complexes have blocks over the ceiling; the dual ones do not
-    argv = ["verify", "--n", "1", "--d", "2", "--max-block-cols", "1", "--route", "direct"]
-    assert main(argv) == 1
-    out = capsys.readouterr().out
-    assert "SKIPPED" in out
+    # the direct complexes have blocks over a 1-column ceiling and the dual
+    # ones do not, so every row is graded; a 0-column ceiling refuses both
+    argv = ["verify", "--n", "1", "--d", "2", "--max-block-cols", "1"]
+    assert main(argv) == 0
+    assert "SKIPPED" not in capsys.readouterr().out
+    engine = Engine(FieldSpec.prime(PINNED_PRIMES[0]), limits=ResourceLimits(max_block_cols=1))
+    with pytest.raises(ResourceRefusal):
+        engine.direct_dim(VeroneseParams(1, 2), 1, 1)
+    assert main(argv[:-1] + ["0"]) == 1
+    assert "SKIPPED" in capsys.readouterr().out
+
+
+def test_cli_refusals_do_not_depend_on_the_cache(tmp_path, capsys):
+    # a cache filled by a run without the ceiling lifts no refusal, serial
+    # or pooled: the warm run prints the cold run's report and exit code
+    ceiling = ["--max-block-cols", "20"]
+    for threads in ("1", "2"):
+        for command in ("betti", "verify"):
+            argv = [command, "--n", "2", "--d", "3", "--format", "json", "--threads", threads,
+                    "--cache", str(tmp_path / threads / command)]
+            runs = []
+            for extra in (ceiling, [], ceiling):
+                runs.append((main(argv + extra), capsys.readouterr().out))
+            assert runs[2] == runs[0]
+            assert "SKIPPED" in runs[0][1] and "SKIPPED" not in runs[1][1]
 
 
 def test_cli_verify_json(capsys):
@@ -267,7 +288,7 @@ def test_cli_config_values_parse_like_their_flags(tmp_path, capsys):
          "argument --q: expected an integer >= 0, got -1"),
         (betti, "n = 1\nd = 2\nthreads = many\n",
          "argument --threads: invalid int value: 'many'"),
-        (betti, "n = 1\nd = 2\nroute = sideways\n", "config value for route is not one of"),
+        (betti, "n = 1\nd = 2\nformat = yaml\n", "config value for format is not one of"),
         (betti, "n = 1\nd = 2\nprime = abc\n", bad_prime),
         (betti, "n = 1\nd = 2\nprime = 2\n", bad_prime),
         (betti, "n = 1\nd = 2\nprime = 4294967311\n", bad_prime),
@@ -294,7 +315,7 @@ def test_cli_config_values_parse_like_their_flags(tmp_path, capsys):
 
 def test_cli_cache_env_and_stats(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("VSL_CACHE_DIR", str(tmp_path))
-    assert main(["betti", "--n", "1", "--d", "2", "--route", "direct"]) == 0
+    assert main(["betti", "--n", "1", "--d", "2"]) == 0
     capsys.readouterr()
     assert main(["cache", "stats"]) == 0
     stats = json.loads(capsys.readouterr().out)
@@ -389,6 +410,60 @@ def test_cli_maps_ev(capsys):
     assert all(row["factors"] for row in payload["classes"])
 
 
+def test_cli_maps_ev_reads_a_points_file(tmp_path, capsys):
+    # the seeded points, written to a file, give the seeded report
+    argv = ["maps", "ev", "--n", "2", "--d", "2", "--p", "3"]
+    points = sample_general_points(VeroneseParams(2, 2), PINNED_PRIMES[0], 0)
+    path = tmp_path / "points.json"
+    path.write_text(json.dumps([list(pt.coords) for pt in points]))
+    assert main(argv) == 0
+    seeded = capsys.readouterr().out
+    assert main(argv + ["--points", str(path)]) == 0
+    assert capsys.readouterr().out == seeded
+
+
+def test_cli_unusable_files_are_usage_errors(tmp_path, capsys):
+    # a file named on the command line that cannot be used exits 2 with a
+    # message, like any other bad argument, instead of a traceback
+    ev = ["maps", "ev", "--n", "2", "--d", "3", "--p", "5", "--points", str(tmp_path / "p.json")]
+    missing_config = ["betti", "--n", "1", "--d", "2", "--config", str(tmp_path / "none.cfg")]
+    for argv, points, message in (
+        (missing_config, None, "cannot read config file"),
+        (ev, None, "No such file or directory"),
+        (ev, [[0, 1, 0], [0, 0, 1]], "expected 4 points with 3 coordinates each"),
+        (ev, [[0, 1], [1, 0], [1, 1], [1, 2]], "expected 4 points with 3 coordinates each"),
+        (ev, [[0, 0, 0], [0, 1, 0], [0, 0, 1], [0, 1, 1]], "cannot normalize the zero tuple"),
+        (ev, [[0, 1, 0], [0, 1, 0], [0, 0, 1], [0, 1, 1]],
+         "the points fail the general-position certificate"),
+    ):
+        if points is not None:
+            (tmp_path / "p.json").write_text(json.dumps(points))
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+
+def test_cli_negative_window_ends_are_usage_errors(tmp_path, capsys):
+    # window ends count from 0, on the command line and in a config file
+    # alike; q < 0 is reachable as a twist through --b
+    params = ["--n", "2", "--d", "3"]
+    betti, verify_cmd = ["betti", *params], ["verify", *params]
+    chain, ev = ["maps", "chain", *params], ["maps", "ev", *params]
+    cfg = tmp_path / "window.cfg"
+    for argv, flag in (
+        (betti, "--p-min"), (betti, "--p-max"), (betti, "--q-min"), (betti, "--q-max"),
+        (verify_cmd, "--p-min"), (verify_cmd, "--p-max"),
+        (chain, "--p"), (chain, "--p-min"), (chain, "--p-max"), (ev, "--p"),
+    ):
+        cfg.write_text(f"{flag[2:]} = -1\n")
+        for extra in ([flag, "-1"], ["--config", str(cfg)]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + extra)
+            assert exc.value.code == 2
+            assert f"argument {flag}: expected an integer >= 0, got -1" in capsys.readouterr().err
+
+
 def test_cli_maps_ev_small_target(capsys):
     rc = main(["maps", "ev", "--n", "2", "--d", "2", "--p", "3", "--seed", "0"])
     assert rc == 0
@@ -400,10 +475,14 @@ def test_cli_maps_ev_small_target(capsys):
 
 
 def test_cli_maps_ev_refuses_p_below_s():
-    # (2,3) has s = 4; a source index below it has no s-fold contraction
-    for p in ("2", "-1"):
-        with pytest.raises(SystemExit, match=r"--p -?\d+ is below the projection codimension s = 4"):
-            main(["maps", "ev", "--n", "2", "--d", "3", "--p", p])
+    # (2,3) has s = 4; a source index below it has no s-fold contraction,
+    # and a negative one is a usage error
+    argv = ["maps", "ev", "--n", "2", "--d", "3", "--p"]
+    with pytest.raises(SystemExit, match=r"--p 2 is below the projection codimension s = 4"):
+        main(argv + ["2"])
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["-1"])
+    assert exc.value.code == 2
 
 
 def test_cli_maps_chain(capsys):

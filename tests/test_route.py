@@ -6,6 +6,8 @@ import json
 
 import pytest
 
+from conftest import direct_table
+
 import vsl
 from vsl.bounds import VeroneseParams, duality_partner, h0
 from vsl.betti import Engine, ResourceLimits, _cost, _side, betti_table, duality_check
@@ -34,15 +36,24 @@ def test_routes_agree_on_small_tables(prime):
                     assert len(set(dims)) == 1, (params, p, q, dims)
 
 
+def test_routed_and_direct_quartic_linear_strands_agree():
+    # the side picks which complexes are ranked, never a dimension: every
+    # entry of the (2,4) linear strand, routed and on its own complex
+    quartic = VeroneseParams(2, 4)
+    engine = Engine(FieldSpec.prime(PINNED_PRIMES[0]))
+    routed = [engine.kpq_dim(quartic, p, 1) for p in range(h0(2, 4) + 1)]
+    assert routed == [engine.direct_dim(quartic, p, 1) for p in range(h0(2, 4) + 1)]
+    assert routed[1:11] == [75, 536, 1947, 4488, 7095, 7920, 6237, 3344, 1089, 120]
+
+
 def test_chooser_is_deterministic_and_prefers_the_smaller_complex():
     for n, d in ROUTED_TABLES:
         for b in (-1, 0, 1):
             params = VeroneseParams(n, d, b)
             for q in range(0, n + 2):
                 for p in range(0, h0(n, d) + 1):
-                    side = _side(params, p, q, "auto")
-                    assert side == _side(params, p, q, "auto")
-                    assert _side(params, p, q, "direct") == (params, p, q)
+                    side = _side(params, p, q)
+                    assert side == _side(params, p, q)
                     p2, q2, b2 = duality_partner(params, p, q)
                     dual = (VeroneseParams(n, d, b2), p2, q2)
                     expected = dual if _cost(*dual) < _cost(params, p, q) else (params, p, q)
@@ -56,20 +67,15 @@ def test_chooser_is_deterministic_and_prefers_the_smaller_complex():
     ):
         p2, q2, b2 = duality_partner(params, p, q)
         assert _cost(params, p, q) == _cost(VeroneseParams(params.n, params.d, b2), p2, q2) == cost
-        assert _side(params, p, q, "auto") == (params, p, q)
-    for route in ("dual", "partner"):
-        with pytest.raises(ValueError, match="route"):
-            _side(VeroneseParams(1, 2), 1, 1, route)
-        with pytest.raises(ValueError, match="route"):
-            Engine(FieldSpec.prime(PINNED_PRIMES[0]), route=route)
+        assert _side(params, p, q) == (params, p, q)
 
 
 def test_refused_partner_falls_back_to_the_direct_complex():
     # (2,3) K_{6,0}'s cheaper partner K_{1,3}(-3) has a block over 20
-    # columns; its own complex has none, so auto computes it directly
+    # columns; its own complex has none, so it is computed directly
     limits = ResourceLimits(max_block_cols=20)
     cubic = VeroneseParams(2, 3)
-    assert _side(cubic, 6, 0, "auto") != (cubic, 6, 0)
+    assert _side(cubic, 6, 0) != (cubic, 6, 0)
     engine = Engine(FieldSpec.prime(PINNED_PRIMES[0]), limits=limits)
     assert engine.kpq_entry(cubic, 6, 0) == (0, None)
     assert engine.stats["refusals"] == 1
@@ -79,35 +85,28 @@ def test_refused_partner_falls_back_to_the_direct_complex():
 
 def test_entries_routed_through_the_partner_carry_via():
     cubic = VeroneseParams(2, 3)
-    auto = betti_table(cubic, Engine(FieldSpec.prime(PINNED_PRIMES[0])))
-    direct = betti_table(
-        cubic, Engine(FieldSpec.prime(PINNED_PRIMES[0]), route="direct")
-    )
-    assert auto.dims == direct.dims
-    entries = {(e["p"], e["q"]): e for e in auto.to_json_dict()["entries"]}
+    routed = betti_table(cubic, Engine(FieldSpec.prime(PINNED_PRIMES[0])))
+    direct = direct_table(cubic, Engine(FieldSpec.prime(PINNED_PRIMES[0])))
+    assert routed.dims == direct.dims
+    entries = {(e["p"], e["q"]): e for e in routed.to_json_dict()["entries"]}
     assert entries[(7, 2)]["via"] == {"p": 0, "q": 1, "b": -3}
     assert entries[(7, 2)]["dim"] == 1
     assert "via" not in entries[(1, 1)]  # the direct complex is the smaller one
-    assert not any("via" in e for e in direct.to_json_dict()["entries"])
 
     report = verify(cubic, [2], Engine(FieldSpec.prime(PINNED_PRIMES[0])))
     rows = {row["p"]: row for row in report.to_json_dict()["rows"]}
     assert rows[7]["via"] == {"p": 0, "q": 1, "b": -3}
 
 
-def test_cli_route_flag_and_config_key(tmp_path, capsys):
-    base = ["betti", "--n", "2", "--d", "3", "--q-min", "2", "--q-max", "2", "--format", "json"]
-    config = tmp_path / "vsl.conf"
-    config.write_text("route = direct\n")
-    payloads = []
-    for extra in ([], ["--route", "direct"], ["--config", str(config)]):
-        assert main(base + extra) == 0
-        payloads.append(json.loads(capsys.readouterr().out))
-    routed, direct, configured = payloads
-    assert any("via" in e for e in routed["entries"])
-    assert direct == configured
-    assert not any("via" in e for e in direct["entries"])
-    assert [e["dim"] for e in routed["entries"]] == [e["dim"] for e in direct["entries"]]
+def test_cli_routed_entries_match_their_own_complexes(capsys):
+    argv = ["betti", "--n", "2", "--d", "3", "--q-min", "2", "--q-max", "2", "--format", "json"]
+    assert main(argv) == 0
+    routed = json.loads(capsys.readouterr().out)["entries"]
+    assert any("via" in e for e in routed)
+    engine = Engine(FieldSpec.prime(PINNED_PRIMES[0]))
+    assert [e["dim"] for e in routed] == [
+        engine.direct_dim(VeroneseParams(2, 3), e["p"], e["q"]) for e in routed
+    ]
 
 
 def test_duality_check_computes_both_sides_directly():
@@ -145,10 +144,13 @@ def test_verify_p_min_starts_rows_there(capsys):
     )
     assert payload["summary"]["LINEAR_CONJ"] == "VERIFIED"
     assert all(row["dim"] == 0 for row in payload["rows"])
-    # a window that grades no row, or starts below p = 0, is refused
-    for p_min in ("-1", "11"):
-        with pytest.raises(SystemExit, match="p-min"):
-            main(argv[:-3] + [p_min, "--p-max", "10"])
+    # a window that grades no row is refused; one below p = 0 is a usage error
+    with pytest.raises(SystemExit, match="p-min"):
+        main(argv[:-3] + ["11", "--p-max", "10"])
+    with pytest.raises(SystemExit) as exc:
+        main(argv[:-3] + ["-1", "--p-max", "10"])
+    assert exc.value.code == 2
+    assert "argument --p-min: expected an integer >= 0, got -1" in capsys.readouterr().err
     # without --p-min the report has no p_min field, as before
     assert main(argv[:-4] + ["--format", "json"]) == 0
     assert "p_min" not in json.loads(capsys.readouterr().out)
