@@ -120,10 +120,13 @@ class Engine:
     checking the ceilings from sizes alone.
 
     Block ranks go through one path: `_rank_job` computes the prime and
-    rational ranks, serially or in a process pool; `_rank_blocks` compares
+    rational ranks, serially or in the engine's pool; `_rank_blocks` compares
     the rational rank with each fresh prime rank, stores ranks in key and
     prime order and compares the two primes.  Reports, cache files and
     stats therefore do not depend on `threads`, nor refusals on the cache.
+    With threads > 1 the engine ranks only inside `with engine:`, which owns
+    one process pool until the `with` ends: its workers, forked at the first
+    pooled rank, serve every entry of a command.
     """
 
     def __init__(
@@ -144,6 +147,7 @@ class Engine:
         if certify_prime == field.p:
             raise ValueError("certification prime must differ from the primary prime")
         self.primes = (field.p,) if certify_prime is None else (field.p, certify_prime)
+        self._pool: concurrent.futures.ProcessPoolExecutor | None = None
         self.stats = {
             "blocks_ranked": 0,
             "cache_hits": 0,
@@ -152,17 +156,29 @@ class Engine:
             "refusals": 0,
         }
 
+    def __enter__(self) -> Engine:
+        if self.threads > 1:
+            self._pool = concurrent.futures.ProcessPoolExecutor(self.threads)
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(cancel_futures=exc_type is not None)
+
     # -- block-level ranks ------------------------------------------------
 
     def _cache_key(self, key: BlockKey, prime: int) -> CacheKey:
         return (key.n, key.d, key.b, key.p, key.q, key.mdeg, prime)
 
     def _rank_blocks(self, keys: list[BlockKey]) -> dict[BlockKey, int]:
-        """Rank blocks through `_rank_job`, serially or across a process pool.
+        """Rank blocks through `_rank_job`, serially or on the engine's pool.
 
         Jobs cover the keys with an uncached engine prime and run in sorted
         key order; their results are checked and stored in `keys` order.
         """
+        if self.threads > 1 and self._pool is None:
+            raise RuntimeError(f"Engine(threads={self.threads}) ranks only inside `with engine:`")
         primes = self.primes
         cached = {
             key: {prime: self.cache.get(self._cache_key(key, prime)) for prime in primes}
@@ -176,8 +192,7 @@ class Engine:
         order = sorted(todo)
         jobs = (order, map(todo.get, order), repeat(self.rational_cap))
         if self.threads > 1 and len(todo) >= 4:
-            with concurrent.futures.ProcessPoolExecutor(self.threads) as pool:
-                done = dict(zip(order, pool.map(_rank_job, *jobs, chunksize=8)))
+            done = dict(zip(order, self._pool.map(_rank_job, *jobs, chunksize=8)))
         else:
             done = dict(zip(order, map(_rank_job, *jobs)))
         out: dict[BlockKey, int] = {}

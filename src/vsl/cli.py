@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -43,7 +44,7 @@ def _read_config(path: str) -> dict[str, str]:
             if not line:
                 continue
             if "=" not in line:
-                raise SystemExit(f"{path}:{lineno}: expected key = value")
+                raise ValueError(f"{path}:{lineno}: expected key = value")
             key, value = line.split("=", 1)
             out[key.strip().replace("-", "_")] = value.strip()
     return out
@@ -64,7 +65,7 @@ def _config_defaults(sp: argparse.ArgumentParser, path: str) -> None:
     """
     try:
         config = _read_config(path)
-    except (OSError, UnicodeDecodeError) as err:
+    except (OSError, ValueError) as err:
         sp.error(f"cannot read config file: {err}")
     defaults = {}
     for action in sp._actions:
@@ -133,8 +134,13 @@ def _build_engine(args: argparse.Namespace) -> Engine:
 
 def _params(args: argparse.Namespace) -> VeroneseParams:
     if args.n is None or args.d is None:
-        raise SystemExit("--n and --d are required")
+        args.parser.error("--n and --d are required")
     return VeroneseParams(args.n, args.d, args.b)
+
+
+def _check_window(args: argparse.Namespace, name: str, lo: int, hi: int) -> None:
+    if lo > hi:  # an empty window is a usage error, not an empty report
+        args.parser.error(f"--{name}-min {lo} is above the last {name} in the window, {hi}")
 
 
 def _emit(args: argparse.Namespace, text: str) -> None:
@@ -155,19 +161,11 @@ def _json_text(payload) -> str:
 def cmd_bounds(args: argparse.Namespace) -> int:
     params = _params(args)
     strands = [args.q] if args.q is not None else list(range(1, params.n + 1))
-    preds = []
-    for strand in strands:
-        for pr in range_predictions(params, strand):
-            preds.append(
-                {
-                    "source": pr.source.value,
-                    "q": pr.q,
-                    "lo": pr.lo,
-                    "hi": pr.hi,
-                    "applicable": pr.applicable,
-                    "reason": pr.reason,
-                }
-            )
+    preds = [
+        {**dataclasses.asdict(pr), "source": pr.source.value}
+        for strand in strands
+        for pr in range_predictions(params, strand)
+    ]
     if args.format == "json":
         _emit(args, _json_text(preds))
     else:
@@ -184,14 +182,17 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 def cmd_betti(args: argparse.Namespace) -> int:
     params = _params(args)
-    engine = _build_engine(args)
-    table = betti_table(params, engine, (args.p_min, args.p_max), (args.q_min, args.q_max))
+    p_max = h0(params.n, params.d) if args.p_max is None else args.p_max
+    q_max = params.n + 1 if args.q_max is None else args.q_max
+    _check_window(args, "p", args.p_min, p_max)
+    _check_window(args, "q", args.q_min, q_max)
+    with _build_engine(args) as engine:
+        table = betti_table(params, engine, (args.p_min, p_max), (args.q_min, q_max))
     if args.format == "json":
         _emit(args, _json_text(table.to_json_dict()))
     elif args.format == "csv":
         buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerows(table.csv_rows())
+        csv.writer(buf).writerows(table.csv_rows())
         _emit(args, buf.getvalue().rstrip("\n"))
     else:
         _emit(args, table.ascii())
@@ -200,12 +201,11 @@ def cmd_betti(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     params = _params(args)
-    engine = _build_engine(args)
     strands = args.strands or list(range(1, params.n + 1))
     p_min, p_max = args.p_min, args.p_max
-    if p_min > (h0(params.n, params.d) if p_max is None else p_max):
-        raise SystemExit(f"--p-min {p_min} is above the last p graded")
-    report = verify(params, strands, engine, p_max=p_max, p_min=p_min)
+    _check_window(args, "p", p_min, h0(params.n, params.d) if p_max is None else p_max)
+    with _build_engine(args) as engine:
+        report = verify(params, strands, engine, p_max=p_max, p_min=p_min)
     if args.format == "json":
         _emit(args, _json_text(report.to_json_dict()))
     else:
@@ -231,31 +231,23 @@ def _load_points(args: argparse.Namespace, prime: int, params: VeroneseParams, s
 
 def cmd_maps_ev(args: argparse.Namespace) -> int:
     params = _params(args)
-    engine = _build_engine(args)
-    prime = engine.field.p
     p = args.p
     s = projection_codim(params)
     if p is None:
-        raise SystemExit("--p is required")
+        args.parser.error("--p is required")
     if p < s:
-        raise SystemExit(f"--p {p} is below the projection codimension s = {s}")
-    points = _load_points(args, prime, params, s)
-    classes = cycle_basis(params, p, 1, engine)
-    target_basis = cycle_basis(params, p - s, 1, engine) if p - s >= 0 else []
-    rows = []
-    images = []
-    for i, cls in enumerate(classes):
-        image = ev_D(cls, points)
-        images.append(image)
-        factor = projection_factor_check(cls, points)
-        rows.append(
-            {
-                "class": i,
-                "image_support": len(image.coeffs),
-                "factors": factor["factors"],
-            }
-        )
-    rank = induced_map_rank(classes, images, target_basis, prime) if target_basis else 0
+        args.parser.error(f"--p {p} is below the projection codimension s = {s}")
+    points = _load_points(args, args.prime, params, s)
+    with _build_engine(args) as engine:
+        classes = cycle_basis(params, p, 1, engine)
+        target_basis = cycle_basis(params, p - s, 1, engine) if p - s >= 0 else []
+    images = [ev_D(cls, points) for cls in classes]
+    rows = [
+        {"class": i, "image_support": len(image.coeffs),
+         "factors": projection_factor_check(cls, points)["factors"]}
+        for i, (cls, image) in enumerate(zip(classes, images))
+    ]
+    rank = induced_map_rank(classes, images, target_basis, args.prime) if target_basis else 0
     payload = {
         "params": params.as_json(),
         "field": engine.field.label(),
@@ -273,12 +265,13 @@ def cmd_maps_ev(args: argparse.Namespace) -> int:
 
 def cmd_maps_chain(args: argparse.Namespace) -> int:
     params = _params(args)
-    engine = _build_engine(args)
     p_lo = args.p if args.p_min is None else args.p_min
     p_hi = args.p if args.p_max is None else args.p_max
     if p_lo is None or p_hi is None:
-        raise SystemExit("--p or --p-min/--p-max is required")
-    rows = [theorem_chain_check(params, pp, engine) for pp in range(p_lo, p_hi + 1)]
+        args.parser.error("--p or --p-min/--p-max is required")
+    _check_window(args, "p", p_lo, p_hi)
+    with _build_engine(args) as engine:
+        rows = [theorem_chain_check(params, pp, engine) for pp in range(p_lo, p_hi + 1)]
     payload = {
         "params": params.as_json(),
         "field": engine.field.label(),
@@ -296,7 +289,7 @@ def cmd_selftest(args: argparse.Namespace) -> int:
 
 def cmd_cache(args: argparse.Namespace) -> int:
     if args.cache is None:
-        raise SystemExit("cache directory required (--cache or VSL_CACHE_DIR)")
+        args.parser.error("cache directory required (--cache or VSL_CACHE_DIR)")
     if args.cache_action == "stats":
         _emit(args, _json_text(cache_stats(args.cache)))
         return 0

@@ -110,7 +110,8 @@ def space_dim(n: int, d: int, p: int, m: int) -> int:
     return comb(h0(n, d), p) * h0(n, m)
 
 
-@lru_cache(maxsize=12)
+# one entry's working set: its middle, out-target and in-source spaces
+@lru_cache(maxsize=3)
 def space_blocks(n: int, d: int, p: int, m: int):
     """Multidegree decomposition of (wedge^p V) (x) H0(m).
 

@@ -11,6 +11,7 @@ import pytest
 from conftest import direct_table
 
 import vsl
+import vsl.koszul
 
 from vsl.bounds import VeroneseParams, binom, green_vanishing_bound, h0
 from vsl.betti import (
@@ -224,19 +225,47 @@ def test_rational_cap_certifies_every_block_and_matches_prime_engine(eng):
 
 
 def test_threaded_engine_matches_serial(eng):
-    threaded = Engine(FieldSpec.prime(PINNED_PRIMES[0]), threads=2)
     pr = VeroneseParams(2, 2)
-    for q in (1, 2):
-        for p in range(0, 7):
-            assert threaded.kpq_dim(pr, p, q) == eng.kpq_dim(pr, p, q)
+    with Engine(FieldSpec.prime(PINNED_PRIMES[0]), threads=2) as threaded:
+        for q in (1, 2):
+            for p in range(0, 7):
+                assert threaded.kpq_dim(pr, p, q) == eng.kpq_dim(pr, p, q)
+    # outside `with` a threaded engine refuses to rank, cached or not: it
+    # neither opens a pool of its own nor falls back to serial
+    for cache in (threaded.cache, BlockCache()):
+        idle = Engine(FieldSpec.prime(PINNED_PRIMES[0]), cache=cache, threads=2)
+        with pytest.raises(RuntimeError, match=r"Engine\(threads=2\) ranks only inside"):
+            idle.kpq_dim(pr, 2, 1)
+
+
+def test_one_entry_fits_the_space_blocks_cache(monkeypatch):
+    # space_blocks keeps one entry's working set, maxsize=3: the middle
+    # space, the out-blocks' target and the in-blocks' source.  Ranking a
+    # (2,4) q=1 entry enumerates each space it touches once; at maxsize=2
+    # the middle space would be enumerated twice, and a larger cache only
+    # grows the pool workers, which live for a whole command
+    calls = []
+
+    def recording(*args):
+        calls.append(args)
+        return space_blocks(*args)
+
+    monkeypatch.setattr(vsl.koszul, "space_blocks", recording)
+    monkeypatch.setattr(vsl.betti, "space_blocks", recording)
+    space_blocks.cache_clear()
+    engine = Engine(FieldSpec.prime(PINNED_PRIMES[0]))
+    assert engine.direct_dim(VeroneseParams(2, 4), 5, 1) == 7095
+    assert engine.stats["blocks_ranked"] > 0
+    info = space_blocks.cache_info()
+    assert info.misses == len(set(calls)) == info.maxsize == 3
 
 
 def _cubic_table(cache_dir, build=betti_table, **engine_options):
     """The (2,3) table built by `betti_table` or `direct_table`."""
-    engine = Engine(
+    with Engine(
         FieldSpec.prime(PINNED_PRIMES[0]), cache=BlockCache.open(cache_dir), **engine_options
-    )
-    return engine, build(VeroneseParams(2, 3), engine)
+    ) as engine:
+        return engine, build(VeroneseParams(2, 3), engine)
 
 
 def _pooled_matches_serial(tmp_path, serial_run, build=betti_table, **engine_options):

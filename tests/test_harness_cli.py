@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import concurrent.futures
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
 
 import pytest
 
+import vsl.betti
+import vsl.cli
 import vsl.harness as harness
 from vsl.betti import Engine, ResourceLimits, ResourceRefusal
 from vsl.bounds import VeroneseParams
@@ -95,8 +99,8 @@ def test_verify_p_max_and_degeneracy_note(eng):
 def test_verify_report_deterministic_across_thread_counts():
     texts = []
     for threads in (1, 2):
-        engine = Engine(FieldSpec.prime(PINNED_PRIMES[0]), threads=threads)
-        report = verify(VeroneseParams(2, 2), [1, 2], engine)
+        with Engine(FieldSpec.prime(PINNED_PRIMES[0]), threads=threads) as engine:
+            report = verify(VeroneseParams(2, 2), [1, 2], engine)
         texts.append(json.dumps(report.to_json_dict(), sort_keys=True))
         assert report.text().startswith("verification")
     assert texts[0] == texts[1]
@@ -252,11 +256,13 @@ def test_cli_config_file_with_override(tmp_path, capsys):
     assert any(pr["source"] == "EL_CONJ" and pr["hi"] == 6 for pr in preds)
 
 
-def test_cli_config_rejects_malformed_lines(tmp_path):
+def test_cli_config_rejects_malformed_lines(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("this line has no equals sign\n")
-    with pytest.raises(SystemExit, match="expected key = value"):
+    with pytest.raises(SystemExit) as exc:
         main(["bounds", "--config", str(cfg), "--n", "1", "--d", "2"])
+    assert exc.value.code == 2
+    assert f"cannot read config file: {cfg}:1: expected key = value" in capsys.readouterr().err
 
 
 def test_cli_config_boolean_values(tmp_path, capsys):
@@ -364,10 +370,12 @@ def test_cli_empty_and_out_of_range_values_are_usage_errors(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["records"] > 0
 
 
-def test_cli_cache_requires_directory(monkeypatch):
+def test_cli_cache_requires_directory(monkeypatch, capsys):
     monkeypatch.delenv("VSL_CACHE_DIR", raising=False)
-    with pytest.raises(SystemExit, match="cache directory required"):
+    with pytest.raises(SystemExit) as exc:
         main(["cache", "stats"])
+    assert exc.value.code == 2
+    assert "cache directory required" in capsys.readouterr().err
 
 
 def test_cli_out_writes_file(tmp_path, capsys):
@@ -392,9 +400,11 @@ def test_cli_rejects_bad_prime(capsys):
         assert f"got '{raw}'" in err
 
 
-def test_cli_requires_params():
-    with pytest.raises(SystemExit, match="--n and --d are required"):
+def test_cli_requires_params(capsys):
+    with pytest.raises(SystemExit) as exc:
         main(["betti", "--d", "2"])
+    assert exc.value.code == 2
+    assert "--n and --d are required" in capsys.readouterr().err
 
 
 def test_cli_maps_ev(capsys):
@@ -474,15 +484,18 @@ def test_cli_maps_ev_small_target(capsys):
     assert all(row["factors"] for row in payload["classes"])
 
 
-def test_cli_maps_ev_refuses_p_below_s():
-    # (2,3) has s = 4; a source index below it has no s-fold contraction,
-    # and a negative one is a usage error
+def test_cli_maps_ev_refuses_p_below_s(capsys):
+    # (2,3) has s = 4; a source index below it has no s-fold contraction:
+    # a usage error, like a negative one
     argv = ["maps", "ev", "--n", "2", "--d", "3", "--p"]
-    with pytest.raises(SystemExit, match=r"--p 2 is below the projection codimension s = 4"):
-        main(argv + ["2"])
-    with pytest.raises(SystemExit) as exc:
-        main(argv + ["-1"])
-    assert exc.value.code == 2
+    for p, message in (
+        ("2", "--p 2 is below the projection codimension s = 4"),
+        ("-1", "argument --p: expected an integer >= 0, got -1"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [p])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
 
 
 def test_cli_maps_chain(capsys):
@@ -499,9 +512,89 @@ def test_cli_maps_chain(capsys):
     assert len(payload["rows"]) == 1 and payload["rows"][0]["p"] == 3
 
 
-def test_cli_maps_chain_requires_p():
-    with pytest.raises(SystemExit, match="--p or --p-min/--p-max"):
+def test_cli_maps_chain_requires_p(capsys):
+    with pytest.raises(SystemExit) as exc:
         main(["maps", "chain", "--n", "1", "--d", "3"])
+    assert exc.value.code == 2
+    assert "--p or --p-min/--p-max" in capsys.readouterr().err
+
+
+def test_cli_usage_errors_exit_2_before_any_engine(monkeypatch, capsys):
+    # an empty window prints no rows and a missing or out-of-range index
+    # grades nothing: each is a usage error (exit 2, not the exit 1 of a
+    # VIOLATION), found before an engine, and so a pool, exists
+    def no_engine(args):
+        raise AssertionError("a usage error built an engine")
+
+    monkeypatch.setattr(vsl.cli, "_build_engine", no_engine)
+    cubic = ["--n", "2", "--d", "3", "--threads", "2"]
+    betti, chain = ["betti", *cubic], ["maps", "chain", *cubic]
+    for argv, message in (
+        ([*betti, "--p-min", "5", "--p-max", "3"], "--p-min 5 is above the last p in the window, 3"),
+        ([*betti, "--p-min", "11"], "--p-min 11 is above the last p in the window, 10"),
+        ([*betti, "--q-min", "2", "--q-max", "1"], "--q-min 2 is above the last q in the window, 1"),
+        ([*betti, "--q-min", "4"], "--q-min 4 is above the last q in the window, 3"),
+        ([*chain, "--p-min", "5", "--p-max", "3"], "--p-min 5 is above the last p in the window, 3"),
+        ([*chain, "--p", "5", "--p-min", "6"], "--p-min 6 is above the last p in the window, 5"),
+        ([*chain], "--p or --p-min/--p-max is required"),
+        (["verify", *cubic, "--p-min", "11"], "--p-min 11 is above the last p in the window, 10"),
+        (["maps", "ev", *cubic], "--p is required"),
+        (["maps", "ev", *cubic, "--p", "3"], "--p 3 is below the projection codimension s = 4"),
+        (["betti", "--n", "2", "--threads", "2"], "--n and --d are required"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert message in capsys.readouterr().err, argv
+
+
+class _CountingPool(concurrent.futures.ProcessPoolExecutor):
+    """A process pool that logs its construction, each map and its shutdown."""
+
+    log: list[str] = []
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.log.append("open")
+
+    def map(self, *args, **kwargs):
+        self.log.append("map")
+        return super().map(*args, **kwargs)
+
+    def shutdown(self, *args, **kwargs):
+        super().shutdown(*args, **kwargs)
+        self.log.append("shutdown")
+
+
+_real_rank_job = vsl.betti._rank_job
+
+
+def _rank_job_failing_in_workers(*args):
+    """`_rank_job` in this process; a planted failure in a pool worker."""
+    if multiprocessing.parent_process() is not None:
+        raise ZeroDivisionError("planted failure in a pool worker")
+    return _real_rank_job(*args)
+
+
+def test_cli_opens_one_pool_per_command(monkeypatch, capsys):
+    # one pool serves every pooled rank of a command, and it is shut down
+    # before main returns, also when a rank job raises in a worker
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _CountingPool)
+    log = _CountingPool.log
+    cubic = ["--n", "2", "--d", "3", "--threads", "2"]
+    betti = ["betti", *cubic]
+    for argv in (betti, ["verify", *cubic, "--strands", "1,2"]):
+        log.clear()
+        assert main(argv) == 0
+        assert log[0] == "open" and log[-1] == "shutdown", argv
+        assert log.count("open") == log.count("shutdown") == 1, argv
+        assert log.count("map") > 1, argv
+    capsys.readouterr()
+    monkeypatch.setattr(vsl.betti, "_rank_job", _rank_job_failing_in_workers)
+    log.clear()
+    with pytest.raises(ZeroDivisionError, match="planted failure in a pool worker"):
+        main(betti)
+    assert log == ["open", "map", "shutdown"]
 
 
 def test_cli_selftest(capsys):

@@ -145,8 +145,10 @@ def test_verify_p_min_starts_rows_there(capsys):
     assert payload["summary"]["LINEAR_CONJ"] == "VERIFIED"
     assert all(row["dim"] == 0 for row in payload["rows"])
     # a window that grades no row is refused; one below p = 0 is a usage error
-    with pytest.raises(SystemExit, match="p-min"):
+    with pytest.raises(SystemExit) as exc:
         main(argv[:-3] + ["11", "--p-max", "10"])
+    assert exc.value.code == 2
+    assert "--p-min 11 is above the last p in the window, 10" in capsys.readouterr().err
     with pytest.raises(SystemExit) as exc:
         main(argv[:-3] + ["-1", "--p-max", "10"])
     assert exc.value.code == 2
