@@ -38,6 +38,7 @@ from .linalg import (
     rational_rank,
     sparse_rank,
 )
+from .polyspace import MultiDegree
 
 
 class ResourceRefusal(RuntimeError):
@@ -120,10 +121,11 @@ class Engine:
     checking the ceilings from sizes alone.
 
     Block ranks go through one path: `_rank_job` computes the prime and
-    rational ranks, serially or in the engine's pool; `_rank_blocks` compares
-    the rational rank with each fresh prime rank, stores ranks in key and
-    prime order and compares the two primes.  Reports, cache files and
-    stats therefore do not depend on `threads`, nor refusals on the cache.
+    rational ranks, serially or in the engine's pool, largest block first;
+    `_rank_blocks` compares the rational rank with each fresh prime rank,
+    stores ranks in `keys` and prime order and compares the two primes.
+    Reports, cache files and stats therefore do not depend on `threads` or
+    on the order jobs run in, nor refusals on the cache.
     With threads > 1 the engine ranks only inside `with engine:`, which owns
     one process pool until the `with` ends: its workers, forked at the first
     pooled rank, serve every entry of a command.
@@ -171,11 +173,15 @@ class Engine:
     def _cache_key(self, key: BlockKey, prime: int) -> CacheKey:
         return (key.n, key.d, key.b, key.p, key.q, key.mdeg, prime)
 
-    def _rank_blocks(self, keys: list[BlockKey]) -> dict[BlockKey, int]:
+    def _rank_blocks(
+        self, keys: list[BlockKey], mid_size: dict[MultiDegree, int]
+    ) -> dict[BlockKey, int]:
         """Rank blocks through `_rank_job`, serially or on the engine's pool.
 
-        Jobs cover the keys with an uncached engine prime and run in sorted
-        key order; their results are checked and stored in `keys` order.
+        Jobs cover the keys with an uncached engine prime and go out largest
+        first: by descending mid-slice size `mid_size[key.mdeg]`, an
+        out-block's columns and an in-block's rows alike, ties in key order.
+        Their results are checked and stored in `keys` order.
         """
         if self.threads > 1 and self._pool is None:
             raise RuntimeError(f"Engine(threads={self.threads}) ranks only inside `with engine:`")
@@ -189,7 +195,7 @@ class Engine:
             for key, found in cached.items()
             if None in found.values()
         }
-        order = sorted(todo)
+        order = sorted(todo, key=lambda key: (-mid_size[key.mdeg], key))
         jobs = (order, map(todo.get, order), repeat(self.rational_cap))
         if self.threads > 1 and len(todo) >= 4:
             done = dict(zip(order, self._pool.map(_rank_job, *jobs, chunksize=8)))
@@ -279,8 +285,9 @@ class Engine:
         keys_in = (
             [BlockKey(n, d, b, p + 1, q - 1, rep) for rep, _ in orbits] if want_in else []
         )
+        mid_size = {rep: len(mid_blocks[rep][0]) for rep, _ in orbits}
         ceiling = self.limits.max_block_cols
-        cols = [(key, len(mid_blocks[key.mdeg][0])) for key in keys_out]
+        cols = [(key, mid_size[key.mdeg]) for key in keys_out]
         if in_dim > ceiling:
             in_blocks = space_blocks(n, d, p + 1, m_in)
             cols += [(k, len(in_blocks[k.mdeg][0])) for k in keys_in if k.mdeg in in_blocks]
@@ -288,13 +295,12 @@ class Engine:
             if ncols > ceiling:
                 self.stats["refusals"] += 1
                 raise ResourceRefusal(f"block {key} has {ncols} columns (ceiling {ceiling})")
-        ranks = self._rank_blocks(keys_out + keys_in)
+        ranks = self._rank_blocks(keys_out + keys_in, mid_size)
         total = 0
         for rep, count in orbits:
-            mid = len(mid_blocks[rep][0])
             r_out = ranks[BlockKey(n, d, b, p, q, rep)] if want_out else 0
             r_in = ranks[BlockKey(n, d, b, p + 1, q - 1, rep)] if want_in else 0
-            hom = mid - r_out - r_in
+            hom = mid_size[rep] - r_out - r_in
             if hom < 0:
                 raise InvariantViolation(f"negative homology contribution at {rep}")
             total += count * hom

@@ -313,17 +313,17 @@ def _add_common(sp: argparse.ArgumentParser, *groups: str) -> None:
                         help="'auto' (largest pinned 31-bit prime) or an explicit prime")
         sp.add_argument("--certify", action="store_true",
                         help="re-rank each block at a second prime and rationally when small")
-        sp.add_argument("--dense-limit", type=int, dest="dense_limit",
+        sp.add_argument("--dense-limit", type=_int_at_least(1), dest="dense_limit",
                         default=DEFAULT_DENSE_LIMIT,
                         help="max block side certified by exact rational elimination "
                         "(default %(default)s)")
-        sp.add_argument("--threads", type=int, default=1,
+        sp.add_argument("--threads", type=_int_at_least(1), default=1,
                         help="worker processes for block ranks")
         sp.add_argument("--cache", default=os.environ.get("VSL_CACHE_DIR"),
                         help="block-rank cache directory (or VSL_CACHE_DIR)")
-        sp.add_argument("--max-block-cols", type=int, dest="max_block_cols",
+        sp.add_argument("--max-block-cols", type=_int_at_least(1), dest="max_block_cols",
                         default=ResourceLimits.max_block_cols)
-        sp.add_argument("--max-space-dim", type=int, dest="max_space_dim",
+        sp.add_argument("--max-space-dim", type=_int_at_least(1), dest="max_space_dim",
                         default=ResourceLimits.max_space_dim)
 
 

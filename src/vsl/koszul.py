@@ -177,7 +177,8 @@ def differential_block(key: BlockKey) -> KoszulBlockMatrix:
     Columns are the block's basis elements of (wedge^p V) (x) H0(b+qd); each
     has exactly p entries, one per deleted wedge factor, with value the
     deletion sign.  Rows cover the same multidegree slice of the target
-    (wedge^(p-1) V) (x) H0(b+(q+1)d).  Empty slices give zero-size matrices.
+    (wedge^(p-1) V) (x) H0(b+(q+1)d).  Empty slices give zero-size matrices;
+    a deletion that lands outside the target slice raises InvariantViolation.
     """
     n, d, b, p, q, mdeg = key
     if p < 1:
@@ -189,19 +190,23 @@ def differential_block(key: BlockKey) -> KoszulBlockMatrix:
     tgt = space_blocks(n, d, p - 1, m_src + d).get(mdeg)
     if tgt is None:
         raise InvariantViolation("deletion image left the multidegree slice")
-    row_of = {
-        (int(ts), int(tu)): r
-        for r, (ts, tu) in enumerate(zip(tgt[0], tgt[1]))
-    }
     del_subs, del_mons = deletion_table(n, d, p)
-    products = mult_table(n, m_src, d)
+    si, ui = src
+    # a target element (sub, mon) is coded sub * h0(m_src + d) + mon
+    width = h0(n, m_src + d)
+    codes = del_subs[si] * width + mult_table(n, m_src, d)[ui[:, None], del_mons[si]]
+    tgt_codes = tgt[0] * width + tgt[1]
+    order = np.argsort(tgt_codes)
+    # a code above every target code would index past the end: clamp it, and
+    # let the equality test refuse every code that found no target
+    rows = order[np.minimum(np.searchsorted(tgt_codes, codes, sorter=order), len(order) - 1)]
+    if not np.array_equal(tgt_codes[rows], codes):
+        raise InvariantViolation("deletion image left the multidegree slice")
     # sign of deleting position j from a p-tuple: +1 at the last position
     signs = [1 if (p - 1 - j) % 2 == 0 else -1 for j in range(p)]
-    entries: list[tuple[int, int, int]] = []
-    for col, (si, ui) in enumerate(zip(src[0], src[1])):
-        tsubs = del_subs[si]
-        tmons = products[ui, del_mons[si]]
-        for j in range(p):
-            entries.append((row_of[(int(tsubs[j]), int(tmons[j]))], col, signs[j]))
-    return KoszulBlockMatrix(key, len(tgt[0]), len(src[0]), entries)
-
+    entries = list(zip(
+        rows.ravel().tolist(),
+        np.repeat(np.arange(len(si)), p).tolist(),
+        signs * len(si),
+    ))
+    return KoszulBlockMatrix(key, len(tgt[0]), len(si), entries)

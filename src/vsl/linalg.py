@@ -92,6 +92,9 @@ def sparse_rank(block, field: FieldSpec) -> int:
     (entry count, column): a pivot step re-pushes only the columns of the
     pivot row, the only ones whose counts it can change, and entries whose
     column is gone or whose count is out of date are skipped when popped.
+    The pivot row leaves the matrix scaled once by its pivot's inverse, so
+    clearing the pivot column from a row r subtracts r's entry times the
+    scaled row.
     """
     return sparse_rank_entries(block.entries, field.p)
 
@@ -122,35 +125,33 @@ def sparse_rank_entries(entries, p: int) -> int:
             continue
         pr = min(colset, key=lambda r: (len(rows[r]), r))
         rank += 1
+        del cols[pc]
+        colset.discard(pr)
         prow = rows.pop(pr)
-        for c in prow:
+        inv = pow(prow.pop(pc), -1, p)
+        # a column keeps its (possibly empty) set until it is a pivot column
+        for c, v in prow.items():
+            prow[c] = v * inv % p
             cols[c].discard(pr)
-            if not cols[c]:
-                del cols[c]
-        inv = pow(prow[pc], -1, p)
-        targets = list(cols.get(pc, ()))
-        for r in targets:
+        for r in colset:
             row = rows[r]
-            f = row[pc] * inv % p
+            f = row.pop(pc)
             for c, v in prow.items():
-                cur = (row.get(c, 0) - f * v) % p
-                if cur:
-                    if c not in row:
-                        cols.setdefault(c, set()).add(r)
+                cur = row.get(c)
+                if cur is None:
+                    # f and v are units mod p, so a fill-in entry is never 0
+                    row[c] = -f * v % p
+                    cols[c].add(r)
+                elif cur := (cur - f * v) % p:
                     row[c] = cur
-                elif c in row:
+                else:
                     del row[c]
-                    colset = cols.get(c)
-                    if colset is not None:
-                        colset.discard(r)
-                        if not colset:
-                            del cols[c]
+                    cols[c].discard(r)
             if not row:
                 del rows[r]
         for c in prow:
-            colset = cols.get(c)
-            if colset:
-                heapq.heappush(queue, (len(colset), c))
+            if size := len(cols[c]):
+                heapq.heappush(queue, (size, c))
     return rank
 
 

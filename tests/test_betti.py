@@ -24,7 +24,7 @@ from vsl.betti import (
 )
 from vsl.cache import BlockCache
 from vsl.harness import verify
-from vsl.koszul import space_blocks
+from vsl.koszul import orbit_reduce, space_blocks
 from vsl.linalg import PINNED_PRIMES, FieldSpec, PrimeDisagreement
 
 
@@ -258,6 +258,29 @@ def test_one_entry_fits_the_space_blocks_cache(monkeypatch):
     assert engine.stats["blocks_ranked"] > 0
     info = space_blocks.cache_info()
     assert info.misses == len(set(calls)) == info.maxsize == 3
+
+
+def test_rank_jobs_go_out_largest_first(monkeypatch):
+    # jobs run by descending mid-slice size (an out-block's columns, an
+    # in-block's rows), ties in key order; ranks are stored in `keys` order
+    params, p, q = VeroneseParams(2, 4), 5, 1
+    mid = space_blocks(2, 4, p, q * 4)
+    jobs = []
+    real = vsl.betti._rank_job
+
+    def recording(key, primes, rational_cap):
+        jobs.append(key)
+        return real(key, primes, rational_cap)
+
+    monkeypatch.setattr(vsl.betti, "_rank_job", recording)
+    engine = Engine(FieldSpec.prime(PINNED_PRIMES[0]))
+    assert engine.direct_dim(params, p, q) == 7095
+    assert len(mid[jobs[0].mdeg][0]) == max(len(sub) for sub, _ in mid.values())
+    assert jobs == sorted(jobs, key=lambda key: (-len(mid[key.mdeg][0]), key))
+    reps = [rep for rep, _ in orbit_reduce(mid)]
+    stored = [(key[3], key[4], key[5]) for key in engine.cache.ranks]
+    assert stored == [(p, q, rep) for rep in reps] + [(p + 1, q - 1, rep) for rep in reps]
+    assert stored != [(key.p, key.q, key.mdeg) for key in jobs]
 
 
 def _cubic_table(cache_dir, build=betti_table, **engine_options):

@@ -205,14 +205,15 @@ def test_cli_verify_exit_codes(capsys):
     assert main(["verify", "--n", "1", "--d", "2"]) == 0
     capsys.readouterr()
     # the direct complexes have blocks over a 1-column ceiling and the dual
-    # ones do not, so every row is graded; a 0-column ceiling refuses both
+    # ones do not, so every row is graded; a space-dimension ceiling of 1
+    # refuses both sides of K_{0,1}
     argv = ["verify", "--n", "1", "--d", "2", "--max-block-cols", "1"]
     assert main(argv) == 0
     assert "SKIPPED" not in capsys.readouterr().out
     engine = Engine(FieldSpec.prime(PINNED_PRIMES[0]), limits=ResourceLimits(max_block_cols=1))
     with pytest.raises(ResourceRefusal):
         engine.direct_dim(VeroneseParams(1, 2), 1, 1)
-    assert main(argv[:-1] + ["0"]) == 1
+    assert main(argv + ["--max-space-dim", "1"]) == 1
     assert "SKIPPED" in capsys.readouterr().out
 
 
@@ -546,6 +547,19 @@ def test_cli_usage_errors_exit_2_before_any_engine(monkeypatch, capsys):
             main(argv)
         assert exc.value.code == 2, argv
         assert message in capsys.readouterr().err, argv
+
+
+@pytest.mark.parametrize("flag", ["--threads", "--max-block-cols", "--max-space-dim", "--dense-limit"])
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_cli_engine_flags_below_one_exit_2(monkeypatch, capsys, flag, value):
+    def no_engine(args):
+        raise AssertionError("a usage error built an engine")
+
+    monkeypatch.setattr(vsl.cli, "_build_engine", no_engine)
+    with pytest.raises(SystemExit) as exc:
+        main(["betti", "--n", "1", "--d", "2", flag, value])
+    assert exc.value.code == 2
+    assert f"argument {flag}: expected an integer >= 1, got {value}" in capsys.readouterr().err
 
 
 class _CountingPool(concurrent.futures.ProcessPoolExecutor):

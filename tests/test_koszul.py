@@ -5,10 +5,12 @@ from collections import Counter
 
 import pytest
 
-from vsl.bounds import VeroneseParams, h0
+import vsl.koszul
+from vsl.bounds import InvariantViolation, VeroneseParams, h0
 from vsl.harness import blockwise_rank, dense_differential
 from vsl.koszul import (
     BlockKey,
+    deletion_table,
     differential_block,
     orbit_reduce,
     orbit_rep,
@@ -17,7 +19,7 @@ from vsl.koszul import (
     wedge_subsets,
 )
 from vsl.linalg import FieldSpec, dense_rank_mod, sparse_rank
-from vsl.polyspace import monomial_basis
+from vsl.polyspace import monomial_basis, mult_table
 
 PRIME = 2147483647
 FIELD = FieldSpec.prime(PRIME)
@@ -96,6 +98,63 @@ def test_columns_have_p_unit_entries():
         assert all(count == 2 for count in per_col.values())
         assert set(per_col) == set(range(block.ncols))
         assert all(v in (1, -1) for _, _, v in block.entries)
+
+
+def _reference_block(key: BlockKey) -> tuple[int, int, list[tuple[int, int, int]]]:
+    """The differential block by a plain loop: for each source column in
+    order, its p deletions in position order, each row looked up by
+    (subset, monomial) in the target slice."""
+    n, d, b, p, q, mdeg = key
+    m_src = b + q * d
+    src = space_blocks(n, d, p, m_src).get(mdeg)
+    if m_src < 0 or src is None:
+        return 0, 0, []
+    tgt = space_blocks(n, d, p - 1, m_src + d)[mdeg]
+    row_of = {(int(ts), int(tu)): r for r, (ts, tu) in enumerate(zip(tgt[0], tgt[1]))}
+    del_subs, del_mons = deletion_table(n, d, p)
+    products = mult_table(n, m_src, d)
+    signs = [1 if (p - 1 - j) % 2 == 0 else -1 for j in range(p)]
+    entries = []
+    for col, (si, ui) in enumerate(zip(src[0], src[1])):
+        tsubs = del_subs[si]
+        tmons = products[ui, del_mons[si]]
+        for j in range(p):
+            entries.append((row_of[(int(tsubs[j]), int(tmons[j]))], col, signs[j]))
+    return len(tgt[0]), len(src[0]), entries
+
+
+@pytest.mark.parametrize("n,d", [(2, 3), (2, 4)])
+@pytest.mark.parametrize("b", [0, -3])
+def test_differential_block_matches_reference_loop(n, d, b):
+    # same entries in the same order, on every orbit-rep block of strands 0..2
+    blocks = 0
+    for q in range(3):
+        for p in range(1, h0(n, d) + 1):
+            for rep, _ in orbit_reduce(space_blocks(n, d, p, b + q * d)):
+                key = BlockKey(n, d, b, p, q, rep)
+                block = differential_block(key)
+                assert (block.nrows, block.ncols, block.entries) == _reference_block(key), key
+                blocks += 1
+    assert blocks > 0
+
+
+@pytest.mark.parametrize("kept", [slice(1, None), slice(None, -1)])
+def test_deletion_outside_the_target_slice_is_an_invariant_violation(monkeypatch, kept):
+    # drop the first or the last element of the target slice: the deletions
+    # that land on it must be refused by name, not as a lookup error
+    key = BlockKey(2, 2, 0, 2, 1, (2, 2, 2))
+    real = vsl.koszul.space_blocks
+
+    def dropping(n, d, p, m):
+        blocks = real(n, d, p, m)
+        if p == key.p - 1:
+            subs, mons = blocks[key.mdeg]
+            return {**blocks, key.mdeg: (subs[kept], mons[kept])}
+        return blocks
+
+    monkeypatch.setattr(vsl.koszul, "space_blocks", dropping)
+    with pytest.raises(InvariantViolation, match="deletion image left the multidegree slice"):
+        differential_block(key)
 
 
 def _compose_is_zero(first, second, prime) -> bool:
