@@ -144,7 +144,8 @@ class Engine:
         self.cache = cache if cache is not None else BlockCache()
         self.limits = limits if limits is not None else ResourceLimits()
         self.threads = max(1, threads)
-        self.certify_prime = certify_prime
+        # checked here: a bad prime would otherwise first fail in a pool worker
+        self.certify_prime = None if certify_prime is None else FieldSpec.prime(certify_prime).p
         self.rational_cap = rational_cap
         if certify_prime == field.p:
             raise ValueError("certification prime must differ from the primary prime")

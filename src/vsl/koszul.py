@@ -67,40 +67,38 @@ class KoszulBlockMatrix:
 def wedge_subsets(n: int, d: int, p: int):
     """All p-subsets of the degree-d monomial basis with their multidegrees.
 
-    Returns (subsets, weights): subsets is a tuple of index tuples in
-    lexicographic order, weights the (len, n+1) array of exponent sums.
+    Returns (subsets, weights): subsets is the (C(h0, p), p) int64 array of
+    monomial indices, one increasing row per subset, rows in
+    `itertools.combinations` order; weights the (C(h0, p), n+1) array of
+    their exponent sums.
     """
     basis = monomial_basis(n, d)
-    if p < 0 or p > len(basis):
-        return (), np.zeros((0, n + 1), dtype=np.int64)
-    subs = tuple(itertools.combinations(range(len(basis)), p))
+    count = comb(len(basis), p)
+    flat = itertools.chain.from_iterable(itertools.combinations(range(len(basis)), p))
+    subs = np.fromiter(flat, dtype=np.int64, count=count * p).reshape(count, p)
     exps = np.array(basis, dtype=np.int64).reshape(len(basis), n + 1)
-    if p == 0:
-        weights = np.zeros((1, n + 1), dtype=np.int64)
-    else:
-        weights = exps[np.array(subs, dtype=np.int64)].sum(axis=1)
-    return subs, weights
+    return subs, exps[subs].sum(axis=1)
 
 
-@lru_cache(maxsize=32)
-def subset_index(n: int, d: int, p: int) -> dict[tuple[int, ...], int]:
-    subs, _ = wedge_subsets(n, d, p)
-    return {s: i for i, s in enumerate(subs)}
+# C(a, k) for 0 <= a, k <= size: (size+1)^2 ints; past size 66 they overflow
+# int64 and the build raises OverflowError
+@lru_cache(maxsize=None)
+def _binomials(size: int) -> np.ndarray:
+    rows = [[comb(a, k) for k in range(size + 1)] for a in range(size + 1)]
+    return np.array(rows, dtype=np.int64)
 
 
-@lru_cache(maxsize=16)
-def deletion_table(n: int, d: int, p: int):
-    """Per p-subset: indices of its p deletions among (p-1)-subsets, and the
-    monomial index deleted at each position."""
-    subs, _ = wedge_subsets(n, d, p)
-    tgt_index = subset_index(n, d, p - 1)
-    del_subs = np.empty((len(subs), p), dtype=np.int64)
-    del_mons = np.empty((len(subs), p), dtype=np.int64)
-    for i, s in enumerate(subs):
-        for j in range(p):
-            del_subs[i, j] = tgt_index[s[:j] + s[j + 1:]]
-            del_mons[i, j] = s[j]
-    return del_subs, del_mons
+def combination_rank(subsets: np.ndarray, size: int) -> np.ndarray:
+    """Positions of k-subsets of range(size) in `itertools.combinations` order.
+
+    `subsets` holds one increasing k-subset per row along its last axis.  By
+    the combinatorial number system, c_0 < ... < c_(k-1) comes at
+    C(size, k) - 1 - sum_i C(size - 1 - c_i, k - i).
+    """
+    k = subsets.shape[-1]
+    binom = _binomials(size)
+    later = binom[size - 1 - subsets, k - np.arange(k)].sum(axis=-1)
+    return binom[size, k] - 1 - later
 
 
 def space_dim(n: int, d: int, p: int, m: int) -> int:
@@ -119,10 +117,10 @@ def space_blocks(n: int, d: int, p: int, m: int):
     array), the basis elements of that weight.  Block sizes sum to the full
     dimension.
     """
-    subs, weights = wedge_subsets(n, d, p)
     mons = monomial_basis(n, m)
-    if p < 0 or p > h0(n, d) or not mons or not subs:
+    if p < 0 or p > h0(n, d) or not mons:
         return {}
+    _, weights = wedge_subsets(n, d, p)
     mon_w = np.array(mons, dtype=np.int64).reshape(len(mons), n + 1)
     total = p * d + m
     powers = (total + 1) ** np.arange(n + 1, dtype=np.int64)
@@ -190,11 +188,14 @@ def differential_block(key: BlockKey) -> KoszulBlockMatrix:
     tgt = space_blocks(n, d, p - 1, m_src + d).get(mdeg)
     if tgt is None:
         raise InvariantViolation("deletion image left the multidegree slice")
-    del_subs, del_mons = deletion_table(n, d, p)
     si, ui = src
+    subs = wedge_subsets(n, d, p)[0][si]
+    # rest[c, j] is column c's subset with position j deleted
+    kept = np.arange(p - 1)
+    rest = subs[:, kept + (kept >= np.arange(p)[:, None])]
     # a target element (sub, mon) is coded sub * h0(m_src + d) + mon
     width = h0(n, m_src + d)
-    codes = del_subs[si] * width + mult_table(n, m_src, d)[ui[:, None], del_mons[si]]
+    codes = combination_rank(rest, h0(n, d)) * width + mult_table(n, m_src, d)[ui[:, None], subs]
     tgt_codes = tgt[0] * width + tgt[1]
     order = np.argsort(tgt_codes)
     # a code above every target code would index past the end: clamp it, and

@@ -21,6 +21,7 @@ from .betti import CONSISTENT, VIOLATION, Engine
 from .koszul import BlockKey, differential_block, space_blocks, wedge_subsets
 from .linalg import dense_rank_mod, nullspace_mod, rref_mod, solve_mod
 from .polyspace import (
+    MultiDegree,
     PointOverField,
     evaluate,
     monomial_basis,
@@ -134,12 +135,11 @@ class KoszulClass:
 
 def _block_elements(space: ChainSpace, mdeg) -> list[ChainKey]:
     n, d = space.params.n, space.params.d
-    subs_all, _ = wedge_subsets(n, d, space.p)
-    blocks = space_blocks(n, d, space.p, space.m)
-    entry = blocks.get(tuple(mdeg))
+    entry = space_blocks(n, d, space.p, space.m).get(tuple(mdeg))
     if entry is None:
         return []
-    return [(subs_all[int(si)], int(ui)) for si, ui in zip(entry[0], entry[1])]
+    subs = wedge_subsets(n, d, space.p)[0][entry[0]]
+    return [(tuple(sub), ui) for sub, ui in zip(subs.tolist(), entry[1].tolist())]
 
 
 def _block_key(space: ChainSpace, mdeg) -> BlockKey:
@@ -321,63 +321,54 @@ def ev_D(cls: KoszulClass, points: list[PointOverField]) -> KoszulClass:
 # -- homology-level solves ----------------------------------------------------
 
 
-def _support_mdegs(space: ChainSpace, coeffs: ChainCoeffs) -> list[tuple[int, ...]]:
-    return sorted({space.key_mdeg(k) for k in coeffs}, reverse=True)
-
-
-def _block_vector(
-    space: ChainSpace, coeffs: ChainCoeffs, mdeg, elements: list[ChainKey]
-) -> np.ndarray:
-    pos = {key: i for i, key in enumerate(elements)}
-    v = np.zeros(len(elements), dtype=np.int64)
-    for key, val in coeffs.items():
-        if space.key_mdeg(key) == mdeg:
-            v[pos[key]] = val
-    return v
-
-
-def _solve_in_block(
+def _solve(
     space: ChainSpace,
     coeffs: ChainCoeffs,
-    mdeg,
-    extra: Callable[[list[ChainKey]], np.ndarray] | None = None,
-) -> tuple[ChainCoeffs, np.ndarray] | None:
-    """Solve the block-mdeg part of coeffs = d(y) + extra * z.
+    extra: Callable[[MultiDegree, list[ChainKey]], np.ndarray] | None = None,
+) -> tuple[ChainCoeffs | None, list[np.ndarray], MultiDegree | None]:
+    """Solve coeffs = d(y) + extra * z one multidegree block at a time.
 
-    extra, if given, maps the block's elements to the columns of z.  Returns
-    (y as a chain of the incoming term, z), or None when the block has no
-    solution.
+    The chain is split by block once and blocks are solved in descending
+    multidegree order.  extra, if given, maps a block's multidegree and
+    elements to that block's columns of z.  Returns (y, zs, None), y a chain
+    of the incoming term and zs the per-block solutions z, or
+    (None, [], mdeg) at the first block mdeg without a solution.
     """
-    elements = _block_elements(space, mdeg)
-    target = _block_vector(space, coeffs, mdeg, elements)
-    if extra is None:
-        cols = np.zeros((len(elements), 0), dtype=np.int64)
-    else:
-        cols = extra(elements)
-    a, width = _block_system(space, mdeg, len(elements), cols)
-    x = solve_mod(a, target, space.prime)
-    if x is None:
-        return None
-    y: ChainCoeffs = {}
-    if width:
-        up_elements = _block_elements(space.shifted(+1, -1), mdeg)
-        for i in np.nonzero(x[:width])[0]:
-            y[up_elements[int(i)]] = int(x[i])
-    return y, x[width:]
+    parts: dict[MultiDegree, ChainCoeffs] = {}
+    for key, val in coeffs.items():
+        parts.setdefault(space.key_mdeg(key), {})[key] = val
+    up = space.shifted(+1, -1)
+    witness: ChainCoeffs = {}
+    zs: list[np.ndarray] = []
+    for mdeg in sorted(parts, reverse=True):
+        elements = _block_elements(space, mdeg)
+        pos = {key: i for i, key in enumerate(elements)}
+        target = np.zeros(len(elements), dtype=np.int64)
+        for key, val in parts[mdeg].items():
+            target[pos[key]] = val
+        if extra is None:
+            cols = np.zeros((len(elements), 0), dtype=np.int64)
+        else:
+            cols = extra(mdeg, elements)
+        a, width = _block_system(space, mdeg, len(elements), cols)
+        x = solve_mod(a, target, space.prime)
+        if x is None:
+            return None, [], mdeg
+        if width:
+            up_elements = _block_elements(up, mdeg)
+            for i in np.nonzero(x[:width])[0]:
+                witness[up_elements[int(i)]] = int(x[i])
+        zs.append(x[width:])
+    return witness, zs, None
 
 
 def is_boundary(cls: KoszulClass) -> tuple[bool, ChainCoeffs | None]:
     """Decide membership in the image of the incoming differential, block by
     block; on success returns a preimage chain as witness."""
     space = cls.space
-    if not cls.coeffs:
-        return True, {}
-    witness: ChainCoeffs = {}
-    for mdeg in _support_mdegs(space, cls.coeffs):
-        solved = _solve_in_block(space, cls.coeffs, mdeg)
-        if solved is None:
-            return False, None
-        witness.update(solved[0])
+    witness, _, failed = _solve(space, cls.coeffs)
+    if failed is not None:
+        return False, None
     check = apply_differential(space.shifted(+1, -1), witness)
     if normalize(space, check) != cls.coeffs:
         raise InvariantViolation("boundary witness does not map onto the class")
@@ -388,29 +379,37 @@ def homology_coordinates(
     cls: KoszulClass, basis: list[KoszulClass]
 ) -> np.ndarray:
     """Coordinates of a cycle in a homology basis, solved blockwise against
-    basis representatives plus the incoming image."""
+    basis representatives plus the incoming image.
+
+    Each basis class must lie in one multidegree block, as `cycle_basis`
+    classes do; per-block coordinates then add up.  A class spanning more
+    than one block raises ValueError.
+    """
     space = cls.space
-    prime = space.prime
-    coords = np.zeros(len(basis), dtype=np.int64)
-    for mdeg in _support_mdegs(space, cls.coeffs):
+    if not cls.coeffs:
+        return np.zeros(len(basis), dtype=np.int64)
+    by_block: dict[MultiDegree, list[int]] = {}
+    for j, b in enumerate(basis):
+        if b.space != space:
+            raise ValueError("basis class in a different space")
+        mdegs = {space.key_mdeg(key) for key in b.coeffs}
+        if len(mdegs) > 1:
+            raise ValueError(f"basis class {j} spans more than one multidegree block")
+        for mdeg in mdegs:
+            by_block.setdefault(mdeg, []).append(j)
 
-        def basis_columns(elements: list[ChainKey]) -> np.ndarray:
-            # a basis class without support here is a zero column: never a
-            # pivot, so it gets coordinate 0 and leaves the others unchanged
-            cols = np.zeros((len(elements), len(basis)), dtype=np.int64)
-            for j, b in enumerate(basis):
-                if b.space != space:
-                    raise ValueError("basis class in a different space")
-                cols[:, j] = _block_vector(space, b.coeffs, mdeg, elements)
-            return cols
+    def basis_columns(mdeg: MultiDegree, elements: list[ChainKey]) -> np.ndarray:
+        # a basis class of another block is a zero column: never a pivot, so
+        # this block gives it coordinate 0 and leaves the others unchanged
+        cols = np.zeros((len(elements), len(basis)), dtype=np.int64)
+        for j in by_block.get(mdeg, []):
+            cols[:, j] = [basis[j].coeffs.get(key, 0) for key in elements]
+        return cols
 
-        solved = _solve_in_block(space, cls.coeffs, mdeg, basis_columns)
-        if solved is None:
-            raise ValueError("cycle is not in span(basis) + image")
-        coords = (coords + solved[1]) % prime
-    # blockwise solves may disagree only on class coordinates shared across
-    # blocks; basis classes are single-block, so sums are well-defined
-    return coords
+    _, zs, failed = _solve(space, cls.coeffs, basis_columns)
+    if failed is not None:
+        raise ValueError("cycle is not in span(basis) + image")
+    return sum(zs, np.zeros(len(basis), dtype=np.int64)) % space.prime
 
 
 def induced_map_rank(
@@ -449,18 +448,15 @@ def projection_factor_check(
     divisible, _ = restriction_split(space.params.n, space.params.d)
     allowed = set(divisible)
 
-    def selectors(elements: list[ChainKey]) -> np.ndarray:
+    def selectors(_mdeg: MultiDegree, elements: list[ChainKey]) -> np.ndarray:
         chosen = [i for i, (sub, _ui) in enumerate(elements) if set(sub) <= allowed]
         cols = np.zeros((len(elements), len(chosen)), dtype=np.int64)
         cols[chosen, range(len(chosen))] = 1
         return cols
 
-    witness: ChainCoeffs = {}
-    for mdeg in _support_mdegs(space, image.coeffs):
-        solved = _solve_in_block(space, image.coeffs, mdeg, selectors)
-        if solved is None:
-            return {"factors": False, "witness": None, "mdeg_failed": mdeg}
-        witness.update(solved[0])
+    witness, _, failed = _solve(space, image.coeffs, selectors)
+    if failed is not None:
+        return {"factors": False, "witness": None, "mdeg_failed": failed}
     up = space.shifted(+1, -1)
     residual = dict(image.coeffs)
     bdry = apply_differential(up, witness) if witness else {}

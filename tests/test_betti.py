@@ -198,6 +198,13 @@ def test_certify_prime_must_differ():
         )
 
 
+@pytest.mark.parametrize("bad", [4, 2, 2**31 + 11])
+def test_certify_prime_is_checked_at_construction(bad):
+    # refused here, not by the first rank inside a pool worker
+    with pytest.raises(ValueError, match="FieldSpec"):
+        Engine(FieldSpec.prime(PINNED_PRIMES[0]), certify_prime=bad)
+
+
 def test_rational_certification_path():
     engine = Engine(FieldSpec.prime(PINNED_PRIMES[0]), rational_cap=2000)
     table = betti_table(VeroneseParams(1, 3), engine)

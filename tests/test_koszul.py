@@ -2,6 +2,10 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
+from functools import lru_cache
+from math import comb
+
+import numpy as np
 
 import pytest
 
@@ -10,7 +14,7 @@ from vsl.bounds import InvariantViolation, VeroneseParams, h0
 from vsl.harness import blockwise_rank, dense_differential
 from vsl.koszul import (
     BlockKey,
-    deletion_table,
+    combination_rank,
     differential_block,
     orbit_reduce,
     orbit_rep,
@@ -100,6 +104,14 @@ def test_columns_have_p_unit_entries():
         assert all(v in (1, -1) for _, _, v in block.entries)
 
 
+@lru_cache(maxsize=None)
+def _combinations(size: int, k: int) -> tuple[list[tuple[int, ...]], dict[tuple[int, ...], int]]:
+    """The k-subsets of range(size) in `itertools.combinations` order, and
+    each subset's position in that list."""
+    subs = list(itertools.combinations(range(size), k))
+    return subs, {sub: i for i, sub in enumerate(subs)}
+
+
 def _reference_block(key: BlockKey) -> tuple[int, int, list[tuple[int, int, int]]]:
     """The differential block by a plain loop: for each source column in
     order, its p deletions in position order, each row looked up by
@@ -111,16 +123,33 @@ def _reference_block(key: BlockKey) -> tuple[int, int, list[tuple[int, int, int]
         return 0, 0, []
     tgt = space_blocks(n, d, p - 1, m_src + d)[mdeg]
     row_of = {(int(ts), int(tu)): r for r, (ts, tu) in enumerate(zip(tgt[0], tgt[1]))}
-    del_subs, del_mons = deletion_table(n, d, p)
+    subs, _ = _combinations(h0(n, d), p)
+    _, tgt_index = _combinations(h0(n, d), p - 1)
     products = mult_table(n, m_src, d)
     signs = [1 if (p - 1 - j) % 2 == 0 else -1 for j in range(p)]
     entries = []
     for col, (si, ui) in enumerate(zip(src[0], src[1])):
-        tsubs = del_subs[si]
-        tmons = products[ui, del_mons[si]]
+        sub = subs[si]
         for j in range(p):
-            entries.append((row_of[(int(tsubs[j]), int(tmons[j]))], col, signs[j]))
+            row = row_of[(tgt_index[sub[:j] + sub[j + 1:]], int(products[ui, sub[j]]))]
+            entries.append((row, col, signs[j]))
     return len(tgt[0]), len(src[0]), entries
+
+
+@pytest.mark.parametrize("size", range(1, 13))
+def test_combination_rank_is_the_itertools_position(size):
+    for k in range(size + 1):
+        subs = np.array(list(itertools.combinations(range(size), k)), dtype=np.int64)
+        ranks = combination_rank(subs.reshape(comb(size, k), k), size)
+        assert ranks.tolist() == list(range(comb(size, k))), (size, k)
+
+
+def test_wedge_subsets_rows_are_the_combinations():
+    for p in range(0, 7):
+        subs, weights = wedge_subsets(2, 2, p)
+        assert subs.dtype == np.int64 and subs.shape == (comb(6, p), p)
+        assert [tuple(row) for row in subs.tolist()] == _combinations(6, p)[0]
+        assert weights.shape == (comb(6, p), 3)
 
 
 @pytest.mark.parametrize("n,d", [(2, 3), (2, 4)])

@@ -242,6 +242,19 @@ def test_homology_coordinates_identity(eng):
     assert list(homology_coordinates(combo, basis)) == [1, 0, 5]
 
 
+def test_homology_coordinates_refuses_a_multi_block_basis_class(eng):
+    # blockwise solves sum per-block coordinates, which is only right when
+    # each basis class lives in one multidegree block
+    basis = cycle_basis(VeroneseParams(2, 3), 2, 1, eng)
+    space = basis[0].space
+    assert space.key_mdeg(next(iter(basis[0].coeffs))) != space.key_mdeg(
+        next(iter(basis[1].coeffs))
+    )
+    spanning = [basis[0].plus(basis[1])] + basis[1:]
+    with pytest.raises(ValueError, match="more than one multidegree block"):
+        homology_coordinates(basis[0], spanning)
+
+
 def test_twist_identification_examples(eng):
     out = twist_identification_check(2, 2, 2, eng)
     assert out["equal"] is True and out["lhs"] > 0
