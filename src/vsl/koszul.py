@@ -80,12 +80,13 @@ def wedge_subsets(n: int, d: int, p: int):
     return subs, exps[subs].sum(axis=1)
 
 
-# C(a, k) for 0 <= a, k <= size: (size+1)^2 ints; past size 66 they overflow
-# int64 and the build raises OverflowError
+# C(a, j) for a < size, j <= k; entries past int64 saturate, but a rank only
+# reads terms of a sum below C(size, k), which fits since codes are int64
 @lru_cache(maxsize=None)
-def _binomials(size: int) -> np.ndarray:
-    rows = [[comb(a, k) for k in range(size + 1)] for a in range(size + 1)]
-    return np.array(rows, dtype=np.int64)
+def _binomials(size: int, k: int) -> np.ndarray:
+    top = np.iinfo(np.int64).max
+    rows = [[min(comb(a, j), top) for j in range(k + 1)] for a in range(size)]
+    return np.array(rows, dtype=np.int64).reshape(size, k + 1)
 
 
 def combination_rank(subsets: np.ndarray, size: int) -> np.ndarray:
@@ -96,9 +97,8 @@ def combination_rank(subsets: np.ndarray, size: int) -> np.ndarray:
     C(size, k) - 1 - sum_i C(size - 1 - c_i, k - i).
     """
     k = subsets.shape[-1]
-    binom = _binomials(size)
-    later = binom[size - 1 - subsets, k - np.arange(k)].sum(axis=-1)
-    return binom[size, k] - 1 - later
+    later = _binomials(size, k)[size - 1 - subsets, k - np.arange(k)].sum(axis=-1)
+    return comb(size, k) - 1 - later
 
 
 def space_dim(n: int, d: int, p: int, m: int) -> int:

@@ -144,6 +144,13 @@ def test_combination_rank_is_the_itertools_position(size):
         assert ranks.tolist() == list(range(comb(size, k))), (size, k)
 
 
+@pytest.mark.parametrize("k", [0, 1, 2, 68, 69, 70])
+def test_combination_rank_where_binomials_pass_int64(k):
+    # C(69, 27) > 2^63: from k = 27 the table saturates entries no rank reads
+    subs = np.array(_combinations(70, k)[0], dtype=np.int64).reshape(comb(70, k), k)
+    assert combination_rank(subs, 70).tolist() == list(range(comb(70, k)))
+
+
 def test_wedge_subsets_rows_are_the_combinations():
     for p in range(0, 7):
         subs, weights = wedge_subsets(2, 2, p)
@@ -165,6 +172,15 @@ def test_differential_block_matches_reference_loop(n, d, b):
                 assert (block.nrows, block.ncols, block.entries) == _reference_block(key), key
                 blocks += 1
     assert blocks > 0
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_differential_block_matches_reference_loop_past_h0_66(p):
+    # h0(4, 4) = 70, where C(h0, j) no longer fits int64 for every j
+    for rep, _ in orbit_reduce(space_blocks(4, 4, p, 4)):
+        key = BlockKey(4, 4, 0, p, 1, rep)
+        block = differential_block(key)
+        assert (block.nrows, block.ncols, block.entries) == _reference_block(key), key
 
 
 @pytest.mark.parametrize("kept", [slice(1, None), slice(None, -1)])
