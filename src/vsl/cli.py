@@ -222,6 +222,8 @@ def _load_points(args: argparse.Namespace, prime: int, params: VeroneseParams, s
             points = [PointOverField.make(tuple(map(int, c)), prime) for c in json.load(fh)]
         if len(points) != s or any(len(pt.coords) != params.n + 1 for pt in points):
             raise ValueError(f"expected {s} points with {params.n + 1} coordinates each")
+        if any(pt.coords[0] for pt in points):
+            raise ValueError("every point must lie on the hyperplane x_0 = 0")
         if not genericity_certificate(params, points):
             raise ValueError("the points fail the general-position certificate")
     except (OSError, ValueError, TypeError) as err:
@@ -240,14 +242,13 @@ def cmd_maps_ev(args: argparse.Namespace) -> int:
     points = _load_points(args, args.prime, params, s)
     with _build_engine(args) as engine:
         classes = cycle_basis(params, p, 1, engine)
-        target_basis = cycle_basis(params, p - s, 1, engine) if p - s >= 0 else []
+        target_dim = engine.kpq_dim(params, p - s, 1)
     images = [ev_D(cls, points) for cls in classes]
     rows = [
         {"class": i, "image_support": len(image.coeffs),
-         "factors": projection_factor_check(cls, points)["factors"]}
-        for i, (cls, image) in enumerate(zip(classes, images))
+         "factors": projection_factor_check(image)["factors"]}
+        for i, image in enumerate(images)
     ]
-    rank = induced_map_rank(classes, images, target_basis, args.prime) if target_basis else 0
     payload = {
         "params": params.as_json(),
         "field": engine.field.label(),
@@ -255,8 +256,8 @@ def cmd_maps_ev(args: argparse.Namespace) -> int:
         "s": s,
         "seed": args.seed,
         "source_dim": len(classes),
-        "target_dim": len(target_basis),
-        "induced_rank": rank,
+        "target_dim": target_dim,
+        "induced_rank": induced_map_rank(images),
         "classes": rows,
     }
     _emit(args, _json_text(payload))
@@ -265,6 +266,8 @@ def cmd_maps_ev(args: argparse.Namespace) -> int:
 
 def cmd_maps_chain(args: argparse.Namespace) -> int:
     params = _params(args)
+    if params.b:
+        args.parser.error("--b must be 0: the degree-drop chain is about the untwisted table")
     p_lo = args.p if args.p_min is None else args.p_min
     p_hi = args.p if args.p_max is None else args.p_max
     if p_lo is None or p_hi is None:

@@ -33,8 +33,8 @@ from .linalg import FieldSpec, PINNED_PRIMES, dense_rank_mod, sparse_rank
 from .polyspace import monomial_basis, monomial_index, multiply
 from .syzygy import (
     ChainSpace,
+    alpha_chain,
     apply_differential,
-    contract_chain,
     cycle_basis,
     ev_D,
     point_functional,
@@ -382,8 +382,8 @@ def selftest(fast: bool = False) -> SelfTestResult:
             for _ in range(6)
         }
         phi = tuple(rng.randrange(prime) for _ in mons)
-        lhs = apply_differential(space.shifted(-1, 0), contract_chain(space, coeffs, phi))
-        rhs = contract_chain(space.shifted(-1, +1), apply_differential(space, coeffs), phi)
+        lhs = apply_differential(space.shifted(-1, 0), alpha_chain(space, coeffs, [phi]))
+        rhs = alpha_chain(space.shifted(-1, +1), apply_differential(space, coeffs), [phi])
         if lhs != rhs:
             ok = False
     result.record("contraction commutes with the differential", ok)
@@ -396,7 +396,7 @@ def selftest(fast: bool = False) -> SelfTestResult:
     composed = dict(cls.coeffs)
     sp = space
     for pt in pts:
-        composed = contract_chain(sp, composed, point_functional(pr, pt))
+        composed = alpha_chain(sp, composed, [point_functional(pr, pt)])
         sp = sp.shifted(-1, 0)
     match = None
     for key, val in multi.coeffs.items():
@@ -412,7 +412,9 @@ def selftest(fast: bool = False) -> SelfTestResult:
     result.record("multi-point contraction matches composition up to sign", ok)
 
     # factorization through the hyperplane-vanishing subspace
-    ok = all(projection_factor_check(c, pts)["factors"] for c in cycle_basis(pr, 3, 1, eng))
+    ok = all(
+        projection_factor_check(ev_D(c, pts))["factors"] for c in cycle_basis(pr, 3, 1, eng)
+    )
     result.record("projected classes factor through x_0-divisible wedges", ok)
 
     # twist identification

@@ -3,6 +3,10 @@ the multi-point contraction attached to a hyperplane, factorization through
 the subspace of forms vanishing on the hyperplane, and the degree-drop chain
 of implications for linear-strand vanishing.
 
+A map's rank on homology is read from the image cycles of a source basis:
+dim((span(images) + B) / B), B the image of the target's incoming
+differential, that is rank[B | images] - rank[B].
+
 Chains are sparse dicts keyed by (wedge index tuple, coefficient monomial
 index).  The hyperplane is always x_0 = 0; its point count s equals the
 number of degree-d monomials free of x_0.
@@ -19,7 +23,7 @@ import numpy as np
 from .bounds import InvariantViolation, VeroneseParams, binom, h0, projection_codim
 from .betti import CONSISTENT, VIOLATION, Engine
 from .koszul import BlockKey, differential_block, space_blocks, wedge_subsets
-from .linalg import dense_rank_mod, nullspace_mod, rref_mod, solve_mod
+from .linalg import nullspace_mod, rref_mod, solve_mod
 from .polyspace import (
     MultiDegree,
     PointOverField,
@@ -29,7 +33,7 @@ from .polyspace import (
     multiply,
     restriction_split,
 )
-from .wedge import Functional, alpha_terms, contract_terms, det_mod
+from .wedge import Functional, alpha_terms, det_mod
 
 ChainKey = tuple[tuple[int, ...], int]
 ChainCoeffs = dict[ChainKey, int]
@@ -147,21 +151,15 @@ def _block_key(space: ChainSpace, mdeg) -> BlockKey:
     return BlockKey(par.n, par.d, par.b, space.p, space.q, tuple(mdeg))
 
 
-def _block_system(
-    space: ChainSpace, mdeg, nmid: int, extra: np.ndarray
-) -> tuple[np.ndarray, int]:
-    """[incoming image | extra] over the nmid elements of block mdeg, and the
-    image's width (0 when the incoming term vanishes or its block is empty)."""
+def _block_system(space: ChainSpace, mdeg, extra: np.ndarray) -> tuple[np.ndarray, int]:
+    """[incoming image | extra] over block mdeg, whose elements index the
+    rows of extra, and the image's width (0 when the incoming term
+    vanishes)."""
     params = space.params
-    a_in = None
-    if params.b + (space.q - 1) * params.d >= 0 and space.p + 1 <= h0(params.n, params.d):
-        a_in = differential_block(_block_key(space.shifted(+1, -1), mdeg)).dense()
-    width = a_in.shape[1] if a_in is not None else 0
-    a = np.zeros((nmid, width + extra.shape[1]), dtype=np.int64)
-    if width:
-        a[:, :width] = a_in
-    a[:, width:] = extra
-    return a, width
+    if params.b + (space.q - 1) * params.d < 0 or space.p + 1 > h0(params.n, params.d):
+        return extra, 0
+    a_in = differential_block(_block_key(space.shifted(+1, -1), mdeg)).dense()
+    return np.hstack([a_in, extra]), a_in.shape[1]
 
 
 def cycle_basis(params: VeroneseParams, p: int, q: int, engine: Engine) -> list[KoszulClass]:
@@ -182,15 +180,14 @@ def cycle_basis(params: VeroneseParams, p: int, q: int, engine: Engine) -> list[
     classes: list[KoszulClass] = []
     for mdeg in sorted(blocks, reverse=True):
         elements = _block_elements(space, mdeg)
-        nmid = len(elements)
         if p >= 1:
             block = differential_block(_block_key(space, mdeg))
             kern = nullspace_mod(block.dense(), prime)
         else:
-            kern = np.eye(nmid, dtype=np.int64)
+            kern = np.eye(len(elements), dtype=np.int64)
         if kern.shape[1] == 0:
             continue
-        a, width = _block_system(space, mdeg, nmid, kern % prime)
+        a, width = _block_system(space, mdeg, kern % prime)
         _, pivots = rref_mod(a, prime)
         for c in pivots:
             if c < width:
@@ -216,33 +213,23 @@ def point_functional(params: VeroneseParams, point: PointOverField) -> Functiona
 
 
 def ev_point(cls: KoszulClass, point: PointOverField) -> KoszulClass:
-    """Contract the wedge part by evaluation at one point; coefficient forms
-    are untouched.  Sends cycles to cycles and boundaries to boundaries."""
+    """Contract the wedge part by evaluation at one point (the s = 1 case of
+    alpha_chain); coefficient forms are untouched.  Sends cycles to cycles
+    and boundaries to boundaries."""
     space = cls.space
     if space.p < 1:
         raise ValueError("ev_point: need p >= 1")
     if point.prime != space.prime:
         raise ValueError("point lives over a different prime")
     phi = point_functional(space.params, point)
-    return KoszulClass(space.shifted(-1, 0), contract_chain(space, cls.coeffs, phi))
-
-
-def contract_chain(
-    space: ChainSpace, coeffs: ChainCoeffs, phi: Functional
-) -> ChainCoeffs:
-    """Single contraction on a raw chain (no cycle requirement)."""
-    out: ChainCoeffs = {}
-    for (sub, ui), val in coeffs.items():
-        for rest, c in contract_terms(sub, phi, space.prime):
-            key = (rest, ui)
-            out[key] = (out.get(key, 0) + val * c) % space.prime
-    return {k: v for k, v in out.items() if v}
+    return KoszulClass(space.shifted(-1, 0), alpha_chain(space, cls.coeffs, [phi]))
 
 
 def alpha_chain(
     space: ChainSpace, coeffs: ChainCoeffs, functionals: list[Functional]
 ) -> ChainCoeffs:
-    """s-fold minor-weighted contraction on a raw chain (no cycle check)."""
+    """s-fold minor-weighted contraction on a raw chain (no cycle check);
+    one functional gives the single contraction."""
     gamma_cache: dict = {}
     out: ChainCoeffs = {}
     for (sub, ui), val in coeffs.items():
@@ -321,52 +308,60 @@ def ev_D(cls: KoszulClass, points: list[PointOverField]) -> KoszulClass:
 # -- homology-level solves ----------------------------------------------------
 
 
+def _block_columns(
+    space: ChainSpace, chains: list[ChainCoeffs]
+) -> dict[MultiDegree, tuple[list[ChainKey], np.ndarray]]:
+    """Each block the chains touch: its elements, and the chains as columns
+    over them."""
+    parts: dict[MultiDegree, list[tuple[int, ChainKey, int]]] = {}
+    for j, coeffs in enumerate(chains):
+        for key, val in coeffs.items():
+            parts.setdefault(space.key_mdeg(key), []).append((j, key, val))
+    out = {}
+    for mdeg, terms in parts.items():
+        elements = _block_elements(space, mdeg)
+        pos = {key: i for i, key in enumerate(elements)}
+        cols = np.zeros((len(elements), len(chains)), dtype=np.int64)
+        for j, key, val in terms:
+            cols[pos[key], j] = val
+        out[mdeg] = elements, cols
+    return out
+
+
 def _solve(
     space: ChainSpace,
     coeffs: ChainCoeffs,
-    extra: Callable[[MultiDegree, list[ChainKey]], np.ndarray] | None = None,
-) -> tuple[ChainCoeffs | None, list[np.ndarray], MultiDegree | None]:
+    extra: Callable[[list[ChainKey]], np.ndarray] | None = None,
+) -> tuple[ChainCoeffs | None, MultiDegree | None]:
     """Solve coeffs = d(y) + extra * z one multidegree block at a time.
 
-    The chain is split by block once and blocks are solved in descending
-    multidegree order.  extra, if given, maps a block's multidegree and
-    elements to that block's columns of z.  Returns (y, zs, None), y a chain
-    of the incoming term and zs the per-block solutions z, or
-    (None, [], mdeg) at the first block mdeg without a solution.
+    Blocks are solved in descending multidegree order.  extra, if given,
+    maps a block's elements to that block's columns of z.  Returns
+    (y, None), y a chain of the incoming term, or (None, mdeg) at the first
+    block mdeg without a solution.
     """
-    parts: dict[MultiDegree, ChainCoeffs] = {}
-    for key, val in coeffs.items():
-        parts.setdefault(space.key_mdeg(key), {})[key] = val
     up = space.shifted(+1, -1)
     witness: ChainCoeffs = {}
-    zs: list[np.ndarray] = []
-    for mdeg in sorted(parts, reverse=True):
-        elements = _block_elements(space, mdeg)
-        pos = {key: i for i, key in enumerate(elements)}
-        target = np.zeros(len(elements), dtype=np.int64)
-        for key, val in parts[mdeg].items():
-            target[pos[key]] = val
-        if extra is None:
-            cols = np.zeros((len(elements), 0), dtype=np.int64)
-        else:
-            cols = extra(mdeg, elements)
-        a, width = _block_system(space, mdeg, len(elements), cols)
-        x = solve_mod(a, target, space.prime)
+    blocks = _block_columns(space, [coeffs])
+    for mdeg in sorted(blocks, reverse=True):
+        elements, target = blocks[mdeg]
+        cols = np.zeros((len(elements), 0), dtype=np.int64) if extra is None else extra(elements)
+        a, width = _block_system(space, mdeg, cols)
+        x = solve_mod(a, target[:, 0], space.prime)
         if x is None:
-            return None, [], mdeg
+            return None, mdeg
         if width:
             up_elements = _block_elements(up, mdeg)
             for i in np.nonzero(x[:width])[0]:
                 witness[up_elements[int(i)]] = int(x[i])
-        zs.append(x[width:])
-    return witness, zs, None
+    return witness, None
 
 
 def is_boundary(cls: KoszulClass) -> tuple[bool, ChainCoeffs | None]:
     """Decide membership in the image of the incoming differential, block by
     block; on success returns a preimage chain as witness."""
     space = cls.space
-    witness, _, failed = _solve(space, cls.coeffs)
+    witness, failed = _solve(space, cls.coeffs)
     if failed is not None:
         return False, None
     check = apply_differential(space.shifted(+1, -1), witness)
@@ -375,86 +370,57 @@ def is_boundary(cls: KoszulClass) -> tuple[bool, ChainCoeffs | None]:
     return True, witness
 
 
-def homology_coordinates(
-    cls: KoszulClass, basis: list[KoszulClass]
-) -> np.ndarray:
-    """Coordinates of a cycle in a homology basis, solved blockwise against
-    basis representatives plus the incoming image.
+def induced_map_rank(images: list[KoszulClass]) -> int:
+    """Rank of the homology-level map that sends a basis of its source to
+    these image cycles: dim((span(images) + B) / B), B the image of the
+    incoming differential, which is rank[B | images] - rank[B].
 
-    Each basis class must lie in one multidegree block, as `cycle_basis`
-    classes do; per-block coordinates then add up.  A class spanning more
-    than one block raises ValueError.
+    Only the blocks the images touch enter: B holds their incoming blocks on
+    its diagonal and the image columns run across all of them.  A block the
+    images miss adds the same rank to both terms.  The difference is the
+    number of pivots of the echelonized [B | images] in image columns.
     """
-    space = cls.space
-    if not cls.coeffs:
-        return np.zeros(len(basis), dtype=np.int64)
-    by_block: dict[MultiDegree, list[int]] = {}
-    for j, b in enumerate(basis):
-        if b.space != space:
-            raise ValueError("basis class in a different space")
-        mdegs = {space.key_mdeg(key) for key in b.coeffs}
-        if len(mdegs) > 1:
-            raise ValueError(f"basis class {j} spans more than one multidegree block")
-        for mdeg in mdegs:
-            by_block.setdefault(mdeg, []).append(j)
-
-    def basis_columns(mdeg: MultiDegree, elements: list[ChainKey]) -> np.ndarray:
-        # a basis class of another block is a zero column: never a pivot, so
-        # this block gives it coordinate 0 and leaves the others unchanged
-        cols = np.zeros((len(elements), len(basis)), dtype=np.int64)
-        for j in by_block.get(mdeg, []):
-            cols[:, j] = [basis[j].coeffs.get(key, 0) for key in elements]
-        return cols
-
-    _, zs, failed = _solve(space, cls.coeffs, basis_columns)
-    if failed is not None:
-        raise ValueError("cycle is not in span(basis) + image")
-    return sum(zs, np.zeros(len(basis), dtype=np.int64)) % space.prime
-
-
-def induced_map_rank(
-    classes: list[KoszulClass],
-    images: list[KoszulClass],
-    target_basis: list[KoszulClass],
-    prime: int,
-) -> int:
-    """Rank of a homology-level map given classes and their image cycles."""
-    if len(classes) != len(images):
-        raise ValueError("need one image per class")
-    if not target_basis:
+    if not images:
         return 0
-    mat = np.zeros((len(target_basis), len(classes)), dtype=np.int64)
-    for j, img in enumerate(images):
-        mat[:, j] = homology_coordinates(img, target_basis)
-    return dense_rank_mod(mat, prime)
+    space = images[0].space
+    if any(img.space != space for img in images):
+        raise ValueError("images live in different spaces")
+    blocks = _block_columns(space, [img.coeffs for img in images])
+    systems = [_block_system(space, mdeg, cols) for mdeg, (_, cols) in blocks.items()]
+    width = sum(w for _, w in systems)
+    a = np.zeros((sum(len(s) for s, _ in systems), width + len(images)), dtype=np.int64)
+    row = col = 0
+    for s, w in systems:
+        a[row:row + len(s), col:col + w] = s[:, :w]
+        a[row:row + len(s), width:] = s[:, w:]
+        row, col = row + len(s), col + w
+    _, pivots = rref_mod(a, space.prime)
+    return sum(c >= width for c in pivots)
 
 
 # -- factorization and chain-of-implications checks ---------------------------
 
 
-def projection_factor_check(
-    cls: KoszulClass, points: list[PointOverField]
-) -> dict:
-    """Does the multi-point contraction land, modulo boundaries, inside the
-    wedge of the forms vanishing on the hyperplane?
+def projection_factor_check(image: KoszulClass) -> dict:
+    """Does a multi-point contraction (a class ev_D returned) land, modulo
+    boundaries, inside the wedge of the forms vanishing on the hyperplane?
 
-    Solves ev_D(cls) = d(y) + z blockwise, with z constrained to basis
-    elements whose wedge factors are all divisible by x_0.  Returns the
-    verdict and, on success, the boundary witness y.
+    Solves image = d(y) + z blockwise, with z constrained to basis elements
+    whose wedge factors are all divisible by x_0.  Returns the verdict and,
+    on success, the boundary witness y.
     """
-    image = ev_D(cls, points)
     space = image.space
     prime = space.prime
     divisible, _ = restriction_split(space.params.n, space.params.d)
     allowed = set(divisible)
 
-    def selectors(_mdeg: MultiDegree, elements: list[ChainKey]) -> np.ndarray:
+    def selectors(elements: list[ChainKey]) -> np.ndarray:
         chosen = [i for i, (sub, _ui) in enumerate(elements) if set(sub) <= allowed]
         cols = np.zeros((len(elements), len(chosen)), dtype=np.int64)
         cols[chosen, range(len(chosen))] = 1
         return cols
 
-    witness, _, failed = _solve(space, image.coeffs, selectors)
+    witness, failed = _solve(space, image.coeffs, selectors)
     if failed is not None:
         return {"factors": False, "witness": None, "mdeg_failed": failed}
     up = space.shifted(+1, -1)
@@ -496,11 +462,14 @@ def theorem_chain_check(params: VeroneseParams, p: int, engine: Engine) -> dict:
     Within the projection's range p > s, nonvanishing of the first forces
     nonvanishing of the second; for p at or above the vanishing threshold
     C(d+n-1, n) + C(d+n-2, n-2) the second must vanish (its index reaches
-    the Green bound C(d-2+n, n)), and hence so must the first.
+    the Green bound C(d-2+n, n)), and hence so must the first.  The argument
+    is about the untwisted table, so a twist b != 0 raises ValueError.
     """
+    if params.b:
+        raise ValueError(f"theorem_chain_check: needs the untwisted table, got b = {params.b}")
     n, d = params.n, params.d
     s = projection_codim(params)
-    first = engine.kpq_dim(VeroneseParams(n, d), p, 1)
+    first = engine.kpq_dim(params, p, 1)
     if d >= 2 and p - s >= 0:
         second = engine.kpq_dim(VeroneseParams(n, d - 1, -1), p - s, 1)
     else:

@@ -1,6 +1,7 @@
-"""Exterior algebra over the space of degree-d forms: contraction of a basis
-wedge by one functional, and the s-fold contraction whose coefficients are
-s x s minors of functional values.
+"""Exterior algebra over the space of degree-d forms: the s-fold contraction
+of a basis wedge, whose coefficients are s x s minors of functional values.
+With one functional it is the plain contraction, (-1)^j * phi(v_j) for
+deleting position j.
 
 A wedge basis element is a strictly increasing tuple of indices into the
 fixed monomial basis.  All coefficients live in GF(prime).
@@ -12,23 +13,6 @@ import itertools
 
 # Values of a linear functional on the degree-d monomial basis, reduced mod p.
 Functional = tuple[int, ...]
-
-
-def contract_terms(
-    key: tuple[int, ...], phi: Functional, prime: int
-) -> list[tuple[tuple[int, ...], int]]:
-    """Terms of the contraction of a single basis wedge by one functional.
-
-    Deleting position j contributes (-1)^j * phi(v_j) on the remaining tuple.
-    """
-    out = []
-    for j, idx in enumerate(key):
-        c = phi[idx] % prime
-        if c:
-            if j % 2:
-                c = prime - c
-            out.append((key[:j] + key[j + 1:], c))
-    return out
 
 
 def det_mod(rows: list[list[int]], prime: int) -> int:

@@ -34,6 +34,18 @@ def direct_table(params: VeroneseParams, engine: Engine) -> BettiTable:
     return table
 
 
+def single_contraction(space, coeffs: dict, phi) -> dict:
+    """Contraction of a raw chain by one functional, written out apart from
+    `vsl.wedge` as the reference for `alpha_chain`: deleting wedge position
+    j contributes (-1)^j * phi(v_j)."""
+    out: dict = {}
+    for (sub, ui), val in coeffs.items():
+        for j, idx in enumerate(sub):
+            key = (sub[:j] + sub[j + 1:], ui)
+            out[key] = (out.get(key, 0) + (-1) ** j * phi[idx] * val) % space.prime
+    return {k: v for k, v in out.items() if v}
+
+
 # One pass/fail line per acceptance criterion, echoed at the end of the run.
 ACCEPTANCE_LINES: list[str] = []
 

@@ -11,6 +11,7 @@ import pytest
 
 import vsl.betti
 import vsl.cli
+import vsl.syzygy
 import vsl.harness as harness
 from vsl.betti import Engine, ResourceLimits, ResourceRefusal
 from vsl.bounds import VeroneseParams
@@ -421,6 +422,27 @@ def test_cli_maps_ev(capsys):
     assert all(row["factors"] for row in payload["classes"])
 
 
+def test_cli_maps_ev_contracts_each_class_once(monkeypatch, capsys):
+    # one cycle basis, of the source; each class is contracted once, and
+    # its image serves both the factor check and the induced rank
+    calls = {"cycle_basis": 0, "ev_D": 0}
+
+    def counted(name, func):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return func(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        wrapper = counted(name, getattr(vsl.syzygy, name))
+        monkeypatch.setattr(vsl.syzygy, name, wrapper)
+        monkeypatch.setattr(vsl.cli, name, wrapper)
+    assert main(["maps", "ev", "--n", "2", "--d", "3", "--p", "6", "--seed", "0"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["source_dim"] == 27
+    assert calls == {"cycle_basis": 1, "ev_D": 27}
+
+
 def test_cli_maps_ev_reads_a_points_file(tmp_path, capsys):
     # the seeded points, written to a file, give the seeded report
     argv = ["maps", "ev", "--n", "2", "--d", "2", "--p", "3"]
@@ -438,6 +460,9 @@ def test_cli_unusable_files_are_usage_errors(tmp_path, capsys):
     # message, like any other bad argument, instead of a traceback
     ev = ["maps", "ev", "--n", "2", "--d", "3", "--p", "5", "--points", str(tmp_path / "p.json")]
     missing_config = ["betti", "--n", "1", "--d", "2", "--config", str(tmp_path / "none.cfg")]
+    # the seeded points moved off x_0 = 0: general, but not on the hyperplane
+    seeded = sample_general_points(VeroneseParams(2, 3), PINNED_PRIMES[0], 0)
+    off_hyperplane = [[1, *pt.coords[1:]] for pt in seeded]
     for argv, points, message in (
         (missing_config, None, "cannot read config file"),
         (ev, None, "No such file or directory"),
@@ -446,6 +471,7 @@ def test_cli_unusable_files_are_usage_errors(tmp_path, capsys):
         (ev, [[0, 0, 0], [0, 1, 0], [0, 0, 1], [0, 1, 1]], "cannot normalize the zero tuple"),
         (ev, [[0, 1, 0], [0, 1, 0], [0, 0, 1], [0, 1, 1]],
          "the points fail the general-position certificate"),
+        (ev, off_hyperplane, "every point must lie on the hyperplane x_0 = 0"),
     ):
         if points is not None:
             (tmp_path / "p.json").write_text(json.dumps(points))
@@ -511,6 +537,15 @@ def test_cli_maps_chain(capsys):
     assert main(["maps", "chain", "--n", "1", "--d", "3", "--p", "3"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert len(payload["rows"]) == 1 and payload["rows"][0]["p"] == 3
+
+
+def test_cli_maps_chain_refuses_a_twist(capsys):
+    # the chain is about the untwisted table: --b used to be dropped, and
+    # the untwisted values printed under the twisted label
+    with pytest.raises(SystemExit) as exc:
+        main(["maps", "chain", "--n", "2", "--d", "3", "--b", "1", "--p", "4"])
+    assert exc.value.code == 2
+    assert "--b must be 0" in capsys.readouterr().err
 
 
 def test_cli_maps_chain_requires_p(capsys):

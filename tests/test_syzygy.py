@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from vsl.bounds import VeroneseParams, h0, projection_codim
-from vsl.linalg import PINNED_PRIMES
+from vsl.harness import dense_differential
+from vsl.linalg import PINNED_PRIMES, dense_rank_mod
 from vsl.polyspace import PointOverField, monomial_basis
 from vsl.syzygy import (
     ChainSpace,
@@ -15,13 +16,11 @@ from vsl.syzygy import (
     KoszulClass,
     alpha_chain,
     apply_differential,
-    contract_chain,
     cycle_basis,
     ev_D,
     ev_point,
     genericity_certificate,
     normalize,
-    homology_coordinates,
     induced_map_rank,
     is_boundary,
     point_functional,
@@ -92,19 +91,16 @@ def test_ev_point_zero_functional_on_support():
     pt = PointOverField.make((0, 1), PRIME)  # only x_1^3 evaluates nonzero
     phi = point_functional(space.params, pt)
     assert phi == (0, 0, 0, 1)
-    assert contract_chain(space, chain, phi) == {}
+    assert alpha_chain(space, chain, [phi]) == {}
 
 
 def test_ev_point_induced_map_is_nonzero(eng):
     rng = random.Random(6)
     params = VeroneseParams(1, 3)
     classes = cycle_basis(params, 2, 1, eng)
-    target = cycle_basis(params, 1, 1, eng)
-    assert (len(classes), len(target)) == (2, 3)
+    assert (len(classes), eng.kpq_dim(params, 1, 1)) == (2, 3)
     pt = PointOverField.random(1, PRIME, rng)
-    images = [ev_point(c, pt) for c in classes]
-    rank = induced_map_rank(classes, images, target, PRIME)
-    assert rank >= 1
+    assert induced_map_rank([ev_point(c, pt) for c in classes]) >= 1
 
 
 def test_genericity_certificate_and_determinism():
@@ -178,10 +174,10 @@ def test_projection_factor_check_on_conic_classes(eng):
     params = VeroneseParams(2, 2)
     pts = sample_general_points(params, PRIME, seed=6)
     for cls in cycle_basis(params, 3, 1, eng):
-        out = projection_factor_check(cls, pts)
+        out = projection_factor_check(ev_D(cls, pts))
         assert out["factors"] is True
         assert out["residual_support"] == 0  # image here is exactly a boundary
-        out_scaled = projection_factor_check(cls.scaled(271828), pts)
+        out_scaled = projection_factor_check(ev_D(cls.scaled(271828), pts))
         assert out_scaled["factors"] is True
 
 
@@ -189,7 +185,7 @@ def test_projection_factor_check_zero_class(eng):
     params = VeroneseParams(2, 2)
     pts = sample_general_points(params, PRIME, seed=7)
     zero = KoszulClass(ChainSpace(params, 3, 1, PRIME), {})
-    out = projection_factor_check(zero, pts)
+    out = projection_factor_check(ev_D(zero, pts))
     assert out == {"factors": True, "witness": {}, "residual_support": 0}
 
 
@@ -197,19 +193,17 @@ def test_projection_factor_check_on_line_quartic(eng):
     params = VeroneseParams(1, 4)
     pts = sample_general_points(params, PRIME, seed=8)
     for cls in cycle_basis(params, 2, 1, eng):
-        assert projection_factor_check(cls, pts)["factors"] is True
+        assert projection_factor_check(ev_D(cls, pts))["factors"] is True
 
 
 def test_induced_rank_stable_across_general_point_sets(eng):
     # twenty different certified point sets induce maps of one common rank
     params = VeroneseParams(2, 3)
     classes = cycle_basis(params, 6, 1, eng)
-    target = cycle_basis(params, 2, 1, eng)
     ranks = set()
     for seed in range(20):
         pts = sample_general_points(params, PRIME, seed=seed)
-        images = [ev_D(c, pts) for c in classes]
-        ranks.add(induced_map_rank(classes, images, target, PRIME))
+        ranks.add(induced_map_rank([ev_D(c, pts) for c in classes]))
     assert len(ranks) == 1
     assert ranks.pop() > 0
 
@@ -231,28 +225,80 @@ def test_is_boundary_witness_verifies(eng):
     assert normalize(mid, apply_differential(up, witness)) == cls.coeffs
 
 
-def test_homology_coordinates_identity(eng):
-    basis = cycle_basis(VeroneseParams(2, 2), 3, 1, eng)
-    for i, cls in enumerate(basis):
-        coords = homology_coordinates(cls, basis)
-        expected = np.zeros(len(basis), dtype=np.int64)
-        expected[i] = 1
-        assert (coords == expected).all()
-    combo = basis[0].plus(basis[2].scaled(5))
-    assert list(homology_coordinates(combo, basis)) == [1, 0, 5]
-
-
-def test_homology_coordinates_refuses_a_multi_block_basis_class(eng):
-    # blockwise solves sum per-block coordinates, which is only right when
-    # each basis class lives in one multidegree block
+def test_induced_map_rank_of_a_basis_is_full(eng):
+    # the identity map on K_{3,1} of the plane conic: a cycle basis, or any
+    # other spanning set, has full rank modulo boundaries
+    params = VeroneseParams(2, 2)
+    basis = cycle_basis(params, 3, 1, eng)
+    assert induced_map_rank(basis) == len(basis) == 3
+    assert induced_map_rank([basis[0].plus(basis[2].scaled(5)), basis[2], basis[1]]) == 3
+    assert induced_map_rank([basis[0], basis[0].scaled(5), basis[2]]) == 2
+    assert induced_map_rank([]) == 0
+    # a boundary adds nothing, and alone has rank 0
+    up = ChainSpace(params, 4, 0, PRIME)
+    bd = KoszulClass(basis[0].space, apply_differential(up, random_chain(random.Random(4), up)))
+    assert bd.coeffs
+    assert induced_map_rank([bd]) == 0
+    assert induced_map_rank([basis[0].plus(bd), basis[1], basis[2].plus(bd)]) == 3
+    # classes spanning several multidegree blocks are exact, not refused
     basis = cycle_basis(VeroneseParams(2, 3), 2, 1, eng)
     space = basis[0].space
     assert space.key_mdeg(next(iter(basis[0].coeffs))) != space.key_mdeg(
         next(iter(basis[1].coeffs))
     )
     spanning = [basis[0].plus(basis[1])] + basis[1:]
-    with pytest.raises(ValueError, match="more than one multidegree block"):
-        homology_coordinates(basis[0], spanning)
+    assert induced_map_rank(spanning) == len(basis)
+    assert induced_map_rank(spanning[:2]) == 2
+    with pytest.raises(ValueError, match="different spaces"):
+        induced_map_rank([basis[0], cycle_basis(params, 3, 1, eng)[0]])
+
+
+def _block_free_rank(params: VeroneseParams, images: list[KoszulClass]) -> int:
+    """rank[D | images] - rank[D] over whole spaces, D the incoming
+    differential from `dense_differential` and each chain element placed at
+    its itertools.combinations index: no multidegree block enters."""
+    space = images[0].space
+    d_in = dense_differential(params, space.p + 1, space.q - 1)
+    nwedge = len(monomial_basis(params.n, params.d))
+    nmons = len(monomial_basis(params.n, space.m))
+    row = {sub: i for i, sub in enumerate(itertools.combinations(range(nwedge), space.p))}
+    cols = np.zeros((len(row) * nmons, len(images)), dtype=np.int64)
+    for j, img in enumerate(images):
+        for (sub, ui), val in img.coeffs.items():
+            cols[row[sub] * nmons + ui, j] = val
+    return dense_rank_mod(np.hstack([d_in, cols]), PRIME) - dense_rank_mod(d_in, PRIME)
+
+
+@pytest.mark.parametrize("p", [5, 6])
+def test_induced_map_rank_matches_a_block_free_reference(eng, p):
+    params = VeroneseParams(2, 3)
+    rng = random.Random(20241018 + p)
+    classes = cycle_basis(params, p, 1, eng)
+    for seed in range(3):
+        pts = sample_general_points(params, PRIME, seed=seed)
+        images = [ev_D(c, pts) for c in classes]
+        rank = induced_map_rank(images)
+        assert rank == _block_free_rank(params, images) > 0
+        # random combinations of nonzero images plus a random boundary, each
+        # spread over many blocks; more of them than the rank
+        nonzero = [img for img in images if img.coeffs]
+        space = images[0].space
+        up = space.shifted(+1, -1)
+        combos = []
+        for _ in range(8):
+            combo = KoszulClass(space, apply_differential(up, random_chain(rng, up, terms=3)))
+            for img in rng.sample(nonzero, 3):
+                combo = combo.plus(img.scaled(rng.randrange(1, PRIME)))
+            combos.append(combo)
+            assert induced_map_rank(combos) == _block_free_rank(params, combos)
+        assert len({combo.space.key_mdeg(key) for key in combos[0].coeffs}) > 1
+
+
+def test_theorem_chain_refuses_a_twist(eng):
+    # the degree-drop argument is about the untwisted table; a twist must
+    # not be dropped silently under a twisted label
+    with pytest.raises(ValueError, match="untwisted"):
+        theorem_chain_check(VeroneseParams(2, 3, 1), 4, eng)
 
 
 def test_twist_identification_examples(eng):

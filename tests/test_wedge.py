@@ -5,18 +5,18 @@ import random
 
 import pytest
 
+from conftest import single_contraction
 from vsl.bounds import VeroneseParams
 from vsl.polyspace import monomial_basis
 from vsl.syzygy import (
     ChainSpace,
     KoszulClass,
     alpha_chain,
-    contract_chain,
     cycle_basis,
     ev_D,
     sample_general_points,
 )
-from vsl.wedge import alpha_terms, contract_terms, det_mod, gamma_value
+from vsl.wedge import alpha_terms, det_mod, gamma_value
 
 PRIME = 2147483647
 
@@ -37,14 +37,15 @@ def _scaled(chain: dict, c: int) -> dict:
 
 def test_contraction_derivation_signs():
     # contracting v_0 ^ v_1 gives phi(v_0) v_1 - phi(v_1) v_0
+    # (the s = 1 case of the minor-weighted contraction)
     phi = (3, 5, 0)
-    assert contract_terms((0, 1), phi, PRIME) == [((1,), 3), ((0,), PRIME - 5)]
+    assert alpha_terms((0, 1), [phi], PRIME) == [((1,), 3), ((0,), PRIME - 5)]
     space = ChainSpace(VeroneseParams(1, 2), 2, 1, PRIME)
     chain = {((0, 1), 2): 1}
-    assert contract_chain(space, chain, phi) == {((1,), 2): 3, ((0,), 2): PRIME - 5}
+    assert alpha_chain(space, chain, [phi]) == {((1,), 2): 3, ((0,), 2): PRIME - 5}
     # dual functional of the first factor picks out the second
     dual0 = (1, 0, 0)
-    assert contract_chain(space, chain, dual0) == {((1,), 2): 1}
+    assert alpha_chain(space, chain, [dual0]) == {((1,), 2): 1}
 
 
 def test_contraction_squares_to_zero():
@@ -55,8 +56,8 @@ def test_contraction_squares_to_zero():
         for _ in range(25):
             chain = _random_chain(rng, space, terms=4)
             phi = tuple(rng.randrange(PRIME) for _ in range(size))
-            once = contract_chain(space, chain, phi)
-            assert contract_chain(space.shifted(-1, 0), once, phi) == {}
+            once = alpha_chain(space, chain, [phi])
+            assert alpha_chain(space.shifted(-1, 0), once, [phi]) == {}
 
 
 def test_contraction_anticommutes():
@@ -68,8 +69,8 @@ def test_contraction_anticommutes():
         chain = _random_chain(rng, space, terms=4)
         phi = tuple(rng.randrange(PRIME) for _ in range(size))
         psi = tuple(rng.randrange(PRIME) for _ in range(size))
-        ab = contract_chain(down, contract_chain(space, chain, psi), phi)
-        ba = contract_chain(down, contract_chain(space, chain, phi), psi)
+        ab = alpha_chain(down, alpha_chain(space, chain, [psi]), [phi])
+        ba = alpha_chain(down, alpha_chain(space, chain, [phi]), [psi])
         total = dict(ab)
         for key, val in ba.items():
             total[key] = (total.get(key, 0) + val) % PRIME
@@ -99,7 +100,7 @@ def test_alpha_one_functional_is_contraction():
     for _ in range(10):
         chain = _random_chain(rng, space, terms=4)
         phi = tuple(rng.randrange(PRIME) for _ in range(size))
-        assert alpha_chain(space, chain, [phi]) == contract_chain(space, chain, phi)
+        assert alpha_chain(space, chain, [phi]) == single_contraction(space, chain, phi)
 
 
 def test_alpha_paired_block_example():
@@ -138,7 +139,7 @@ def test_alpha_matches_composed_contractions_up_to_global_sign():
         fast = alpha_chain(space, chain, phis)
         slow, sp = chain, space
         for phi in phis:
-            slow = contract_chain(sp, slow, phi)
+            slow = single_contraction(sp, slow, phi)
             sp = sp.shifted(-1, 0)
         assert fast == _scaled(slow, expected_sign % PRIME)
 
