@@ -37,8 +37,6 @@ from .syzygy import (
     KoszulClass,
     cycle_basis,
     ev_D,
-    ev_point,
-    is_boundary,
     projection_factor_check,
     sample_general_points,
     theorem_chain_check,
@@ -75,11 +73,9 @@ __all__ = [
     "el_range",
     "euler_check",
     "ev_D",
-    "ev_point",
     "gb_bound",
     "green_vanishing_bound",
     "h0",
-    "is_boundary",
     "linear_conj_bound",
     "main_thm_bound",
     "projection_codim",

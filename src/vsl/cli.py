@@ -107,7 +107,8 @@ def _int_at_least(lo: int):
 
 
 def _int_list_arg(raw: str) -> list[int]:
-    """Comma-separated integers >= 0; an empty list is refused, not read as the default."""
+    """Comma-separated distinct integers >= 0; an empty list is refused, not
+    read as the default."""
     try:
         values = [int(x) for x in raw.replace(",", " ").split()]
     except ValueError:
@@ -116,6 +117,8 @@ def _int_list_arg(raw: str) -> list[int]:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated integers, each >= 0, got {raw!r}"
         )
+    if len(set(values)) != len(values):
+        raise argparse.ArgumentTypeError(f"expected each value once, got {raw!r}")
     return values
 
 
@@ -219,7 +222,10 @@ def _load_points(args: argparse.Namespace, prime: int, params: VeroneseParams, s
         return sample_general_points(params, prime, args.seed)
     try:
         with open(args.points, encoding="utf-8") as fh:
-            points = [PointOverField.make(tuple(map(int, c)), prime) for c in json.load(fh)]
+            rows = json.load(fh)
+        if any(type(c) is not int for row in rows for c in row):  # bool is an int subclass
+            raise ValueError("every coordinate must be a JSON integer")
+        points = [PointOverField.make(tuple(row), prime) for row in rows]
         if len(points) != s or any(len(pt.coords) != params.n + 1 for pt in points):
             raise ValueError(f"expected {s} points with {params.n + 1} coordinates each")
         if any(pt.coords[0] for pt in points):
@@ -243,7 +249,7 @@ def cmd_maps_ev(args: argparse.Namespace) -> int:
     with _build_engine(args) as engine:
         classes = cycle_basis(params, p, 1, engine)
         target_dim = engine.kpq_dim(params, p - s, 1)
-    images = [ev_D(cls, points) for cls in classes]
+    images = ev_D(classes, points)
     rows = [
         {"class": i, "image_support": len(image.coeffs),
          "factors": projection_factor_check(image)["factors"]}

@@ -120,13 +120,6 @@ class PointOverField:
         return cls(tuple(c * inv % prime for c in reduced), prime)
 
     @classmethod
-    def random(cls, n: int, prime: int, rng) -> "PointOverField":
-        while True:
-            raw = tuple(rng.randrange(prime) for _ in range(n + 1))
-            if any(raw):
-                return cls.make(raw, prime)
-
-    @classmethod
     def random_on_hyperplane(cls, n: int, prime: int, rng) -> "PointOverField":
         """Random point of the fixed hyperplane x_0 = 0."""
         while True:

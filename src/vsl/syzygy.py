@@ -1,7 +1,8 @@
-"""Cycle-level maps on Koszul cohomology: contraction by point evaluations,
-the multi-point contraction attached to a hyperplane, factorization through
-the subspace of forms vanishing on the hyperplane, and the degree-drop chain
-of implications for linear-strand vanishing.
+"""Cycle-level maps on Koszul cohomology: the multi-point contraction
+attached to a hyperplane (ev_D, applied to a list of classes of one space;
+alpha_chain with one functional is the single-point contraction),
+factorization through the subspace of forms vanishing on the hyperplane,
+and the degree-drop chain of implications for linear-strand vanishing.
 
 A map's rank on homology is read from the image cycles of a source basis:
 dim((span(images) + B) / B), B the image of the target's incoming
@@ -15,7 +16,6 @@ number of degree-d monomials free of x_0.
 from __future__ import annotations
 
 import random
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,8 +29,7 @@ from .polyspace import (
     PointOverField,
     evaluate,
     monomial_basis,
-    monomial_index,
-    multiply,
+    mult_table,
     restriction_split,
 )
 from .wedge import Functional, alpha_terms, det_mod
@@ -82,17 +81,13 @@ def normalize(space: ChainSpace, coeffs: ChainCoeffs) -> ChainCoeffs:
 def apply_differential(space: ChainSpace, coeffs: ChainCoeffs) -> ChainCoeffs:
     """Koszul differential on a chain: delete a wedge factor (sign +1 on the
     last position) and multiply it into the coefficient form."""
-    n, d = space.params.n, space.params.d
-    basis_d = monomial_basis(n, d)
-    mons = monomial_basis(n, space.m)
-    tgt_index = monomial_index(n, space.m + d)
+    product = mult_table(space.params.n, space.m, space.params.d).tolist()
     p, prime = space.p, space.prime
     out: ChainCoeffs = {}
     for (sub, ui), val in coeffs.items():
-        mono = mons[ui]
         for j, i in enumerate(sub):
             sign = 1 if (p - 1 - j) % 2 == 0 else -1
-            key = (sub[:j] + sub[j + 1:], tgt_index[multiply(mono, basis_d[i])])
+            key = (sub[:j] + sub[j + 1:], product[ui][i])
             out[key] = (out.get(key, 0) + sign * val) % prime
     return {k: v for k, v in out.items() if v}
 
@@ -119,19 +114,13 @@ class KoszulClass:
         if not is_cycle(self.space, self.coeffs):
             raise ValueError("representative is not a cycle")
 
-    def scaled(self, c: int) -> "KoszulClass":
-        prime = self.space.prime
-        return KoszulClass(
-            self.space, {k: v * c % prime for k, v in self.coeffs.items()}
-        )
 
-    def plus(self, other: "KoszulClass") -> "KoszulClass":
-        if self.space != other.space:
-            raise ValueError("classes live in different spaces")
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = (out.get(k, 0) + v) % self.space.prime
-        return KoszulClass(self.space, out)
+def _one_space(classes: list[KoszulClass]) -> ChainSpace:
+    """The space all of the (nonempty) classes live in."""
+    space = classes[0].space
+    if any(cls.space != space for cls in classes):
+        raise ValueError("classes live in different spaces")
+    return space
 
 
 # -- block-level bases --------------------------------------------------------
@@ -212,28 +201,18 @@ def point_functional(params: VeroneseParams, point: PointOverField) -> Functiona
     return tuple(evaluate(mono, point) for mono in basis)
 
 
-def ev_point(cls: KoszulClass, point: PointOverField) -> KoszulClass:
-    """Contract the wedge part by evaluation at one point (the s = 1 case of
-    alpha_chain); coefficient forms are untouched.  Sends cycles to cycles
-    and boundaries to boundaries."""
-    space = cls.space
-    if space.p < 1:
-        raise ValueError("ev_point: need p >= 1")
-    if point.prime != space.prime:
-        raise ValueError("point lives over a different prime")
-    phi = point_functional(space.params, point)
-    return KoszulClass(space.shifted(-1, 0), alpha_chain(space, cls.coeffs, [phi]))
-
-
 def alpha_chain(
-    space: ChainSpace, coeffs: ChainCoeffs, functionals: list[Functional]
+    space: ChainSpace,
+    coeffs: ChainCoeffs,
+    functionals: list[Functional],
+    cache: dict | None = None,
 ) -> ChainCoeffs:
     """s-fold minor-weighted contraction on a raw chain (no cycle check);
-    one functional gives the single contraction."""
-    gamma_cache: dict = {}
+    one functional gives the single contraction.  cache, if given, holds the
+    minors by index tuple, and calls with the same functionals may share it."""
     out: ChainCoeffs = {}
     for (sub, ui), val in coeffs.items():
-        for rest, c in alpha_terms(sub, functionals, space.prime, gamma_cache):
+        for rest, c in alpha_terms(sub, functionals, space.prime, cache):
             key = (rest, ui)
             out[key] = (out.get(key, 0) + val * c) % space.prime
     return {k: v for k, v in out.items() if v}
@@ -261,18 +240,20 @@ def genericity_certificate(
     return det_mod(rows, prime)
 
 
-def sample_general_points(
-    params: VeroneseParams, prime: int, seed: int, max_attempts: int = 50
-) -> list[PointOverField]:
+# point sets sample_general_points draws before it gives up
+_SAMPLE_ATTEMPTS = 50
+
+
+def sample_general_points(params: VeroneseParams, prime: int, seed: int) -> list[PointOverField]:
     """Seeded points of the hyperplane x_0 = 0 passing the certificate.
 
     Resamples the whole set on certificate failure; gives up loudly after
-    max_attempts (tiny fields can genuinely lack general enough points).
+    _SAMPLE_ATTEMPTS (tiny fields can genuinely lack general enough points).
     """
     s = projection_codim(params)
     rng = random.Random(seed)
     last_det = 0
-    for _ in range(max_attempts):
+    for _ in range(_SAMPLE_ATTEMPTS):
         pts = [
             PointOverField.random_on_hyperplane(params.n, prime, rng)
             for _ in range(s)
@@ -281,28 +262,35 @@ def sample_general_points(
         if last_det:
             return pts
     raise GenericityError(
-        f"no general-position set of {s} points after {max_attempts} attempts "
+        f"no general-position set of {s} points after {_SAMPLE_ATTEMPTS} attempts "
         f"(last determinant {last_det} mod {prime})"
     )
 
 
-def ev_D(cls: KoszulClass, points: list[PointOverField]) -> KoszulClass:
-    """s-fold contraction attached to the hyperplane's point set.
+def ev_D(classes: list[KoszulClass], points: list[PointOverField]) -> list[KoszulClass]:
+    """s-fold contraction attached to the hyperplane's point set, applied to
+    classes of one space.
 
     Each s-element choice of wedge positions is deleted with the minor of
     point-evaluation values as coefficient.  Equals the composition of the
     single-point contractions up to one overall sign, so all rank and
-    vanishing conclusions are shared.  Requires p >= s and certified points.
+    vanishing conclusions are shared.  Requires p >= s and certified points,
+    checked once per call; the classes share one table of minors.
     """
-    space = cls.space
+    if not classes:
+        return []
+    space = _one_space(classes)
     s = len(points)
     if space.p < s:
         raise ValueError(f"ev_D: need p >= s, got p={space.p}, s={s}")
     if genericity_certificate(space.params, points) == 0:
         raise GenericityError("points fail the general-position certificate")
     functionals = [point_functional(space.params, pt) for pt in points]
-    out = alpha_chain(space, cls.coeffs, functionals)
-    return KoszulClass(space.shifted(-s, 0), out)
+    minors: dict = {}
+    return [
+        KoszulClass(space.shifted(-s, 0), alpha_chain(space, cls.coeffs, functionals, minors))
+        for cls in classes
+    ]
 
 
 # -- homology-level solves ----------------------------------------------------
@@ -328,48 +316,6 @@ def _block_columns(
     return out
 
 
-def _solve(
-    space: ChainSpace,
-    coeffs: ChainCoeffs,
-    extra: Callable[[list[ChainKey]], np.ndarray] | None = None,
-) -> tuple[ChainCoeffs | None, MultiDegree | None]:
-    """Solve coeffs = d(y) + extra * z one multidegree block at a time.
-
-    Blocks are solved in descending multidegree order.  extra, if given,
-    maps a block's elements to that block's columns of z.  Returns
-    (y, None), y a chain of the incoming term, or (None, mdeg) at the first
-    block mdeg without a solution.
-    """
-    up = space.shifted(+1, -1)
-    witness: ChainCoeffs = {}
-    blocks = _block_columns(space, [coeffs])
-    for mdeg in sorted(blocks, reverse=True):
-        elements, target = blocks[mdeg]
-        cols = np.zeros((len(elements), 0), dtype=np.int64) if extra is None else extra(elements)
-        a, width = _block_system(space, mdeg, cols)
-        x = solve_mod(a, target[:, 0], space.prime)
-        if x is None:
-            return None, mdeg
-        if width:
-            up_elements = _block_elements(up, mdeg)
-            for i in np.nonzero(x[:width])[0]:
-                witness[up_elements[int(i)]] = int(x[i])
-    return witness, None
-
-
-def is_boundary(cls: KoszulClass) -> tuple[bool, ChainCoeffs | None]:
-    """Decide membership in the image of the incoming differential, block by
-    block; on success returns a preimage chain as witness."""
-    space = cls.space
-    witness, failed = _solve(space, cls.coeffs)
-    if failed is not None:
-        return False, None
-    check = apply_differential(space.shifted(+1, -1), witness)
-    if normalize(space, check) != cls.coeffs:
-        raise InvariantViolation("boundary witness does not map onto the class")
-    return True, witness
-
-
 def induced_map_rank(images: list[KoszulClass]) -> int:
     """Rank of the homology-level map that sends a basis of its source to
     these image cycles: dim((span(images) + B) / B), B the image of the
@@ -382,9 +328,7 @@ def induced_map_rank(images: list[KoszulClass]) -> int:
     """
     if not images:
         return 0
-    space = images[0].space
-    if any(img.space != space for img in images):
-        raise ValueError("images live in different spaces")
+    space = _one_space(images)
     blocks = _block_columns(space, [img.coeffs for img in images])
     systems = [_block_system(space, mdeg, cols) for mdeg, (_, cols) in blocks.items()]
     width = sum(w for _, w in systems)
@@ -405,25 +349,31 @@ def projection_factor_check(image: KoszulClass) -> dict:
     """Does a multi-point contraction (a class ev_D returned) land, modulo
     boundaries, inside the wedge of the forms vanishing on the hyperplane?
 
-    Solves image = d(y) + z blockwise, with z constrained to basis elements
-    whose wedge factors are all divisible by x_0.  Returns the verdict and,
-    on success, the boundary witness y.
+    Solves image = d(y) + z one multidegree block at a time, in descending
+    order, with z constrained to basis elements whose wedge factors are all
+    divisible by x_0.  Returns the verdict and, on success, the boundary
+    witness y, or the first block without a solution.
     """
     space = image.space
     prime = space.prime
     divisible, _ = restriction_split(space.params.n, space.params.d)
     allowed = set(divisible)
-
-    def selectors(elements: list[ChainKey]) -> np.ndarray:
-        chosen = [i for i, (sub, _ui) in enumerate(elements) if set(sub) <= allowed]
-        cols = np.zeros((len(elements), len(chosen)), dtype=np.int64)
-        cols[chosen, range(len(chosen))] = 1
-        return cols
-
-    witness, failed = _solve(space, image.coeffs, selectors)
-    if failed is not None:
-        return {"factors": False, "witness": None, "mdeg_failed": failed}
     up = space.shifted(+1, -1)
+    witness: ChainCoeffs = {}
+    blocks = _block_columns(space, [image.coeffs])
+    for mdeg in sorted(blocks, reverse=True):
+        elements, target = blocks[mdeg]
+        chosen = [i for i, (sub, _ui) in enumerate(elements) if set(sub) <= allowed]
+        selectors = np.zeros((len(elements), len(chosen)), dtype=np.int64)
+        selectors[chosen, range(len(chosen))] = 1
+        a, width = _block_system(space, mdeg, selectors)
+        x = solve_mod(a, target[:, 0], prime)
+        if x is None:
+            return {"factors": False, "witness": None, "mdeg_failed": mdeg}
+        if width:
+            up_elements = _block_elements(up, mdeg)
+            for i in np.nonzero(x[:width])[0]:
+                witness[up_elements[int(i)]] = int(x[i])
     residual = dict(image.coeffs)
     bdry = apply_differential(up, witness) if witness else {}
     for key, val in bdry.items():

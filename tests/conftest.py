@@ -5,6 +5,8 @@ import pytest
 from vsl.betti import BettiTable, Engine, ResourceRefusal
 from vsl.bounds import VeroneseParams, h0
 from vsl.linalg import FieldSpec, PINNED_PRIMES
+from vsl.polyspace import PointOverField
+from vsl.syzygy import KoszulClass, alpha_chain, point_functional
 
 
 @pytest.fixture(scope="session")
@@ -44,6 +46,35 @@ def single_contraction(space, coeffs: dict, phi) -> dict:
             key = (sub[:j] + sub[j + 1:], ui)
             out[key] = (out.get(key, 0) + (-1) ** j * phi[idx] * val) % space.prime
     return {k: v for k, v in out.items() if v}
+
+
+def scaled(cls: KoszulClass, c: int) -> KoszulClass:
+    """c times a class."""
+    return KoszulClass(cls.space, {k: v * c for k, v in cls.coeffs.items()})
+
+
+def plus(a: KoszulClass, b: KoszulClass) -> KoszulClass:
+    """The sum of two classes of one space."""
+    assert a.space == b.space
+    out = dict(a.coeffs)
+    for k, v in b.coeffs.items():
+        out[k] = out.get(k, 0) + v
+    return KoszulClass(a.space, out)
+
+
+def random_point(n: int, prime: int, rng) -> PointOverField:
+    """A random point of P^n over GF(prime)."""
+    while True:
+        raw = tuple(rng.randrange(prime) for _ in range(n + 1))
+        if any(raw):
+            return PointOverField.make(raw, prime)
+
+
+def ev_at_point(cls: KoszulClass, point: PointOverField) -> KoszulClass:
+    """The class contracted by evaluation at one point: `alpha_chain` with
+    one functional."""
+    phi = point_functional(cls.space.params, point)
+    return KoszulClass(cls.space.shifted(-1, 0), alpha_chain(cls.space, cls.coeffs, [phi]))
 
 
 # One pass/fail line per acceptance criterion, echoed at the end of the run.

@@ -13,7 +13,15 @@ import itertools
 import random
 import time
 
-from conftest import direct_table, record_criterion, single_contraction
+from conftest import (
+    direct_table,
+    ev_at_point,
+    plus,
+    random_point,
+    record_criterion,
+    scaled,
+    single_contraction,
+)
 
 from vsl.betti import Engine, betti_table, duality_check
 from vsl.bounds import (
@@ -27,15 +35,14 @@ from vsl.bounds import (
 )
 from vsl.harness import blockwise_rank, dense_differential
 from vsl.linalg import PINNED_PRIMES, FieldSpec, dense_rank_mod
-from vsl.polyspace import PointOverField, monomial_basis
+from vsl.polyspace import monomial_basis
 from vsl.syzygy import (
     KoszulClass,
     alpha_chain,
     apply_differential,
     cycle_basis,
     ev_D,
-    ev_point,
-    is_boundary,
+    induced_map_rank,
     point_functional,
     projection_factor_check,
     sample_general_points,
@@ -82,9 +89,9 @@ def random_chain(rng, space, terms: int) -> dict:
 
 
 def random_combo(rng, basis):
-    combo = basis[0].scaled(rng.randrange(PRIME))
+    combo = scaled(basis[0], rng.randrange(PRIME))
     for cls in basis[1:]:
-        combo = combo.plus(cls.scaled(rng.randrange(PRIME)))
+        combo = plus(combo, scaled(cls, rng.randrange(PRIME)))
     return combo
 
 
@@ -226,32 +233,33 @@ def test_criterion_08_map_properties(eng):
         # cycles map to cycles: every image constructor re-checks the cycle law
         for _ in range(100):
             cls = random_combo(rng, basis)
-            ev_point(cls, PointOverField.random(n, PRIME, rng))
-            ev_D(cls, points)
+            ev_at_point(cls, random_point(n, PRIME, rng))
+            ev_D([cls], points)
 
         # boundaries map to boundaries
         for _ in range(100):
             bd = KoszulClass(space, apply_differential(up, random_chain(rng, up, 3)))
-            assert is_boundary(ev_point(bd, PointOverField.random(n, PRIME, rng)))[0]
-            assert is_boundary(ev_D(bd, points))[0]
+            assert induced_map_rank([ev_at_point(bd, random_point(n, PRIME, rng))]) == 0
+            assert induced_map_rank(ev_D([bd], points)) == 0
 
         # the s-point map is the composite of single contractions up to the
         # pinned global sign
         sign = (-1) ** (s * (s - 1) // 2)
-        for cls in basis:
+        images = ev_D(basis, points)
+        for cls, image in zip(basis, images, strict=True):
             composite, sp = cls.coeffs, space
             for phi in phis:
                 composite = single_contraction(sp, composite, phi)
                 sp = sp.shifted(-1, 0)
-            direct = ev_D(cls, points).coeffs
-            assert composite == {k: sign * v % PRIME for k, v in direct.items()}
+            assert composite == {k: sign * v % PRIME for k, v in image.coeffs.items()}
 
         # factorization verdicts, stable under rescaling of the class and of
         # a defining functional
         scaled_phis = [tuple(lam * c % PRIME for c in phis[0]), *phis[1:]]
-        for cls in basis:
-            assert projection_factor_check(ev_D(cls, points))["factors"] is True
-            assert projection_factor_check(ev_D(cls.scaled(lam), points))["factors"] is True
+        rescaled_images = ev_D([scaled(cls, lam) for cls in basis], points)
+        for cls, image, rescaled_image in zip(basis, images, rescaled_images, strict=True):
+            assert projection_factor_check(image)["factors"] is True
+            assert projection_factor_check(rescaled_image)["factors"] is True
             rescaled = alpha_chain(space, cls.coeffs, scaled_phis)
             plain = alpha_chain(space, cls.coeffs, phis)
             assert rescaled == {k: lam * v % PRIME for k, v in plain.items()}

@@ -352,11 +352,18 @@ def test_cli_empty_and_out_of_range_values_are_usage_errors(tmp_path, capsys):
     capsys.readouterr()
     gc = ["cache", "gc", "--cache", str(tmp_path)]
     bad_list = "expected comma-separated integers, each >= 0"
+    strands_cfg = tmp_path / "strands.cfg"
+    strands_cfg.write_text("strands = 1, 2, 1\n")
     for argv, message in (
         ([*gc, "--keep-primes", ""], "argument --keep-primes: " + bad_list),
         ([*gc, "--keep-primes", " , "], "argument --keep-primes: " + bad_list),
         (["verify", "--n", "1", "--d", "2", "--strands", ""], "argument --strands: " + bad_list),
         (["verify", "--n", "1", "--d", "2", "--strands", "-1"], "argument --strands: " + bad_list),
+        # a repeated strand would be graded twice
+        (["verify", "--n", "2", "--d", "2", "--p-max", "2", "--strands", "1,1"],
+         "argument --strands: expected each value once, got '1,1'"),
+        (["verify", "--n", "2", "--d", "2", "--p-max", "2", "--config", str(strands_cfg)],
+         "argument --strands: expected each value once, got '1, 2, 1'"),
         (["betti", "--n", "0", "--d", "2"], "argument --n: expected an integer >= 1, got 0"),
         (["betti", "--n", "1", "--d", "0"], "argument --d: expected an integer >= 1, got 0"),
         (["verify", "--n", "-1", "--d", "2"], "argument --n: expected an integer >= 1, got -1"),
@@ -423,8 +430,8 @@ def test_cli_maps_ev(capsys):
 
 
 def test_cli_maps_ev_contracts_each_class_once(monkeypatch, capsys):
-    # one cycle basis, of the source; each class is contracted once, and
-    # its image serves both the factor check and the induced rank
+    # one cycle basis, of the source, contracted by one ev_D call; each
+    # image serves both the factor check and the induced rank
     calls = {"cycle_basis": 0, "ev_D": 0}
 
     def counted(name, func):
@@ -440,7 +447,7 @@ def test_cli_maps_ev_contracts_each_class_once(monkeypatch, capsys):
     assert main(["maps", "ev", "--n", "2", "--d", "3", "--p", "6", "--seed", "0"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["source_dim"] == 27
-    assert calls == {"cycle_basis": 1, "ev_D": 27}
+    assert calls == {"cycle_basis": 1, "ev_D": 1}
 
 
 def test_cli_maps_ev_reads_a_points_file(tmp_path, capsys):
@@ -463,6 +470,13 @@ def test_cli_unusable_files_are_usage_errors(tmp_path, capsys):
     # the seeded points moved off x_0 = 0: general, but not on the hyperplane
     seeded = sample_general_points(VeroneseParams(2, 3), PINNED_PRIMES[0], 0)
     off_hyperplane = [[1, *pt.coords[1:]] for pt in seeded]
+    assert all(pt.coords[:2] == (0, 1) for pt in seeded)
+
+    def spelled(one):
+        # the seeded points with the first one's coordinate 1 spelled as
+        # `one`, which int() would read back as 1
+        return [[0, one, seeded[0].coords[2]], *(list(pt.coords) for pt in seeded[1:])]
+
     for argv, points, message in (
         (missing_config, None, "cannot read config file"),
         (ev, None, "No such file or directory"),
@@ -472,6 +486,10 @@ def test_cli_unusable_files_are_usage_errors(tmp_path, capsys):
         (ev, [[0, 1, 0], [0, 1, 0], [0, 0, 1], [0, 1, 1]],
          "the points fail the general-position certificate"),
         (ev, off_hyperplane, "every point must lie on the hyperplane x_0 = 0"),
+        # coordinates that int() would truncate or parse into the seeded points
+        (ev, spelled(1.7), "every coordinate must be a JSON integer"),
+        (ev, spelled(True), "every coordinate must be a JSON integer"),
+        (ev, spelled("1"), "every coordinate must be a JSON integer"),
     ):
         if points is not None:
             (tmp_path / "p.json").write_text(json.dumps(points))

@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from conftest import random_point
 
 from vsl.bounds import binom, h0
 from vsl.polyspace import (
@@ -90,7 +91,7 @@ def test_point_normalization():
         PointOverField.make((0, 0), PRIME)
     rng = random.Random(11)
     for _ in range(20):
-        p = PointOverField.random(2, PRIME, rng)
+        p = random_point(2, PRIME, rng)
         lead = next(c for c in p.coords if c)
         assert lead == 1
         q = PointOverField.random_on_hyperplane(2, PRIME, rng)
@@ -109,7 +110,7 @@ def test_evaluate():
 
 def test_evaluate_is_multiplicative():
     rng = random.Random(7)
-    pt = PointOverField.random(2, PRIME, rng)
+    pt = random_point(2, PRIME, rng)
     for _ in range(20):
         a = random.choice(monomial_basis(2, 2))
         b = random.choice(monomial_basis(2, 3))

@@ -2,10 +2,14 @@ from __future__ import annotations
 
 import itertools
 import random
+from math import comb
 
 import numpy as np
 import pytest
+from conftest import ev_at_point, plus, random_point, scaled
 
+import vsl.syzygy
+import vsl.wedge
 from vsl.bounds import VeroneseParams, h0, projection_codim
 from vsl.harness import dense_differential
 from vsl.linalg import PINNED_PRIMES, dense_rank_mod
@@ -18,11 +22,9 @@ from vsl.syzygy import (
     apply_differential,
     cycle_basis,
     ev_D,
-    ev_point,
     genericity_certificate,
     normalize,
     induced_map_rank,
-    is_boundary,
     point_functional,
     projection_factor_check,
     sample_general_points,
@@ -60,9 +62,9 @@ def test_koszul_class_rejects_non_cycles():
 
 def test_class_algebra(eng):
     basis = cycle_basis(VeroneseParams(2, 2), 3, 1, eng)
-    combo = basis[0].plus(basis[1].scaled(7))
+    combo = plus(basis[0], scaled(basis[1], 7))
     assert combo.space == basis[0].space
-    doubled = combo.plus(combo)
+    doubled = plus(combo, combo)
     for key, val in combo.coeffs.items():
         assert doubled.coeffs[key] == 2 * val % PRIME
 
@@ -75,12 +77,8 @@ def test_ev_point_sends_boundaries_to_boundaries(eng):
     for _ in range(20):
         y = random_chain(rng, up, terms=3)
         boundary = KoszulClass(mid, apply_differential(up, y))
-        pt = PointOverField.random(1, PRIME, rng)
-        image = ev_point(boundary, pt)
-        ok, witness = is_boundary(image)
-        assert ok
-        if image.coeffs:
-            assert witness
+        image = ev_at_point(boundary, random_point(1, PRIME, rng))
+        assert induced_map_rank([image]) == 0
 
 
 def test_ev_point_zero_functional_on_support():
@@ -99,8 +97,8 @@ def test_ev_point_induced_map_is_nonzero(eng):
     params = VeroneseParams(1, 3)
     classes = cycle_basis(params, 2, 1, eng)
     assert (len(classes), eng.kpq_dim(params, 1, 1)) == (2, 3)
-    pt = PointOverField.random(1, PRIME, rng)
-    assert induced_map_rank([ev_point(c, pt) for c in classes]) >= 1
+    pt = random_point(1, PRIME, rng)
+    assert induced_map_rank([ev_at_point(c, pt) for c in classes]) >= 1
 
 
 def test_genericity_certificate_and_determinism():
@@ -126,8 +124,9 @@ def test_ev_d_single_point_is_plain_contraction(eng):
     params = VeroneseParams(1, 4)
     pts = sample_general_points(params, PRIME, seed=1)
     assert len(pts) == 1
-    for cls in cycle_basis(params, 2, 1, eng):
-        assert ev_D(cls, pts).coeffs == ev_point(cls, pts[0]).coeffs
+    classes = cycle_basis(params, 2, 1, eng)
+    for cls, image in zip(classes, ev_D(classes, pts), strict=True):
+        assert image.coeffs == ev_at_point(cls, pts[0]).coeffs
 
 
 def test_ev_d_needs_enough_wedge_factors(eng):
@@ -135,16 +134,16 @@ def test_ev_d_needs_enough_wedge_factors(eng):
     pts = sample_general_points(params, PRIME, seed=1)
     cls = cycle_basis(params, 2, 1, eng)[0]
     with pytest.raises(ValueError, match="p >= s"):
-        ev_D(cls, pts)
+        ev_D([cls], pts)
 
 
 def test_ev_d_to_vanishing_target_is_null_homologous(eng):
     params = VeroneseParams(2, 2)
     pts = sample_general_points(params, PRIME, seed=2)
     assert eng.kpq_dim(params, 0, 1) == 0
-    for cls in cycle_basis(params, 3, 1, eng):
-        image = ev_D(cls, pts)
-        assert is_boundary(image)[0]
+    images = ev_D(cycle_basis(params, 3, 1, eng), pts)
+    assert len(images) == 3
+    assert induced_map_rank(images) == 0
 
 
 def test_ev_d_commutes_with_differential_on_raw_chains():
@@ -165,35 +164,74 @@ def test_ev_d_scalar_equivariance(eng):
     pts = sample_general_points(params, PRIME, seed=5)
     cls = cycle_basis(params, 3, 1, eng)[1]
     lam = 3141592
-    a = ev_D(cls.scaled(lam), pts)
-    b = ev_D(cls, pts).scaled(lam)
-    assert a.coeffs == b.coeffs
+    a, b = ev_D([scaled(cls, lam), cls], pts)
+    assert a.coeffs == scaled(b, lam).coeffs
+
+
+def test_ev_d_maps_a_basis_with_one_certificate_and_one_minor_table(eng, monkeypatch):
+    # (2,3) p=5: s = 4 points, h0 = 10 wedge factors; every minor is one of
+    # the C(10, 4) 4-subsets, whichever of the 105 classes asks for it
+    params = VeroneseParams(2, 3)
+    pts = sample_general_points(params, PRIME, seed=0)
+    classes = cycle_basis(params, 5, 1, eng)
+    one_by_one = [ev_D([cls], pts)[0] for cls in classes]
+    calls = {"genericity_certificate": 0, "det_mod": 0}
+
+    def counted(name, func):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return func(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(
+        vsl.syzygy, "genericity_certificate",
+        counted("genericity_certificate", vsl.syzygy.genericity_certificate),
+    )
+    det_mod = counted("det_mod", vsl.wedge.det_mod)
+    monkeypatch.setattr(vsl.wedge, "det_mod", det_mod)
+    monkeypatch.setattr(vsl.syzygy, "det_mod", det_mod)
+    images = ev_D(classes, pts)
+    assert calls["genericity_certificate"] == 1
+    assert 1 < calls["det_mod"] <= comb(10, 4) + 1
+    assert len(images) == len(classes) == 105
+    assert [img.coeffs for img in images] == [img.coeffs for img in one_by_one]
+    assert {img.space for img in images} == {classes[0].space.shifted(-4, 0)}
+
+
+def test_ev_d_of_no_classes_and_of_two_spaces(eng):
+    params = VeroneseParams(2, 3)
+    pts = sample_general_points(params, PRIME, seed=0)
+    assert ev_D([], pts) == []
+    mixed = [cycle_basis(params, 5, 1, eng)[0], cycle_basis(params, 6, 1, eng)[0]]
+    with pytest.raises(ValueError, match="different spaces"):
+        ev_D(mixed, pts)
 
 
 def test_projection_factor_check_on_conic_classes(eng):
     params = VeroneseParams(2, 2)
     pts = sample_general_points(params, PRIME, seed=6)
-    for cls in cycle_basis(params, 3, 1, eng):
-        out = projection_factor_check(ev_D(cls, pts))
+    basis = cycle_basis(params, 3, 1, eng)
+    for image in ev_D(basis, pts):
+        out = projection_factor_check(image)
         assert out["factors"] is True
         assert out["residual_support"] == 0  # image here is exactly a boundary
-        out_scaled = projection_factor_check(ev_D(cls.scaled(271828), pts))
-        assert out_scaled["factors"] is True
+    for image in ev_D([scaled(cls, 271828) for cls in basis], pts):
+        assert projection_factor_check(image)["factors"] is True
 
 
 def test_projection_factor_check_zero_class(eng):
     params = VeroneseParams(2, 2)
     pts = sample_general_points(params, PRIME, seed=7)
     zero = KoszulClass(ChainSpace(params, 3, 1, PRIME), {})
-    out = projection_factor_check(ev_D(zero, pts))
+    out = projection_factor_check(ev_D([zero], pts)[0])
     assert out == {"factors": True, "witness": {}, "residual_support": 0}
 
 
 def test_projection_factor_check_on_line_quartic(eng):
     params = VeroneseParams(1, 4)
     pts = sample_general_points(params, PRIME, seed=8)
-    for cls in cycle_basis(params, 2, 1, eng):
-        assert projection_factor_check(ev_D(cls, pts))["factors"] is True
+    for image in ev_D(cycle_basis(params, 2, 1, eng), pts):
+        assert projection_factor_check(image)["factors"] is True
 
 
 def test_induced_rank_stable_across_general_point_sets(eng):
@@ -203,26 +241,30 @@ def test_induced_rank_stable_across_general_point_sets(eng):
     ranks = set()
     for seed in range(20):
         pts = sample_general_points(params, PRIME, seed=seed)
-        ranks.add(induced_map_rank([ev_D(c, pts) for c in classes]))
+        ranks.add(induced_map_rank(ev_D(classes, pts)))
     assert len(ranks) == 1
     assert ranks.pop() > 0
 
 
 def test_is_boundary_detects_non_boundaries(eng):
+    # each basis class is nonzero modulo boundaries
     for cls in cycle_basis(VeroneseParams(1, 3), 1, 1, eng):
-        assert is_boundary(cls)[0] is False
+        assert induced_map_rank([cls]) == 1
 
 
 def test_is_boundary_witness_verifies(eng):
+    # a boundary factors with nothing left over, and the factor check's
+    # witness maps onto it
     rng = random.Random(9)
     params = VeroneseParams(2, 2)
     up = ChainSpace(params, 4, 0, PRIME)
     mid = ChainSpace(params, 3, 1, PRIME)
     y = random_chain(rng, up, terms=4)
     cls = KoszulClass(mid, apply_differential(up, y))
-    ok, witness = is_boundary(cls)
-    assert ok
-    assert normalize(mid, apply_differential(up, witness)) == cls.coeffs
+    assert cls.coeffs
+    out = projection_factor_check(cls)
+    assert out["residual_support"] == 0
+    assert normalize(mid, apply_differential(up, out["witness"])) == cls.coeffs
 
 
 def test_induced_map_rank_of_a_basis_is_full(eng):
@@ -231,22 +273,22 @@ def test_induced_map_rank_of_a_basis_is_full(eng):
     params = VeroneseParams(2, 2)
     basis = cycle_basis(params, 3, 1, eng)
     assert induced_map_rank(basis) == len(basis) == 3
-    assert induced_map_rank([basis[0].plus(basis[2].scaled(5)), basis[2], basis[1]]) == 3
-    assert induced_map_rank([basis[0], basis[0].scaled(5), basis[2]]) == 2
+    assert induced_map_rank([plus(basis[0], scaled(basis[2], 5)), basis[2], basis[1]]) == 3
+    assert induced_map_rank([basis[0], scaled(basis[0], 5), basis[2]]) == 2
     assert induced_map_rank([]) == 0
     # a boundary adds nothing, and alone has rank 0
     up = ChainSpace(params, 4, 0, PRIME)
     bd = KoszulClass(basis[0].space, apply_differential(up, random_chain(random.Random(4), up)))
     assert bd.coeffs
     assert induced_map_rank([bd]) == 0
-    assert induced_map_rank([basis[0].plus(bd), basis[1], basis[2].plus(bd)]) == 3
+    assert induced_map_rank([plus(basis[0], bd), basis[1], plus(basis[2], bd)]) == 3
     # classes spanning several multidegree blocks are exact, not refused
     basis = cycle_basis(VeroneseParams(2, 3), 2, 1, eng)
     space = basis[0].space
     assert space.key_mdeg(next(iter(basis[0].coeffs))) != space.key_mdeg(
         next(iter(basis[1].coeffs))
     )
-    spanning = [basis[0].plus(basis[1])] + basis[1:]
+    spanning = [plus(basis[0], basis[1])] + basis[1:]
     assert induced_map_rank(spanning) == len(basis)
     assert induced_map_rank(spanning[:2]) == 2
     with pytest.raises(ValueError, match="different spaces"):
@@ -276,7 +318,7 @@ def test_induced_map_rank_matches_a_block_free_reference(eng, p):
     classes = cycle_basis(params, p, 1, eng)
     for seed in range(3):
         pts = sample_general_points(params, PRIME, seed=seed)
-        images = [ev_D(c, pts) for c in classes]
+        images = ev_D(classes, pts)
         rank = induced_map_rank(images)
         assert rank == _block_free_rank(params, images) > 0
         # random combinations of nonzero images plus a random boundary, each
@@ -288,7 +330,7 @@ def test_induced_map_rank_matches_a_block_free_reference(eng, p):
         for _ in range(8):
             combo = KoszulClass(space, apply_differential(up, random_chain(rng, up, terms=3)))
             for img in rng.sample(nonzero, 3):
-                combo = combo.plus(img.scaled(rng.randrange(1, PRIME)))
+                combo = plus(combo, scaled(img, rng.randrange(1, PRIME)))
             combos.append(combo)
             assert induced_map_rank(combos) == _block_free_rank(params, combos)
         assert len({combo.space.key_mdeg(key) for key in combos[0].coeffs}) > 1
