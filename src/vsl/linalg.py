@@ -203,6 +203,43 @@ def rational_rank(block, dense_limit: int = DEFAULT_DENSE_LIMIT) -> int:
     return len(basis)
 
 
+def echelon_mod(entries, p: int) -> dict[int, dict[int, int]]:
+    """Sparse echelon basis over GF(p) of the columns of (row, col, value)
+    triples (repeats accumulate), as {lead: vector}, each vector monic at its
+    lead (lowest row).  Columns enter in index order and reduce at their lead
+    until it is new.  The leads are where vectors of the column span lead."""
+    columns: dict[int, dict[int, int]] = {}
+    for r, c, v in entries:
+        col = columns.setdefault(c, {})
+        col[r] = col.get(r, 0) + v
+    basis: dict[int, dict[int, int]] = {}
+    for c in sorted(columns):
+        vec = {r: x for r, v in columns[c].items() if (x := v % p)}
+        while vec:
+            lead = min(vec)
+            if (stored := basis.get(lead)) is None:
+                inv = pow(vec[lead], -1, p)
+                basis[lead] = {r: v * inv % p for r, v in vec.items()}
+                break
+            f = vec[lead]
+            for r, v in stored.items():
+                if x := (vec.get(r, 0) - f * v) % p:
+                    vec[r] = x
+                else:
+                    del vec[r]
+    return basis
+
+
+def kernel_mod(entries: list, ncols: int, p: int) -> list[dict[int, int]]:
+    """`nullspace_mod`'s kernel basis, column for column, as {col: value}.
+    Column c enters `echelon_mod` with a 1 at row top - c, below the matrix
+    and in reversed order, so a column that reduces to zero on the matrix's
+    rows leads at its own 1 and is left as its combination of columns."""
+    top = max((r for r, _, _ in entries), default=-1) + ncols
+    basis = echelon_mod(entries + [(top - c, c, 1) for c in range(ncols)], p)
+    return [{top - k: v for k, v in b.items()} for lead, b in basis.items() if lead > top - ncols]
+
+
 def rref_mod(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form over GF(p); returns (matrix, pivot columns).
 

@@ -4,6 +4,11 @@ alpha_chain with one functional is the single-point contraction),
 factorization through the subspace of forms vanishing on the hyperplane,
 and the degree-drop chain of implications for linear-strand vanishing.
 
+A cycle basis is built sparsely, block by block: the canonical kernel basis
+of the outgoing block is the identity on its free columns and contains the
+incoming image, so a free column's class is kept unless some image vector,
+restricted to the free columns, has its last nonzero coordinate there.
+
 A map's rank on homology is read from the image cycles of a source basis:
 dim((span(images) + B) / B), B the image of the target's incoming
 differential, that is rank[B | images] - rank[B].
@@ -23,7 +28,7 @@ import numpy as np
 from .bounds import InvariantViolation, VeroneseParams, binom, h0, projection_codim
 from .betti import CONSISTENT, VIOLATION, Engine
 from .koszul import BlockKey, differential_block, space_blocks, wedge_subsets
-from .linalg import nullspace_mod, rref_mod, solve_mod
+from .linalg import echelon_mod, kernel_mod, rref_mod, solve_mod
 from .polyspace import (
     MultiDegree,
     PointOverField,
@@ -154,11 +159,11 @@ def _block_system(space: ChainSpace, mdeg, extra: np.ndarray) -> tuple[np.ndarra
 def cycle_basis(params: VeroneseParams, p: int, q: int, engine: Engine) -> list[KoszulClass]:
     """Representatives of a basis of K_{p,q}, one multidegree block at a time.
 
-    Within each block: kernel vectors of the outgoing differential, kept
-    only when independent modulo the incoming image and the vectors kept
-    before them (the pivot columns of the echelonized [image | kernel]).
-    The total count must agree with the blockwise dimension computation,
-    and does by construction of both paths from the same block matrices.
+    Within each block: the canonical kernel basis of the outgoing
+    differential (`kernel_mod`), keeping free column j's vector unless an
+    image vector restricted to the free columns ends at j, found as the
+    image's trailing pivots.  The total count must agree with `kpq_dim`, and
+    does by construction of both paths from the same block matrices.
     """
     prime = engine.field.p
     space = ChainSpace(params, p, q, prime)
@@ -169,21 +174,19 @@ def cycle_basis(params: VeroneseParams, p: int, q: int, engine: Engine) -> list[
     classes: list[KoszulClass] = []
     for mdeg in sorted(blocks, reverse=True):
         elements = _block_elements(space, mdeg)
-        if p >= 1:
-            block = differential_block(_block_key(space, mdeg))
-            kern = nullspace_mod(block.dense(), prime)
-        else:
-            kern = np.eye(len(elements), dtype=np.int64)
-        if kern.shape[1] == 0:
+        out = differential_block(_block_key(space, mdeg)).entries if p >= 1 else []
+        kernel = kernel_mod(out, len(elements), prime)
+        if not kernel:
             continue
-        a, width = _block_system(space, mdeg, kern % prime)
-        _, pivots = rref_mod(a, prime)
-        for c in pivots:
-            if c < width:
-                continue
-            vec = a[:, c]
-            coeffs = {elements[i]: int(vec[i]) for i in np.nonzero(vec)[0]}
-            classes.append(KoszulClass(space, coeffs))
+        # kernel[i] is 1 at its free column, its largest index; keyed -i, an
+        # image vector leads at its last nonzero free coordinate
+        rev = {max(vec): -i for i, vec in enumerate(kernel)}
+        a_in = differential_block(_block_key(space.shifted(+1, -1), mdeg))
+        image = [(rev[r], c, v) for r, c, v in a_in.entries if r in rev]
+        dropped = {-lead for lead in echelon_mod(image, prime)}
+        for i, vec in enumerate(kernel):
+            if i not in dropped:
+                classes.append(KoszulClass(space, {elements[k]: vec[k] for k in sorted(vec)}))
     expected = engine.kpq_dim(params, p, q)
     if len(classes) != expected:
         raise InvariantViolation(

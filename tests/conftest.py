@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from vsl.betti import BettiTable, Engine, ResourceRefusal
 from vsl.bounds import VeroneseParams, h0
-from vsl.linalg import FieldSpec, PINNED_PRIMES
+from vsl.koszul import BlockKey, differential_block, space_blocks, wedge_subsets
+from vsl.linalg import FieldSpec, PINNED_PRIMES, nullspace_mod, rref_mod
 from vsl.polyspace import PointOverField
 from vsl.syzygy import KoszulClass, alpha_chain, point_functional
 
@@ -34,6 +36,35 @@ def direct_table(params: VeroneseParams, engine: Engine) -> BettiTable:
             except ResourceRefusal as refusal:
                 table.skipped[(p, q)] = str(refusal)
     return table
+
+
+def dense_cycle_basis(params: VeroneseParams, p: int, q: int, prime: int) -> list[dict]:
+    """The coefficients of a basis of K_{p,q} by the dense algorithm, the
+    reference for `cycle_basis`: per block, in descending multidegree order,
+    `nullspace_mod` of the outgoing block densified, then the kernel columns
+    that are pivots of `rref_mod` of [incoming image | kernel]."""
+    n, d, b = params.n, params.d, params.b
+    m = b + q * d
+    if p < 0 or p > h0(n, d) or m < 0:
+        return []
+    blocks = space_blocks(n, d, p, m)
+    subsets = wedge_subsets(n, d, p)[0]
+    classes = []
+    for mdeg in sorted(blocks, reverse=True):
+        si, ui = blocks[mdeg]
+        elements = [(tuple(subsets[i].tolist()), int(u)) for i, u in zip(si, ui)]
+        if p >= 1:
+            kern = nullspace_mod(differential_block(BlockKey(n, d, b, p, q, mdeg)).dense(), prime)
+        else:
+            kern = np.eye(len(elements), dtype=np.int64)
+        a, width = kern, 0
+        if kern.shape[1] and b + (q - 1) * d >= 0 and p + 1 <= h0(n, d):
+            a_in = differential_block(BlockKey(n, d, b, p + 1, q - 1, mdeg)).dense()
+            a, width = np.hstack([a_in, kern]), a_in.shape[1]
+        for c in rref_mod(a, prime)[1]:
+            if c >= width:
+                classes.append({elements[i]: int(a[i, c]) for i in np.nonzero(a[:, c])[0]})
+    return classes
 
 
 def single_contraction(space, coeffs: dict, phi) -> dict:

@@ -14,7 +14,9 @@ from vsl.linalg import (
     PINNED_PRIMES,
     FieldSpec,
     dense_rank_mod,
+    echelon_mod,
     is_prime,
+    kernel_mod,
     nullspace_mod,
     rational_rank,
     rref_mod,
@@ -128,13 +130,16 @@ def test_rank_routes_agree_on_random_sign_matrices():
 
 
 @st.composite
-def triples_with_cancellation(draw, values=(1, -1)):
+def triples_with_cancellation(draw, values=(1, -1), min_size=1):
     """Sparse triples with entries from `values` and repeated positions, some
     of them cancelling, plus rows repeated or scaled into other rows.  The
     flags mark triples to write as their residue mod p, so -1 becomes p-1 and
-    a pair can sum to 0 mod p without summing to 0."""
-    nrows = draw(st.integers(1, 12))
-    ncols = draw(st.integers(1, 12))
+    a pair can sum to 0 mod p without summing to 0.  With min_size=0 a side
+    may be empty, and then so are the triples."""
+    nrows = draw(st.integers(min_size, 12))
+    ncols = draw(st.integers(min_size, 12))
+    if not nrows or not ncols:
+        return nrows, ncols, [], []
     cell = st.tuples(
         st.integers(0, nrows - 1), st.integers(0, ncols - 1), st.sampled_from(values)
     )
@@ -214,6 +219,29 @@ def test_rational_rank_matches_fraction_elimination(case):
     for r, c, v in entries:
         a[r, c] += v
     assert rational_rank(_block(entries, nrows, ncols)) == rank_modp_fraction_check(a)
+
+
+@pytest.mark.parametrize("prime", (3, 7, P))
+@settings(max_examples=200, deadline=None)
+@given(case=triples_with_cancellation(values=tuple(range(-3, 4)), min_size=0))
+def test_kernel_mod_is_nullspace_mod_column_for_column(prime, case):
+    nrows, ncols, entries, flags = case
+    entries = [(r, c, v % prime if f else v) for (r, c, v), f in zip(entries, flags)]
+    a = np.zeros((nrows, ncols), dtype=np.int64)
+    for r, c, v in entries:
+        a[r, c] += v
+    kernel = kernel_mod(entries, ncols, prime)
+    got = np.zeros((ncols, len(kernel)), dtype=np.int64)
+    for j, vec in enumerate(kernel):
+        for i, v in vec.items():
+            got[i, j] = v
+    assert np.array_equal(got, nullspace_mod(a, prime))
+    # the leads are where vectors of the column span lead: the pivot
+    # columns of the transpose's echelon form, in any insertion order
+    leads = echelon_mod(entries, prime)
+    assert sorted(leads) == rref_mod(a.T, prime)[1]
+    flipped = [(r, ncols - 1 - c, v) for r, c, v in entries]
+    assert sorted(echelon_mod(flipped, prime)) == sorted(leads)
 
 
 def test_rref_and_nullspace():

@@ -40,7 +40,9 @@ CASES = {
         ["verify", *TABLE, "--max-block-cols", "20", "--format", "text"], 1, False
     ),
     "maps_chain_2_3": (["maps", "chain", *TABLE, "--p-min", "0", "--p-max", "10"], 0, False),
-    # image_support and factors per class, which the benchmark does not check
+    # image_support and factors per class, which the benchmark does not check;
+    # p=4 has the largest (2,3) cycle basis (189 classes)
+    "maps_ev_2_3_p4": (["maps", "ev", *TABLE, "--p", "4", "--seed", "0"], 0, False),
     "maps_ev_2_3_p5": (["maps", "ev", *TABLE, "--p", "5", "--seed", "0"], 0, False),
     "maps_ev_2_3_p6": (["maps", "ev", *TABLE, "--p", "6", "--seed", "0"], 0, False),
 }

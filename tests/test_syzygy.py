@@ -6,13 +6,14 @@ from math import comb
 
 import numpy as np
 import pytest
-from conftest import ev_at_point, plus, random_point, scaled
+from conftest import dense_cycle_basis, ev_at_point, plus, random_point, scaled
 
 import vsl.syzygy
 import vsl.wedge
+from vsl.betti import Engine
 from vsl.bounds import VeroneseParams, h0, projection_codim
 from vsl.harness import dense_differential
-from vsl.linalg import PINNED_PRIMES, dense_rank_mod
+from vsl.linalg import PINNED_PRIMES, FieldSpec, dense_rank_mod
 from vsl.polyspace import PointOverField, monomial_basis
 from vsl.syzygy import (
     ChainSpace,
@@ -50,6 +51,22 @@ def test_cycle_basis_sizes(eng):
     assert len(cycle_basis(VeroneseParams(2, 2), 3, 1, eng)) == 3
     assert cycle_basis(VeroneseParams(2, 2), 4, 1, eng) == []
     assert cycle_basis(VeroneseParams(1, 2), 5, 1, eng) == []
+
+
+@pytest.mark.parametrize("prime", (PRIME, 7))
+@pytest.mark.parametrize("n, d", [(2, 2), (2, 3), (1, 4), (3, 2)])
+def test_cycle_basis_equals_the_dense_algorithm(n, d, prime):
+    # class for class and coefficient for coefficient, in the same order,
+    # also at a prime small enough for entries to cancel; every twist and
+    # strand at p <= 2, and the whole untwisted strand 1 that `maps ev` reads
+    eng = Engine(FieldSpec.prime(prime))
+    cases = set(itertools.product((-1, 0, 1), (0, 1, 2), (0, 1, 2)))
+    cases |= {(0, 1, p) for p in range(h0(n, d) + 1)}
+    for b, q, p in sorted(cases):
+        params = VeroneseParams(n, d, b)
+        got = [list(cls.coeffs.items()) for cls in cycle_basis(params, p, q, eng)]
+        want = [list(coeffs.items()) for coeffs in dense_cycle_basis(params, p, q, prime)]
+        assert got == want, (b, q, p)
 
 
 def test_koszul_class_rejects_non_cycles():
