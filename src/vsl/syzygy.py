@@ -4,14 +4,14 @@ alpha_chain with one functional is the single-point contraction),
 factorization through the subspace of forms vanishing on the hyperplane,
 and the degree-drop chain of implications for linear-strand vanishing.
 
-A cycle basis is built sparsely, block by block: the canonical kernel basis
-of the outgoing block is the identity on its free columns and contains the
-incoming image, so a free column's class is kept unless some image vector,
-restricted to the free columns, has its last nonzero coordinate there.
-
-A map's rank on homology is read from the image cycles of a source basis:
-dim((span(images) + B) / B), B the image of the target's incoming
-differential, that is rank[B | images] - rank[B].
+Every solve runs inside multidegree blocks, modulo the image of the
+incoming block, on sparse echelons over GF(p) (`echelon_mod`,
+`kernel_mod`); no block is made dense.  A cycle basis keeps the canonical
+kernel vectors the incoming image does not reach; a map's rank on homology
+is rank[B | images] - rank[B], B the incoming image; image = d(y) + z, z
+on the forms vanishing on the hyperplane, is solvable exactly when the
+image's column is free in the kernel of [incoming block | z's elements |
+image].
 
 Chains are sparse dicts keyed by (wedge index tuple, coefficient monomial
 index).  The hyperplane is always x_0 = 0; its point count s equals the
@@ -23,12 +23,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-import numpy as np
-
 from .bounds import InvariantViolation, VeroneseParams, binom, h0, projection_codim
 from .betti import CONSISTENT, VIOLATION, Engine
-from .koszul import BlockKey, differential_block, space_blocks, wedge_subsets
-from .linalg import echelon_mod, kernel_mod, rref_mod, solve_mod
+from .koszul import BlockKey, KoszulBlockMatrix, differential_block, space_blocks, wedge_subsets
+from .linalg import echelon_mod, kernel_mod
 from .polyspace import (
     MultiDegree,
     PointOverField,
@@ -145,15 +143,10 @@ def _block_key(space: ChainSpace, mdeg) -> BlockKey:
     return BlockKey(par.n, par.d, par.b, space.p, space.q, tuple(mdeg))
 
 
-def _block_system(space: ChainSpace, mdeg, extra: np.ndarray) -> tuple[np.ndarray, int]:
-    """[incoming image | extra] over block mdeg, whose elements index the
-    rows of extra, and the image's width (0 when the incoming term
-    vanishes)."""
-    params = space.params
-    if params.b + (space.q - 1) * params.d < 0 or space.p + 1 > h0(params.n, params.d):
-        return extra, 0
-    a_in = differential_block(_block_key(space.shifted(+1, -1), mdeg)).dense()
-    return np.hstack([a_in, extra]), a_in.shape[1]
+def _incoming(space: ChainSpace, mdeg) -> KoszulBlockMatrix:
+    """Block mdeg of the differential into the space; 0 x 0 when the incoming
+    term vanishes."""
+    return differential_block(_block_key(space.shifted(+1, -1), mdeg))
 
 
 def cycle_basis(params: VeroneseParams, p: int, q: int, engine: Engine) -> list[KoszulClass]:
@@ -181,8 +174,7 @@ def cycle_basis(params: VeroneseParams, p: int, q: int, engine: Engine) -> list[
         # kernel[i] is 1 at its free column, its largest index; keyed -i, an
         # image vector leads at its last nonzero free coordinate
         rev = {max(vec): -i for i, vec in enumerate(kernel)}
-        a_in = differential_block(_block_key(space.shifted(+1, -1), mdeg))
-        image = [(rev[r], c, v) for r, c, v in a_in.entries if r in rev]
+        image = [(rev[r], c, v) for r, c, v in _incoming(space, mdeg).entries if r in rev]
         dropped = {-lead for lead in echelon_mod(image, prime)}
         for i, vec in enumerate(kernel):
             if i not in dropped:
@@ -301,21 +293,18 @@ def ev_D(classes: list[KoszulClass], points: list[PointOverField]) -> list[Koszu
 
 def _block_columns(
     space: ChainSpace, chains: list[ChainCoeffs]
-) -> dict[MultiDegree, tuple[list[ChainKey], np.ndarray]]:
-    """Each block the chains touch: its elements, and the chains as columns
-    over them."""
-    parts: dict[MultiDegree, list[tuple[int, ChainKey, int]]] = {}
+) -> dict[MultiDegree, tuple[list[ChainKey], list[tuple[int, int, int]]]]:
+    """Each block the chains touch: its elements, and the chains over them as
+    (element position, chain index, value) triples."""
+    parts: dict[MultiDegree, list[tuple[ChainKey, int, int]]] = {}
     for j, coeffs in enumerate(chains):
         for key, val in coeffs.items():
-            parts.setdefault(space.key_mdeg(key), []).append((j, key, val))
+            parts.setdefault(space.key_mdeg(key), []).append((key, j, val))
     out = {}
     for mdeg, terms in parts.items():
         elements = _block_elements(space, mdeg)
         pos = {key: i for i, key in enumerate(elements)}
-        cols = np.zeros((len(elements), len(chains)), dtype=np.int64)
-        for j, key, val in terms:
-            cols[pos[key], j] = val
-        out[mdeg] = elements, cols
+        out[mdeg] = elements, [(pos[key], j, val) for key, j, val in terms]
     return out
 
 
@@ -325,24 +314,24 @@ def induced_map_rank(images: list[KoszulClass]) -> int:
     incoming differential, which is rank[B | images] - rank[B].
 
     Only the blocks the images touch enter: B holds their incoming blocks on
-    its diagonal and the image columns run across all of them.  A block the
-    images miss adds the same rank to both terms.  The difference is the
-    number of pivots of the echelonized [B | images] in image columns.
+    its diagonal and the image columns, numbered after B's, run across all
+    of them.  A block the images miss adds the same rank to both terms.
+    Both ranks are sizes of sparse echelon bases (`echelon_mod`).
     """
     if not images:
         return 0
     space = _one_space(images)
-    blocks = _block_columns(space, [img.coeffs for img in images])
-    systems = [_block_system(space, mdeg, cols) for mdeg, (_, cols) in blocks.items()]
-    width = sum(w for _, w in systems)
-    a = np.zeros((sum(len(s) for s, _ in systems), width + len(images)), dtype=np.int64)
-    row = col = 0
-    for s, w in systems:
-        a[row:row + len(s), col:col + w] = s[:, :w]
-        a[row:row + len(s), width:] = s[:, w:]
-        row, col = row + len(s), col + w
-    _, pivots = rref_mod(a, space.prime)
-    return sum(c >= width for c in pivots)
+    incoming: list[tuple[int, int, int]] = []
+    chains: list[tuple[int, int, int]] = []
+    row = width = 0
+    for mdeg, (elements, terms) in _block_columns(space, [img.coeffs for img in images]).items():
+        a_in = _incoming(space, mdeg)
+        incoming += [(row + r, width + c, v) for r, c, v in a_in.entries]
+        chains += [(row + r, j, v) for r, j, v in terms]
+        row, width = row + len(elements), width + a_in.ncols
+    after = [(r, width + j, v) for r, j, v in chains]
+    prime = space.prime
+    return len(echelon_mod(incoming + after, prime)) - len(echelon_mod(incoming, prime))
 
 
 # -- factorization and chain-of-implications checks ---------------------------
@@ -354,8 +343,10 @@ def projection_factor_check(image: KoszulClass) -> dict:
 
     Solves image = d(y) + z one multidegree block at a time, in descending
     order, with z constrained to basis elements whose wedge factors are all
-    divisible by x_0.  Returns the verdict and, on success, the boundary
-    witness y, or the first block without a solution.
+    divisible by x_0: `kernel_mod` of [incoming block | selectors of z |
+    image].  Returns the verdict and, on success, the boundary witness y,
+    the negated incoming part of the image column's kernel vector, or the
+    first block without a solution.
     """
     space = image.space
     prime = space.prime
@@ -366,17 +357,20 @@ def projection_factor_check(image: KoszulClass) -> dict:
     blocks = _block_columns(space, [image.coeffs])
     for mdeg in sorted(blocks, reverse=True):
         elements, target = blocks[mdeg]
+        a_in = _incoming(space, mdeg)
         chosen = [i for i, (sub, _ui) in enumerate(elements) if set(sub) <= allowed]
-        selectors = np.zeros((len(elements), len(chosen)), dtype=np.int64)
-        selectors[chosen, range(len(chosen))] = 1
-        a, width = _block_system(space, mdeg, selectors)
-        x = solve_mod(a, target[:, 0], prime)
-        if x is None:
+        width, last = a_in.ncols, a_in.ncols + len(chosen)
+        selectors = [(i, width + k, 1) for k, i in enumerate(chosen)]
+        # the target column is free exactly when it is solvable, and its
+        # kernel vector, the last one, is 1 there and minus a solution before
+        kernel = kernel_mod(a_in.entries + selectors + [(r, last, v) for r, _, v in target],
+                            last + 1, prime)
+        if not kernel or last not in kernel[-1]:
             return {"factors": False, "witness": None, "mdeg_failed": mdeg}
-        if width:
-            up_elements = _block_elements(up, mdeg)
-            for i in np.nonzero(x[:width])[0]:
-                witness[up_elements[int(i)]] = int(x[i])
+        up_elements = _block_elements(up, mdeg)
+        for i, v in sorted(kernel[-1].items()):
+            if i < width:
+                witness[up_elements[i]] = -v % prime
     residual = dict(image.coeffs)
     bdry = apply_differential(up, witness) if witness else {}
     for key, val in bdry.items():

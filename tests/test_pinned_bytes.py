@@ -1,4 +1,5 @@
-"""Pinned output and cache bytes of the CLI on the (2,3) tables.
+"""Pinned output and cache bytes of the CLI on the (2,3) tables, plus the
+maps report of the line quartic (1,4).
 
 Each case runs `vsl.cli.main` in-process at the first pinned prime, with
 its own empty cache directory, and compares the report (and, where listed,
@@ -45,6 +46,12 @@ CASES = {
     "maps_ev_2_3_p4": (["maps", "ev", *TABLE, "--p", "4", "--seed", "0"], 0, False),
     "maps_ev_2_3_p5": (["maps", "ev", *TABLE, "--p", "5", "--seed", "0"], 0, False),
     "maps_ev_2_3_p6": (["maps", "ev", *TABLE, "--p", "6", "--seed", "0"], 0, False),
+    # the incoming term of the target vanishes: b + (q-1)d < 0 at q = 1
+    "maps_ev_2_3_bm1_p4": (
+        ["maps", "ev", *TABLE, "--b", "-1", "--p", "4", "--seed", "0"], 0, False
+    ),
+    # one point (s = 1): the single-point contraction
+    "maps_ev_1_4_p2": (["maps", "ev", "--n", "1", "--d", "4", "--p", "2", "--seed", "0"], 0, False),
 }
 
 

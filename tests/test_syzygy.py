@@ -13,8 +13,8 @@ import vsl.wedge
 from vsl.betti import Engine
 from vsl.bounds import VeroneseParams, h0, projection_codim
 from vsl.harness import dense_differential
-from vsl.linalg import PINNED_PRIMES, FieldSpec, dense_rank_mod
-from vsl.polyspace import PointOverField, monomial_basis
+from vsl.linalg import PINNED_PRIMES, FieldSpec, dense_rank_mod, solve_mod
+from vsl.polyspace import PointOverField, monomial_basis, restriction_split
 from vsl.syzygy import (
     ChainSpace,
     GenericityError,
@@ -312,45 +312,107 @@ def test_induced_map_rank_of_a_basis_is_full(eng):
         induced_map_rank([basis[0], cycle_basis(params, 3, 1, eng)[0]])
 
 
-def _block_free_rank(params: VeroneseParams, images: list[KoszulClass]) -> int:
-    """rank[D | images] - rank[D] over whole spaces, D the incoming
-    differential from `dense_differential` and each chain element placed at
-    its itertools.combinations index: no multidegree block enters."""
-    space = images[0].space
-    d_in = dense_differential(params, space.p + 1, space.q - 1)
+def _whole_space(space: ChainSpace) -> tuple[np.ndarray, dict]:
+    """The incoming differential over the whole space from `dense_differential`,
+    with the space's row count also when the incoming term vanishes, and the
+    row of each chain element: its wedge subset's itertools.combinations
+    index times the monomial count, plus its monomial index.  No multidegree
+    block enters."""
+    params = space.params
     nwedge = len(monomial_basis(params.n, params.d))
     nmons = len(monomial_basis(params.n, space.m))
-    row = {sub: i for i, sub in enumerate(itertools.combinations(range(nwedge), space.p))}
-    cols = np.zeros((len(row) * nmons, len(images)), dtype=np.int64)
+    subsets = itertools.combinations(range(nwedge), space.p)
+    rows = {(sub, ui): i * nmons + ui for i, sub in enumerate(subsets) for ui in range(nmons)}
+    d_in = dense_differential(params, space.p + 1, space.q - 1)
+    if not len(d_in):
+        d_in = np.zeros((len(rows), 0), dtype=np.int64)
+    return d_in, rows
+
+
+def _block_free_rank(images: list[KoszulClass]) -> int:
+    """rank[D | images] - rank[D] over the whole space, D the incoming
+    differential."""
+    d_in, rows = _whole_space(images[0].space)
+    cols = np.zeros((len(rows), len(images)), dtype=np.int64)
     for j, img in enumerate(images):
-        for (sub, ui), val in img.coeffs.items():
-            cols[row[sub] * nmons + ui, j] = val
+        for key, val in img.coeffs.items():
+            cols[rows[key], j] = val
     return dense_rank_mod(np.hstack([d_in, cols]), PRIME) - dense_rank_mod(d_in, PRIME)
 
 
-@pytest.mark.parametrize("p", [5, 6])
-def test_induced_map_rank_matches_a_block_free_reference(eng, p):
-    params = VeroneseParams(2, 3)
+def _block_free_factors(cls: KoszulClass) -> bool:
+    """Whether cls = d(y) + z is solvable over the whole space, z supported
+    on the elements whose wedge factors are all divisible by x_0: `solve_mod`
+    of [D | selector columns] against cls."""
+    d_in, rows = _whole_space(cls.space)
+    divisible = set(restriction_split(cls.space.params.n, cls.space.params.d)[0])
+    chosen = [i for (sub, _ui), i in rows.items() if set(sub) <= divisible]
+    selectors = np.zeros((len(rows), len(chosen)), dtype=np.int64)
+    selectors[chosen, range(len(chosen))] = 1
+    target = np.zeros(len(rows), dtype=np.int64)
+    for key, val in cls.coeffs.items():
+        target[rows[key]] = val
+    return solve_mod(np.hstack([d_in, selectors]), target, PRIME) is not None
+
+
+@pytest.mark.parametrize(
+    "b, p", [pytest.param(0, 5, id="5"), pytest.param(0, 6, id="6"), pytest.param(-1, 4, id="b-1_4")]
+)
+def test_induced_map_rank_matches_a_block_free_reference(eng, b, p):
+    # at b = -1 the incoming term of the images' space vanishes (m = -1):
+    # B is empty, and the one nonzero image of each point set is a multiple
+    # of a single element, so its combinations stay in one block
+    params = VeroneseParams(2, 3, b)
     rng = random.Random(20241018 + p)
     classes = cycle_basis(params, p, 1, eng)
     for seed in range(3):
         pts = sample_general_points(params, PRIME, seed=seed)
         images = ev_D(classes, pts)
         rank = induced_map_rank(images)
-        assert rank == _block_free_rank(params, images) > 0
-        # random combinations of nonzero images plus a random boundary, each
-        # spread over many blocks; more of them than the rank
+        assert rank == _block_free_rank(images) > 0
+        # random combinations of nonzero images plus a random boundary where
+        # there are boundaries, each spread over many blocks at b = 0; more
+        # of them than the rank
         nonzero = [img for img in images if img.coeffs]
         space = images[0].space
         up = space.shifted(+1, -1)
         combos = []
         for _ in range(8):
-            combo = KoszulClass(space, apply_differential(up, random_chain(rng, up, terms=3)))
-            for img in rng.sample(nonzero, 3):
+            boundary = apply_differential(up, random_chain(rng, up, terms=3)) if up.m >= 0 else {}
+            combo = KoszulClass(space, boundary)
+            for img in rng.sample(nonzero, min(3, len(nonzero))):
                 combo = plus(combo, scaled(img, rng.randrange(1, PRIME)))
             combos.append(combo)
-            assert induced_map_rank(combos) == _block_free_rank(params, combos)
-        assert len({combo.space.key_mdeg(key) for key in combos[0].coeffs}) > 1
+            assert induced_map_rank(combos) == _block_free_rank(combos)
+        if b == 0:
+            assert len({combo.space.key_mdeg(key) for key in combos[0].coeffs}) > 1
+
+
+@pytest.mark.parametrize("b, p, count", [(0, 5, 40), (-1, 4, 105)])
+def test_projection_factor_check_matches_a_block_free_reference(eng, b, p, count):
+    # unprojected cycle classes mostly do not factor, so both verdicts occur;
+    # a failing block is one the chain touches.  The verdict is a property
+    # of the class, so adding a random boundary, where the incoming term
+    # does not vanish, keeps it
+    params = VeroneseParams(2, 3, b)
+    rng = random.Random(20241019)
+    classes = cycle_basis(params, p, 1, eng)[:count]
+    up = classes[0].space.shifted(+1, -1)
+    verdicts = []
+    for cls in classes:
+        want = _block_free_factors(cls)
+        shifted = [cls]
+        if up.m >= 0:
+            boundary = KoszulClass(cls.space, apply_differential(up, random_chain(rng, up)))
+            shifted.append(plus(cls, boundary))
+        for chain in shifted:
+            out = projection_factor_check(chain)
+            assert out["factors"] is want
+            if not want:
+                assert out["witness"] is None
+                assert out["mdeg_failed"] in {chain.space.key_mdeg(key) for key in chain.coeffs}
+        verdicts.append(want)
+    assert len(verdicts) == count and set(verdicts) == {True, False}
 
 
 def test_theorem_chain_refuses_a_twist(eng):
