@@ -87,17 +87,17 @@ def _side(params: VeroneseParams, p: int, q: int) -> tuple[VeroneseParams, int, 
 
 
 def _rank_job(
-    key: BlockKey, primes: tuple[int, ...], rational_cap: int | None
+    key: BlockKey, fields: tuple[FieldSpec, ...], rational_cap: int | None
 ) -> tuple[dict[int, int], int | None]:
     """Assemble one block once and rank it: the Engine's only rank work.
 
-    The block is ranked at every prime in `primes`, and over the rationals
-    when both sides are within rational_cap.  Returns ({prime: rank},
-    rational rank or None); `Engine._rank_blocks` compares these ranks and
-    stores them.
+    The block is ranked over every field in `fields` (the engine's, checked
+    once when it was built), and over the rationals when both sides are
+    within rational_cap.  Returns ({prime: rank}, rational rank or None);
+    `Engine._rank_blocks` compares these ranks and stores them.
     """
     block = differential_block(key)
-    ranks = {prime: sparse_rank(block, FieldSpec.prime(prime)) for prime in primes}
+    ranks = {field.p: sparse_rank(block, field) for field in fields}
     exact = None
     if (
         rational_cap is not None
@@ -114,8 +114,9 @@ class Engine:
     certify_prime: optional second pinned prime; every block rank is
     recomputed there and a mismatch raises PrimeDisagreement (never
     averaged away).  `primes` holds the field's prime, then certify_prime
-    if given.  rational_cap: blocks with both sides at most this size are
-    additionally certified by fraction-free rational elimination.
+    if given, and `fields` their FieldSpecs, built once for every rank job.
+    rational_cap: blocks with both sides at most this size are additionally
+    certified by fraction-free rational elimination.
     `kpq_entry` computes each entry on the smaller side of the duality (see
     `_side`); `direct_dim` computes an entry by its own complex, after
     checking the ceilings from sizes alone.
@@ -145,11 +146,12 @@ class Engine:
         self.limits = limits if limits is not None else ResourceLimits()
         self.threads = max(1, threads)
         # checked here: a bad prime would otherwise first fail in a pool worker
-        self.certify_prime = None if certify_prime is None else FieldSpec.prime(certify_prime).p
+        self.fields = (field,) if certify_prime is None else (field, FieldSpec.prime(certify_prime))
+        self.certify_prime = certify_prime
         self.rational_cap = rational_cap
         if certify_prime == field.p:
             raise ValueError("certification prime must differ from the primary prime")
-        self.primes = (field.p,) if certify_prime is None else (field.p, certify_prime)
+        self.primes = tuple(f.p for f in self.fields)
         self._pool: concurrent.futures.ProcessPoolExecutor | None = None
         self.stats = {
             "blocks_ranked": 0,
@@ -192,7 +194,7 @@ class Engine:
             for key in keys
         }
         todo = {
-            key: tuple(prime for prime, rank in found.items() if rank is None)
+            key: tuple(field for field in self.fields if found[field.p] is None)
             for key, found in cached.items()
             if None in found.values()
         }

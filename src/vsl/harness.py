@@ -37,7 +37,6 @@ from .syzygy import (
     apply_differential,
     cycle_basis,
     ev_D,
-    point_functional,
     projection_factor_check,
     sample_general_points,
     twist_identification_check,
@@ -388,32 +387,25 @@ def selftest(fast: bool = False) -> SelfTestResult:
             ok = False
     result.record("contraction commutes with the differential", ok)
 
-    # multi-point contraction equals composed single contractions up to sign
-    ok = True
-    pts = sample_general_points(pr, prime, seed=5)
-    basis = cycle_basis(pr, 3, 1, eng)
-    images = ev_D(basis, pts)
-    multi = images[0]
-    composed = dict(basis[0].coeffs)
-    sp = space
-    for pt in pts:
-        composed = alpha_chain(sp, composed, [point_functional(pr, pt)])
+    # three-fold contraction equals composed single contractions up to the
+    # sign (-1)^(s(s-1)/2) of reversing the order of s contractions, on the
+    # last random chain and random functionals (a hyperplane's points would
+    # contract most chains to 0)
+    phis = [tuple(rng.randrange(prime) for _ in mons) for _ in range(3)]
+    composed, sp = coeffs, space
+    for phi in phis:
+        composed = alpha_chain(sp, composed, [phi])
         sp = sp.shifted(-1, 0)
-    match = None
-    for key, val in multi.coeffs.items():
-        if key in composed:
-            match = val * pow(composed[key], -1, prime) % prime
-            break
-    if multi.coeffs or composed:
-        if match is None:
-            ok = bool(not multi.coeffs and not composed)
-        else:
-            scaled = {k: v * match % prime for k, v in composed.items()}
-            ok = scaled == multi.coeffs
+    multi = alpha_chain(space, coeffs, phis)
+    ok = bool(multi) and multi == {k: -v % prime for k, v in composed.items()}
     result.record("multi-point contraction matches composition up to sign", ok)
 
-    # factorization through the hyperplane-vanishing subspace
-    ok = all(projection_factor_check(image)["factors"] for image in images)
+    # factorization through the hyperplane-vanishing subspace, on the
+    # nonzero images of the plane cubic's p = 5 basis (the conic's vanish)
+    cubic = VeroneseParams(2, 3)
+    images = ev_D(cycle_basis(cubic, 5, 1, eng), sample_general_points(cubic, prime, seed=5))
+    images = [image for image in images if image.coeffs]
+    ok = bool(images) and all(projection_factor_check(image)["factors"] for image in images)
     result.record("projected classes factor through x_0-divisible wedges", ok)
 
     # twist identification

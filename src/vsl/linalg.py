@@ -207,7 +207,9 @@ def echelon_mod(entries, p: int) -> dict[int, dict[int, int]]:
     """Sparse echelon basis over GF(p) of the columns of (row, col, value)
     triples (repeats accumulate), as {lead: vector}, each vector monic at its
     lead (lowest row).  Columns enter in index order and reduce at their lead
-    until it is new.  The leads are where vectors of the column span lead."""
+    until it is new.  The leads are where vectors of the column span lead.
+    A column's rows wait in a heap: a reduction only adds rows above its
+    lead, pushed as they appear, and rows gone from the column are skipped."""
     columns: dict[int, dict[int, int]] = {}
     for r, c, v in entries:
         col = columns.setdefault(c, {})
@@ -215,15 +217,22 @@ def echelon_mod(entries, p: int) -> dict[int, dict[int, int]]:
     basis: dict[int, dict[int, int]] = {}
     for c in sorted(columns):
         vec = {r: x for r, v in columns[c].items() if (x := v % p)}
-        while vec:
-            lead = min(vec)
+        heap = list(vec)
+        heapq.heapify(heap)
+        while heap:
+            if (lead := heapq.heappop(heap)) not in vec:
+                continue
             if (stored := basis.get(lead)) is None:
                 inv = pow(vec[lead], -1, p)
                 basis[lead] = {r: v * inv % p for r, v in vec.items()}
                 break
             f = vec[lead]
             for r, v in stored.items():
-                if x := (vec.get(r, 0) - f * v) % p:
+                if (cur := vec.get(r)) is None:
+                    # f and v are units mod p, so a new entry is never 0
+                    vec[r] = -f * v % p
+                    heapq.heappush(heap, r)
+                elif x := (cur - f * v) % p:
                     vec[r] = x
                 else:
                     del vec[r]
@@ -234,9 +243,20 @@ def kernel_mod(entries: list, ncols: int, p: int) -> list[dict[int, int]]:
     """`nullspace_mod`'s kernel basis, column for column, as {col: value}.
     Column c enters `echelon_mod` with a 1 at row top - c, below the matrix
     and in reversed order, so a column that reduces to zero on the matrix's
-    rows leads at its own 1 and is left as its combination of columns."""
-    top = max((r for r, _, _ in entries), default=-1) + ncols
-    basis = echelon_mod(entries + [(top - c, c, 1) for c in range(ncols)], p)
+    rows leads at its own 1 and is left as its combination of columns.
+    That basis depends only on the column order, not on where the stored
+    vectors lead, so the matrix rows are renumbered to lead where little
+    fill follows: by the first column that reaches them, latest lowest, ties
+    to the higher row.  A column that reaches a row no earlier column did
+    then leads there at once, with no reduction."""
+    first: dict[int, int] = {}
+    for r, c, _ in entries:
+        first[r] = min(first.get(r, c), c)
+    rank = {r: i for i, r in enumerate(sorted(first, key=lambda r: (first[r], r), reverse=True))}
+    top = len(rank) - 1 + ncols
+    basis = echelon_mod(
+        [(rank[r], c, v) for r, c, v in entries] + [(top - c, c, 1) for c in range(ncols)], p
+    )
     return [{top - k: v for k, v in b.items()} for lead, b in basis.items() if lead > top - ncols]
 
 

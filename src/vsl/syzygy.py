@@ -14,31 +14,41 @@ image's column is free in the kernel of [incoming block | z's elements |
 image].
 
 Chains are sparse dicts keyed by (wedge index tuple, coefficient monomial
-index).  The hyperplane is always x_0 = 0; its point count s equals the
-number of degree-d monomials free of x_0.
+index).  ev_D contracts many chains at once as numpy terms, and
+cycle_basis and ev_D check the cycle law in bulk, once per block or batch
+of classes, not class by class.  The hyperplane is always x_0 = 0; its
+point count s equals the number of degree-d monomials free of x_0.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
+from math import comb
+
+import numpy as np
 
 from .bounds import InvariantViolation, VeroneseParams, binom, h0, projection_codim
 from .betti import CONSISTENT, VIOLATION, Engine
-from .koszul import BlockKey, KoszulBlockMatrix, differential_block, space_blocks, wedge_subsets
+from .koszul import (
+    BlockKey, KoszulBlockMatrix, combination_rank, differential_block, space_blocks, wedge_subsets,
+)
 from .linalg import echelon_mod, kernel_mod
 from .polyspace import (
-    MultiDegree,
-    PointOverField,
-    evaluate,
-    monomial_basis,
-    mult_table,
-    restriction_split,
+    MultiDegree, PointOverField, evaluate, monomial_basis, mult_table, restriction_split,
 )
-from .wedge import Functional, alpha_terms, det_mod
+from .wedge import Functional, deletions, det_mod, minor_table, wedge_with
 
 ChainKey = tuple[tuple[int, ...], int]
 ChainCoeffs = dict[ChainKey, int]
+# the terms of chains 0..k-1 of one space: owner chain, wedge subsets (T, p),
+# monomial indices and values in GF(p)
+Terms = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+# products per batch of a bulk check or contraction: bounds the memory of
+# the numpy terms at (2,4) p >= 6
+_BATCH = 1 << 14
 
 
 class GenericityError(Exception):
@@ -73,26 +83,61 @@ class ChainSpace:
 
 
 def normalize(space: ChainSpace, coeffs: ChainCoeffs) -> ChainCoeffs:
-    out = {}
-    for key, val in coeffs.items():
-        v = val % space.prime
-        if v:
-            out[key] = v
+    return {key: v for key, val in coeffs.items() if (v := val % space.prime)}
+
+
+def _terms(space: ChainSpace, chains: list[ChainCoeffs]) -> Terms:
+    keys = [key for coeffs in chains for key in coeffs]
+    owner = np.repeat(np.arange(len(chains)), [len(coeffs) for coeffs in chains])
+    subs = np.array([sub for sub, _ in keys], dtype=np.int64).reshape(len(keys), space.p)
+    mons = np.array([ui for _, ui in keys], dtype=np.int64)
+    vals = [v % space.prime for coeffs in chains for v in coeffs.values()]
+    return owner, subs, mons, np.array(vals, dtype=np.int64)
+
+
+def _chains(terms: Terms, count: int) -> list[ChainCoeffs]:
+    out: list[ChainCoeffs] = [{} for _ in range(count)]
+    for j, sub, ui, v in zip(*(x.tolist() for x in terms)):
+        out[j][tuple(sub), ui] = v
     return out
+
+
+def _sums(owner: np.ndarray, codes: np.ndarray, vals: np.ndarray, prime: int):
+    """vals summed mod p over equal (owner, code) pairs: for each nonzero
+    sum, by owner then code, the position of one of its terms, and the sum."""
+    key = owner * (int(codes.max(initial=0)) + 1) + codes
+    order = np.argsort(key)
+    starts = np.flatnonzero(np.diff(key[order], prepend=-1))
+    sums = np.add.reduceat(vals[order], starts) % prime if len(starts) else vals
+    return order[starts[sums != 0]], sums[sums != 0]
+
+
+def _collect(space: ChainSpace, owner, subs, mons, vals) -> Terms:
+    """Terms (T, C) summed mod p at each (owner, element) of the space; the
+    nonzero sums, by owner, then wedge subset, then monomial."""
+    owner, subs = np.repeat(owner, vals.shape[1]), subs.reshape(vals.size, space.p)
+    mons, vals = np.broadcast_to(mons, vals.shape).ravel(), vals.ravel()
+    n = space.params.n
+    codes = combination_rank(subs, h0(n, space.params.d)) * h0(n, space.m) + mons
+    first, sums = _sums(owner, codes, vals, space.prime)
+    return owner[first], subs[first], mons[first], sums
+
+
+def _differential(space: ChainSpace, terms: Terms) -> Terms:
+    """The Koszul differential of the terms (needs p >= 1)."""
+    owner, subs, mons, vals = terms
+    deleted, rest, signs = deletions(subs, 1)
+    product = mult_table(space.params.n, space.m, space.params.d)[mons[:, None], deleted[..., 0]]
+    vals = vals[:, None] * signs * (-1) ** (space.p - 1) % space.prime  # +1 on the last position
+    return _collect(space.shifted(-1, +1), owner, rest, product, vals)
 
 
 def apply_differential(space: ChainSpace, coeffs: ChainCoeffs) -> ChainCoeffs:
     """Koszul differential on a chain: delete a wedge factor (sign +1 on the
     last position) and multiply it into the coefficient form."""
-    product = mult_table(space.params.n, space.m, space.params.d).tolist()
-    p, prime = space.p, space.prime
-    out: ChainCoeffs = {}
-    for (sub, ui), val in coeffs.items():
-        for j, i in enumerate(sub):
-            sign = 1 if (p - 1 - j) % 2 == 0 else -1
-            key = (sub[:j] + sub[j + 1:], product[ui][i])
-            out[key] = (out.get(key, 0) + sign * val) % prime
-    return {k: v for k, v in out.items() if v}
+    if space.p == 0 or not coeffs:
+        return {}
+    return _chains(_differential(space, _terms(space, [coeffs])), 1)[0]
 
 
 def is_cycle(space: ChainSpace, coeffs: ChainCoeffs) -> bool:
@@ -107,6 +152,8 @@ class KoszulClass:
 
     The cycle condition is machine-checked at construction: a non-cycle
     representative raises immediately rather than corrupting later checks.
+    `cycle_basis` and `ev_D` build theirs with `_checked`, after their bulk
+    checks.
     """
 
     space: ChainSpace
@@ -116,6 +163,14 @@ class KoszulClass:
         object.__setattr__(self, "coeffs", normalize(self.space, self.coeffs))
         if not is_cycle(self.space, self.coeffs):
             raise ValueError("representative is not a cycle")
+
+    @classmethod
+    def _checked(cls, space: ChainSpace, coeffs: ChainCoeffs) -> KoszulClass:
+        """A class whose reduced representative its caller checked in bulk."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "coeffs", coeffs)
+        return self
 
 
 def _one_space(classes: list[KoszulClass]) -> ChainSpace:
@@ -149,14 +204,38 @@ def _incoming(space: ChainSpace, mdeg) -> KoszulBlockMatrix:
     return differential_block(_block_key(space.shifted(+1, -1), mdeg))
 
 
+def _batches(items: list, sizes: list[int]):
+    """items in consecutive lists of about _BATCH total size."""
+    ends = itertools.accumulate(sizes)
+    for _, batch in itertools.groupby(zip(ends, items), key=lambda t: t[0] // _BATCH):
+        yield [item for _, item in batch]
+
+
+def _check_kernel(out: list, kernel: list[dict[int, int]], ncols: int, prime: int) -> None:
+    """Raise unless the out-block times every kernel vector is 0: bulk
+    products over the block's triples, each column's p entries found by one
+    sort, a batch of vectors at a time."""
+    entries = np.array(out, dtype=np.int64)
+    entries = entries[np.argsort(entries[:, 1], kind="stable")].reshape(ncols, -1, 3)
+    rows, signs = entries[..., 0], entries[..., 2]
+    for batch in _batches(kernel, [len(vec) * rows.shape[1] for vec in kernel]):
+        cols = [c for vec in batch for c in vec]
+        vals = np.array([v for vec in batch for v in vec.values()], dtype=np.int64)
+        owner = np.repeat(np.arange(len(batch)), [len(vec) * rows.shape[1] for vec in batch])
+        products = (signs[cols] * vals[:, None] % prime).ravel()
+        if len(_sums(owner, rows[cols].ravel(), products, prime)[1]):
+            raise InvariantViolation("a kernel vector is not a cycle")
+
+
 def cycle_basis(params: VeroneseParams, p: int, q: int, engine: Engine) -> list[KoszulClass]:
     """Representatives of a basis of K_{p,q}, one multidegree block at a time.
 
     Within each block: the canonical kernel basis of the outgoing
     differential (`kernel_mod`), keeping free column j's vector unless an
     image vector restricted to the free columns ends at j, found as the
-    image's trailing pivots.  The total count must agree with `kpq_dim`, and
-    does by construction of both paths from the same block matrices.
+    image's trailing pivots.  Each block's kernel vectors pass one bulk
+    differential check.  The total count must agree with `kpq_dim`, and does
+    by construction of both paths from the same block matrices.
     """
     prime = engine.field.p
     space = ChainSpace(params, p, q, prime)
@@ -171,14 +250,17 @@ def cycle_basis(params: VeroneseParams, p: int, q: int, engine: Engine) -> list[
         kernel = kernel_mod(out, len(elements), prime)
         if not kernel:
             continue
+        if out:
+            _check_kernel(out, kernel, len(elements), prime)
         # kernel[i] is 1 at its free column, its largest index; keyed -i, an
         # image vector leads at its last nonzero free coordinate
         rev = {max(vec): -i for i, vec in enumerate(kernel)}
         image = [(rev[r], c, v) for r, c, v in _incoming(space, mdeg).entries if r in rev]
         dropped = {-lead for lead in echelon_mod(image, prime)}
-        for i, vec in enumerate(kernel):
-            if i not in dropped:
-                classes.append(KoszulClass(space, {elements[k]: vec[k] for k in sorted(vec)}))
+        classes += [
+            KoszulClass._checked(space, {elements[k]: vec[k] for k in sorted(vec)})
+            for i, vec in enumerate(kernel) if i not in dropped
+        ]
     expected = engine.kpq_dim(params, p, q)
     if len(classes) != expected:
         raise InvariantViolation(
@@ -196,21 +278,23 @@ def point_functional(params: VeroneseParams, point: PointOverField) -> Functiona
     return tuple(evaluate(mono, point) for mono in basis)
 
 
+def _contract(space: ChainSpace, terms: Terms, minors: np.ndarray, s: int) -> Terms:
+    """The s-fold contraction of the terms, each deleted s-subset weighted by
+    its entry in the table of minors (`wedge.minor_table`)."""
+    owner, subs, mons, vals = terms
+    deleted, rest, signs = deletions(subs, s)
+    coeffs = minors[combination_rank(deleted, h0(space.params.n, space.params.d))] * signs
+    coeffs = coeffs % space.prime * vals[:, None] % space.prime
+    return _collect(space.shifted(-s, 0), owner, rest, mons[:, None], coeffs)
+
+
 def alpha_chain(
-    space: ChainSpace,
-    coeffs: ChainCoeffs,
-    functionals: list[Functional],
-    cache: dict | None = None,
+    space: ChainSpace, coeffs: ChainCoeffs, functionals: list[Functional]
 ) -> ChainCoeffs:
-    """s-fold minor-weighted contraction on a raw chain (no cycle check);
-    one functional gives the single contraction.  cache, if given, holds the
-    minors by index tuple, and calls with the same functionals may share it."""
-    out: ChainCoeffs = {}
-    for (sub, ui), val in coeffs.items():
-        for rest, c in alpha_terms(sub, functionals, space.prime, cache):
-            key = (rest, ui)
-            out[key] = (out.get(key, 0) + val * c) % space.prime
-    return {k: v for k, v in out.items() if v}
+    """s-fold minor-weighted contraction on a raw chain (no cycle check, needs
+    p >= s), by ev_D's formula; one functional gives the single contraction."""
+    minors = minor_table(functionals, space.params.n, space.params.d, space.prime)
+    return _chains(_contract(space, _terms(space, [coeffs]), minors, len(functionals)), 1)[0]
 
 
 def genericity_certificate(
@@ -227,12 +311,8 @@ def genericity_certificate(
     if len(points) != s:
         raise ValueError(f"need exactly s={s} points, got {len(points)}")
     basis = monomial_basis(n, d)
-    prime = points[0].prime
-    rows = [
-        [evaluate(basis[i], pt) for i in transversal]
-        for pt in points
-    ]
-    return det_mod(rows, prime)
+    rows = [[evaluate(basis[i], pt) for i in transversal] for pt in points]
+    return det_mod(rows, points[0].prime)
 
 
 # point sets sample_general_points draws before it gives up
@@ -270,22 +350,38 @@ def ev_D(classes: list[KoszulClass], points: list[PointOverField]) -> list[Koszu
     point-evaluation values as coefficient.  Equals the composition of the
     single-point contractions up to one overall sign, so all rank and
     vanishing conclusions are shared.  Requires p >= s and certified points,
-    checked once per call; the classes share one table of minors.
+    checked once per call.  One table holds the minors of all s-subsets,
+    checked against the points: its entry on the monomials free of x_0 is
+    the certificate, and its wedge with each point's functional is 0 (a
+    wrong minor is still a contraction, by another s-form, and would pass
+    the cycle law).  The classes are contracted in batches of numpy terms,
+    each batch's images checked as cycles in bulk.
     """
     if not classes:
         return []
     space = _one_space(classes)
+    n, d, prime = space.params.n, space.params.d, space.prime
     s = len(points)
     if space.p < s:
         raise ValueError(f"ev_D: need p >= s, got p={space.p}, s={s}")
-    if genericity_certificate(space.params, points) == 0:
+    certificate = genericity_certificate(space.params, points)
+    if certificate == 0:
         raise GenericityError("points fail the general-position certificate")
     functionals = [point_functional(space.params, pt) for pt in points]
-    minors: dict = {}
-    return [
-        KoszulClass(space.shifted(-s, 0), alpha_chain(space, cls.coeffs, functionals, minors))
-        for cls in classes
-    ]
+    minors = minor_table(functionals, n, d, prime)
+    transversal = combination_rank(np.array([restriction_split(n, d)[1]]), h0(n, d))[0]
+    if minors[transversal] != certificate or any(
+        wedge_with(np.array(phi), minors, n, d, s + 1, prime).any() for phi in functionals
+    ):
+        raise InvariantViolation("ev_D: the minors are not those of the points")
+    target = space.shifted(-s, 0)
+    images: list[KoszulClass] = []
+    for batch in _batches(classes, [len(cls.coeffs) * comb(space.p, s) for cls in classes]):
+        terms = _contract(space, _terms(space, [cls.coeffs for cls in batch]), minors, s)
+        if target.p and len(_differential(target, terms)[0]):
+            raise InvariantViolation("an image is not a cycle")
+        images += [KoszulClass._checked(target, coeffs) for coeffs in _chains(terms, len(batch))]
+    return images
 
 
 # -- homology-level solves ----------------------------------------------------
@@ -371,11 +467,9 @@ def projection_factor_check(image: KoszulClass) -> dict:
         for i, v in sorted(kernel[-1].items()):
             if i < width:
                 witness[up_elements[i]] = -v % prime
-    residual = dict(image.coeffs)
-    bdry = apply_differential(up, witness) if witness else {}
-    for key, val in bdry.items():
-        residual[key] = (residual.get(key, 0) - val) % prime
-    residual = {k: v for k, v in residual.items() if v}
+    bdry = apply_differential(up, witness)
+    residual = {k: image.coeffs.get(k, 0) - bdry.get(k, 0) for k in image.coeffs | bdry}
+    residual = normalize(space, residual)
     if not all(set(sub) <= allowed for (sub, _ui) in residual):
         raise InvariantViolation("factorization residual leaves the hyperplane forms")
     return {"factors": True, "witness": witness, "residual_support": len(residual)}

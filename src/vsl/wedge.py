@@ -1,15 +1,22 @@
 """Exterior algebra over the space of degree-d forms: the s-fold contraction
-of a basis wedge, whose coefficients are s x s minors of functional values.
-With one functional it is the plain contraction, (-1)^j * phi(v_j) for
-deleting position j.
+of a basis wedge deletes each s-subset J of its positions, with sign
+(-1)^(j_1+...+j_s) and the s x s minor of functional values at the deleted
+factors as coefficient.  With one functional it is the plain contraction,
+(-1)^j * phi(v_j) for deleting position j.
 
 A wedge basis element is a strictly increasing tuple of indices into the
-fixed monomial basis.  All coefficients live in GF(prime).
+fixed monomial basis; a table over the k-subsets of that basis follows
+their `itertools.combinations` order (`koszul.combination_rank`).  All
+coefficients live in GF(prime).
 """
 
 from __future__ import annotations
 
 import itertools
+
+import numpy as np
+
+from .koszul import combination_rank, wedge_subsets
 
 # Values of a linear functional on the degree-d monomial basis, reduced mod p.
 Functional = tuple[int, ...]
@@ -36,50 +43,31 @@ def det_mod(rows: list[list[int]], prime: int) -> int:
     return det % prime
 
 
-def gamma_value(
-    functionals: list[Functional],
-    indices: tuple[int, ...],
-    prime: int,
-    cache: dict | None = None,
-) -> int:
-    """Determinant det[ functionals[a](v_{indices[b]}) ] over GF(prime).
-
-    This is the coefficient with which an s-tuple of deleted wedge factors
-    enters the s-fold contraction.  Antisymmetric in both the functionals
-    and the indices.
-    """
-    if cache is not None and indices in cache:
-        return cache[indices]
-    rows = [[phi[i] % prime for i in indices] for phi in functionals]
-    val = det_mod(rows, prime)
-    if cache is not None:
-        cache[indices] = val
-    return val
+def deletions(subs: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each row of subs (T, p) with each k-subset J of its positions deleted,
+    J in `itertools.combinations` order: the deleted entries (T, C, k), the
+    kept entries (T, C, p - k) and the signs (-1)^(sum of J) (C,)."""
+    p = subs.shape[1]
+    cut = list(itertools.combinations(range(p), k))
+    kept = np.array([[j for j in range(p) if j not in row] for row in cut], dtype=np.int64)
+    cut = np.array(cut, dtype=np.int64).reshape(len(cut), k)
+    return subs[:, cut], subs[:, kept.reshape(len(cut), p - k)], 1 - 2 * (cut.sum(axis=1) % 2)
 
 
-def alpha_terms(
-    key: tuple[int, ...],
-    functionals: list[Functional],
-    prime: int,
-    gamma_cache: dict | None = None,
-) -> list[tuple[tuple[int, ...], int]]:
-    """Terms of the s-fold contraction of one basis wedge.
+def wedge_with(phi: np.ndarray, table: np.ndarray, n: int, d: int, k: int, prime: int):
+    """phi ^ omega on every k-subset S of the basis, omega a table over the
+    (k-1)-subsets: the sum over positions t of (-1)^t phi(S_t) omega(S - S_t)."""
+    deleted, rest, signs = deletions(wedge_subsets(n, d, k)[0], 1)
+    terms = phi[deleted[..., 0]] * table[combination_rank(rest, len(phi))] % prime
+    return (terms * signs).sum(axis=1) % prime
 
-    Sums over s-element position subsets J = {j_1 < ... < j_s}: each
-    contributes (-1)^(j_1+...+j_s) times the minor of functional values at
-    the deleted factors, on the wedge of the remaining p-s factors.
-    """
-    s = len(functionals)
-    p = len(key)
-    out = []
-    for positions in itertools.combinations(range(p), s):
-        deleted = tuple(key[j] for j in positions)
-        g = gamma_value(functionals, deleted, prime, gamma_cache)
-        if not g:
-            continue
-        if sum(positions) % 2:
-            g = prime - g
-        pos_set = set(positions)
-        rest = tuple(idx for j, idx in enumerate(key) if j not in pos_set)
-        out.append((rest, g))
-    return out
+
+def minor_table(functionals: list[Functional], n: int, d: int, prime: int) -> np.ndarray:
+    """det[functionals[a](v_(S_b))] over GF(prime) on every s-subset S of the
+    degree-d monomials, s = len(functionals): Laplace expansion along the
+    last functional, det_k = (-1)^(k-1) phi_k ^ det_(k-1), one numpy pass per
+    functional."""
+    table = np.ones(1, dtype=np.int64)
+    for k, phi in enumerate(np.array(functionals, dtype=np.int64) % prime, 1):
+        table = wedge_with(phi, table, n, d, k, prime) * (-1) ** (k - 1) % prime
+    return table

@@ -1,14 +1,17 @@
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
 from vsl.betti import BettiTable, Engine, ResourceRefusal
 from vsl.bounds import VeroneseParams, h0
 from vsl.koszul import BlockKey, differential_block, space_blocks, wedge_subsets
-from vsl.linalg import FieldSpec, PINNED_PRIMES, nullspace_mod, rref_mod
+from vsl.linalg import FieldSpec, PINNED_PRIMES, echelon_mod, nullspace_mod, rref_mod
 from vsl.polyspace import PointOverField
 from vsl.syzygy import KoszulClass, alpha_chain, point_functional
+from vsl.wedge import det_mod
 
 
 @pytest.fixture(scope="session")
@@ -67,6 +70,17 @@ def dense_cycle_basis(params: VeroneseParams, p: int, q: int, prime: int) -> lis
     return classes
 
 
+def lowest_lead_kernel_mod(entries: list, ncols: int, p: int) -> list[dict]:
+    """The reference for `kernel_mod`: the same canonical kernel with every
+    stored vector leading at its lowest matrix row, the rows not renumbered.
+    Column c enters `echelon_mod` with a 1 at row top - c, below the matrix
+    and in reversed order, so a column that reduces to zero on the matrix's
+    rows leads at its own 1 and is left as its combination of columns."""
+    top = max((r for r, _, _ in entries), default=-1) + ncols
+    basis = echelon_mod(entries + [(top - c, c, 1) for c in range(ncols)], p)
+    return [{top - k: v for k, v in b.items()} for lead, b in basis.items() if lead > top - ncols]
+
+
 def single_contraction(space, coeffs: dict, phi) -> dict:
     """Contraction of a raw chain by one functional, written out apart from
     `vsl.wedge` as the reference for `alpha_chain`: deleting wedge position
@@ -76,6 +90,20 @@ def single_contraction(space, coeffs: dict, phi) -> dict:
         for j, idx in enumerate(sub):
             key = (sub[:j] + sub[j + 1:], ui)
             out[key] = (out.get(key, 0) + (-1) ** j * phi[idx] * val) % space.prime
+    return {k: v for k, v in out.items() if v}
+
+
+def loop_contraction(space, coeffs: dict, functionals: list) -> dict:
+    """The s-fold contraction of a raw chain by per-term loops, the reference
+    for `alpha_chain` and `ev_D`: each s-subset J of a term's wedge
+    positions is deleted with sign (-1)^(sum of J) and the `det_mod` minor
+    of the functionals at the deleted factors."""
+    out: dict = {}
+    for (sub, ui), val in coeffs.items():
+        for cut in itertools.combinations(range(len(sub)), len(functionals)):
+            minor = det_mod([[phi[sub[j]] for j in cut] for phi in functionals], space.prime)
+            key = (tuple(i for j, i in enumerate(sub) if j not in cut), ui)
+            out[key] = (out.get(key, 0) + (-1) ** sum(cut) * minor * val) % space.prime
     return {k: v for k, v in out.items() if v}
 
 

@@ -12,6 +12,7 @@ from conftest import direct_table
 
 import vsl
 import vsl.koszul
+import vsl.linalg
 
 from vsl.bounds import VeroneseParams, binom, green_vanishing_bound, h0
 from vsl.betti import (
@@ -288,6 +289,18 @@ def test_rank_jobs_go_out_largest_first(monkeypatch):
     stored = [(key[3], key[4], key[5]) for key in engine.cache.ranks]
     assert stored == [(p, q, rep) for rep in reps] + [(p + 1, q - 1, rep) for rep in reps]
     assert stored != [(key.p, key.q, key.mdeg) for key in jobs]
+
+
+def test_rank_jobs_run_no_primality_test(monkeypatch):
+    # the engine checks its primes once, when it is built: ranking every
+    # block of an entry at two primes runs Miller-Rabin no more
+    engine = Engine(FieldSpec.prime(PINNED_PRIMES[0]), certify_prime=PINNED_PRIMES[1])
+    calls = []
+    real = vsl.linalg.is_prime
+    monkeypatch.setattr(vsl.linalg, "is_prime", lambda p: calls.append(p) or real(p))
+    assert engine.direct_dim(VeroneseParams(2, 3), 4, 1) > 0
+    assert engine.stats["dual_prime_checks"] > 0
+    assert calls == []
 
 
 def _cubic_table(cache_dir, build=betti_table, **engine_options):

@@ -145,6 +145,27 @@ def test_selftest_catches_a_planted_sign_error(monkeypatch):
     assert "differential squares to zero (blockwise)" in failed
 
 
+def test_selftest_checks_nonzero_contractions(monkeypatch):
+    # the contraction and factorization checks run on nonzero chains: a
+    # three-fold contraction with the wrong sign, and a factor check that
+    # fails every nonzero chain, are both caught
+    real = harness.alpha_chain
+
+    def wrong_sign(space, coeffs, functionals):
+        out = real(space, coeffs, functionals)
+        return {k: -v % space.prime for k, v in out.items()} if len(functionals) == 3 else out
+
+    monkeypatch.setattr(harness, "alpha_chain", wrong_sign)
+    monkeypatch.setattr(
+        harness, "projection_factor_check", lambda image: {"factors": not image.coeffs}
+    )
+    failed = {name for name, ok, _d in harness.selftest(fast=True).checks if not ok}
+    assert failed == {
+        "multi-point contraction matches composition up to sign",
+        "projected classes factor through x_0-divisible wedges",
+    }
+
+
 # -- command line -----------------------------------------------------------
 
 

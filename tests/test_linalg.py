@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import lowest_lead_kernel_mod
 from hypothesis import given, settings, strategies as st
 
+from vsl.bounds import h0
 from vsl.harness import dense_differential
 from vsl.koszul import BlockKey, KoszulBlockMatrix, differential_block, space_blocks
 from vsl.linalg import (
@@ -242,6 +244,21 @@ def test_kernel_mod_is_nullspace_mod_column_for_column(prime, case):
     assert sorted(leads) == rref_mod(a.T, prime)[1]
     flipped = [(r, ncols - 1 - c, v) for r, c, v in entries]
     assert sorted(echelon_mod(flipped, prime)) == sorted(leads)
+
+
+@pytest.mark.parametrize("prime", (P, 7))
+@pytest.mark.parametrize("n, d", [(2, 3), (1, 4), (3, 2)])
+def test_kernel_mod_equals_the_lowest_lead_kernel_block_for_block(n, d, prime):
+    # renumbering the rows moves only where stored vectors lead: on every
+    # block of the untwisted strands 0..2, for every p, the kernel is the
+    # lowest-lead one, vector for vector and in the same order
+    for q in range(3):
+        for p in range(1, h0(n, d) + 1):
+            for mdeg in space_blocks(n, d, p, q * d):
+                block = differential_block(BlockKey(n, d, 0, p, q, mdeg))
+                got = kernel_mod(block.entries, block.ncols, prime)
+                want = lowest_lead_kernel_mod(block.entries, block.ncols, prime)
+                assert [sorted(v.items()) for v in got] == [sorted(v.items()) for v in want]
 
 
 def test_rref_and_nullspace():

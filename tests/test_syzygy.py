@@ -9,9 +9,8 @@ import pytest
 from conftest import dense_cycle_basis, ev_at_point, plus, random_point, scaled
 
 import vsl.syzygy
-import vsl.wedge
 from vsl.betti import Engine
-from vsl.bounds import VeroneseParams, h0, projection_codim
+from vsl.bounds import InvariantViolation, VeroneseParams, h0, projection_codim
 from vsl.harness import dense_differential
 from vsl.linalg import PINNED_PRIMES, FieldSpec, dense_rank_mod, solve_mod
 from vsl.polyspace import PointOverField, monomial_basis, restriction_split
@@ -67,6 +66,23 @@ def test_cycle_basis_equals_the_dense_algorithm(n, d, prime):
         got = [list(cls.coeffs.items()) for cls in cycle_basis(params, p, q, eng)]
         want = [list(coeffs.items()) for coeffs in dense_cycle_basis(params, p, q, prime)]
         assert got == want, (b, q, p)
+
+
+def test_cycle_basis_refuses_a_kernel_vector_that_is_not_a_cycle(eng, monkeypatch):
+    # each block's kernel is checked by one bulk differential, under
+    # python -O too: doubling a vector's 1 at its free column c adds e_c,
+    # and column c of the differential is not zero
+    real = vsl.syzygy.kernel_mod
+
+    def off_kernel(entries, ncols, prime):
+        kernel = real(entries, ncols, prime)
+        for vec in kernel[:1]:
+            vec[max(vec)] = 2
+        return kernel
+
+    monkeypatch.setattr(vsl.syzygy, "kernel_mod", off_kernel)
+    with pytest.raises(InvariantViolation, match="not a cycle"):
+        cycle_basis(VeroneseParams(2, 3), 5, 1, eng)
 
 
 def test_koszul_class_rejects_non_cycles():
@@ -186,33 +202,76 @@ def test_ev_d_scalar_equivariance(eng):
 
 
 def test_ev_d_maps_a_basis_with_one_certificate_and_one_minor_table(eng, monkeypatch):
-    # (2,3) p=5: s = 4 points, h0 = 10 wedge factors; every minor is one of
-    # the C(10, 4) 4-subsets, whichever of the 105 classes asks for it
+    # (2,3) p=5: s = 4 points, h0 = 10 wedge factors; one table holds the
+    # minors of all C(10, 4) 4-subsets, whichever of the 105 classes asks
     params = VeroneseParams(2, 3)
     pts = sample_general_points(params, PRIME, seed=0)
     classes = cycle_basis(params, 5, 1, eng)
     one_by_one = [ev_D([cls], pts)[0] for cls in classes]
-    calls = {"genericity_certificate": 0, "det_mod": 0}
+    calls = {"genericity_certificate": 0, "minor_table": 0}
+    sizes = []
 
     def counted(name, func):
         def wrapper(*args, **kwargs):
             calls[name] += 1
-            return func(*args, **kwargs)
+            out = func(*args, **kwargs)
+            if name == "minor_table":
+                sizes.append(len(out))
+            return out
         return wrapper
 
-    monkeypatch.setattr(
-        vsl.syzygy, "genericity_certificate",
-        counted("genericity_certificate", vsl.syzygy.genericity_certificate),
-    )
-    det_mod = counted("det_mod", vsl.wedge.det_mod)
-    monkeypatch.setattr(vsl.wedge, "det_mod", det_mod)
-    monkeypatch.setattr(vsl.syzygy, "det_mod", det_mod)
+    for name in calls:
+        monkeypatch.setattr(vsl.syzygy, name, counted(name, getattr(vsl.syzygy, name)))
     images = ev_D(classes, pts)
-    assert calls["genericity_certificate"] == 1
-    assert 1 < calls["det_mod"] <= comb(10, 4) + 1
+    assert calls == {"genericity_certificate": 1, "minor_table": 1}
+    assert sizes == [comb(10, 4)]
     assert len(images) == len(classes) == 105
     assert [img.coeffs for img in images] == [img.coeffs for img in one_by_one]
     assert {img.space for img in images} == {classes[0].space.shifted(-4, 0)}
+
+
+@pytest.mark.parametrize("which", ["one", "all"])
+def test_ev_d_refuses_a_corrupted_minor(eng, monkeypatch, which):
+    # a changed table of minors is still a contraction, by another s-form,
+    # so its images are still cycles; ev_D checks the table itself.  Its
+    # wedge with each point's functional must be 0, which one changed minor
+    # breaks, and its minor on the monomials free of x_0 must be the
+    # genericity certificate, which a doubled table breaks
+    params = VeroneseParams(2, 3)
+    pts = sample_general_points(params, PRIME, seed=0)
+    classes = cycle_basis(params, 5, 1, eng)
+    real = vsl.syzygy.minor_table
+
+    def corrupted(*args):
+        table = real(*args).copy()
+        if which == "one":
+            table[0] = (table[0] + 1) % PRIME
+        else:
+            table = 2 * table % PRIME
+        return table
+
+    monkeypatch.setattr(vsl.syzygy, "minor_table", corrupted)
+    with pytest.raises(InvariantViolation, match="minors"):
+        ev_D(classes, pts)
+
+
+def test_ev_d_refuses_an_image_that_is_not_a_cycle(eng, monkeypatch):
+    # the images' differential is checked in bulk: one more unit on one
+    # image term (p - s = 1, so its differential is not zero) raises
+    params = VeroneseParams(2, 3)
+    pts = sample_general_points(params, PRIME, seed=0)
+    classes = cycle_basis(params, 5, 1, eng)
+    real = vsl.syzygy._contract
+
+    def bumped(*args):
+        owner, subs, mons, vals = real(*args)
+        vals = vals.copy()
+        vals[0] = (vals[0] + 1) % PRIME
+        return owner, subs, mons, vals
+
+    monkeypatch.setattr(vsl.syzygy, "_contract", bumped)
+    with pytest.raises(InvariantViolation, match="not a cycle"):
+        ev_D(classes, pts)
 
 
 def test_ev_d_of_no_classes_and_of_two_spaces(eng):

@@ -4,9 +4,12 @@ import itertools
 import random
 
 import pytest
+from conftest import loop_contraction, single_contraction
 
-from conftest import single_contraction
+import vsl.syzygy
+from vsl.betti import Engine
 from vsl.bounds import VeroneseParams
+from vsl.linalg import PINNED_PRIMES, FieldSpec
 from vsl.polyspace import monomial_basis
 from vsl.syzygy import (
     ChainSpace,
@@ -14,9 +17,10 @@ from vsl.syzygy import (
     alpha_chain,
     cycle_basis,
     ev_D,
+    point_functional,
     sample_general_points,
 )
-from vsl.wedge import alpha_terms, det_mod, gamma_value
+from vsl.wedge import det_mod, minor_table
 
 PRIME = 2147483647
 
@@ -39,7 +43,6 @@ def test_contraction_derivation_signs():
     # contracting v_0 ^ v_1 gives phi(v_0) v_1 - phi(v_1) v_0
     # (the s = 1 case of the minor-weighted contraction)
     phi = (3, 5, 0)
-    assert alpha_terms((0, 1), [phi], PRIME) == [((1,), 3), ((0,), PRIME - 5)]
     space = ChainSpace(VeroneseParams(1, 2), 2, 1, PRIME)
     chain = {((0, 1), 2): 1}
     assert alpha_chain(space, chain, [phi]) == {((1,), 2): 3, ((0,), 2): PRIME - 5}
@@ -84,13 +87,18 @@ def test_det_mod():
 
 
 def test_gamma_antisymmetry():
+    # the minor table gamma: det_mod's minor on every 3-subset of the
+    # degree-2 plane monomials, negated by swapping two functionals, zero
+    # with a repeated one
     rng = random.Random(5)
-    size = 6
-    phis = [tuple(rng.randrange(PRIME) for _ in range(size)) for _ in range(2)]
-    g = gamma_value(phis, (1, 4), PRIME)
-    assert gamma_value(phis, (4, 1), PRIME) == (-g) % PRIME
-    assert gamma_value(list(reversed(phis)), (1, 4), PRIME) == (-g) % PRIME
-    assert gamma_value(phis, (4, 4), PRIME) == 0
+    size = len(monomial_basis(2, 2))
+    phis = [tuple(rng.randrange(PRIME) for _ in range(size)) for _ in range(3)]
+    table = minor_table(phis, 2, 2, PRIME)
+    subsets = list(itertools.combinations(range(size), 3))
+    assert table.tolist() == [det_mod([[phi[i] for i in sub] for phi in phis], PRIME) for sub in subsets]
+    swapped = minor_table([phis[1], phis[0], phis[2]], 2, 2, PRIME)
+    assert swapped.tolist() == [(-g) % PRIME for g in table.tolist()]
+    assert not minor_table([phis[0], phis[1], phis[0]], 2, 2, PRIME).any()
 
 
 def test_alpha_one_functional_is_contraction():
@@ -159,4 +167,34 @@ def test_alpha_scales_linearly_in_each_functional():
 
 def test_alpha_terms_antisymmetry_kills_repeated_functional():
     phi = (2, 3, 5, 7)
-    assert alpha_terms((0, 1, 2), [phi, phi], PRIME) == []
+    space = ChainSpace(VeroneseParams(1, 3), 3, 1, PRIME)
+    assert alpha_chain(space, {((0, 1, 2), 0): 1, ((1, 2, 3), 1): 4}, [phi, phi]) == {}
+
+
+@pytest.mark.parametrize("s", [1, 2, 3, 4])
+def test_alpha_chain_equals_the_loop_reference(s):
+    # the numpy contraction against per-term loops with det_mod minors, on
+    # chains of repeated and cancelling terms, for every s up to p
+    rng = random.Random(20241020 + s)
+    size = len(monomial_basis(2, 2))
+    space = ChainSpace(VeroneseParams(2, 2), 4, 1, PRIME)
+    for _ in range(20):
+        chain = _random_chain(rng, space, terms=8)
+        phis = [tuple(rng.randrange(PRIME) for _ in range(size)) for _ in range(s)]
+        assert alpha_chain(space, chain, phis) == loop_contraction(space, chain, phis)
+
+
+@pytest.mark.parametrize("batch", [64, 1 << 14])
+@pytest.mark.parametrize("prime", PINNED_PRIMES[:2])
+def test_ev_d_equals_the_loop_reference(prime, batch, monkeypatch):
+    # every image of the (2,3) p = 5 basis, at two primes, in one batch and
+    # in many small ones
+    monkeypatch.setattr(vsl.syzygy, "_BATCH", batch)
+    params = VeroneseParams(2, 3)
+    classes = cycle_basis(params, 5, 1, Engine(FieldSpec.prime(prime)))
+    pts = sample_general_points(params, prime, seed=1)
+    phis = [point_functional(params, pt) for pt in pts]
+    images = ev_D(classes, pts)
+    assert any(img.coeffs for img in images)
+    for cls, img in zip(classes, images, strict=True):
+        assert img.coeffs == loop_contraction(cls.space, cls.coeffs, phis)
