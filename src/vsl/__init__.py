@@ -1,6 +1,30 @@
 """Exact computation of graded Betti tables for degree-d embeddings of
 projective space, with blockwise Koszul rank reduction, verified range
-predictions, and cycle-level contraction maps."""
+predictions, and cycle-level contraction maps.
+
+Importing vsl loads numpy with one OpenBLAS thread, unless
+OPENBLAS_NUM_THREADS is set: vsl does no float linear algebra, and an idle
+OpenBLAS worker spins for tens of milliseconds of CPU after numpy loads.
+The variable is set only for the length of that import; os.environ is
+left as it was.  If numpy was imported before vsl, nothing changes.
+"""
+
+
+def _load_numpy_single_threaded() -> None:
+    # OpenBLAS reads its thread count once, when numpy loads it
+    import os
+
+    key = "OPENBLAS_NUM_THREADS"
+    user_set = key in os.environ
+    os.environ.setdefault(key, "1")
+    try:
+        import numpy  # noqa: F401
+    finally:
+        if not user_set:
+            del os.environ[key]
+
+
+_load_numpy_single_threaded()
 
 from .bounds import (
     InvariantViolation,

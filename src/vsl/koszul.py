@@ -129,22 +129,15 @@ def space_blocks(n: int, d: int, p: int, m: int):
     enc = (enc_sub[:, None] + enc_mon[None, :]).ravel()
     order = np.argsort(enc, kind="stable")
     enc_sorted = enc[order]
-    cuts = np.nonzero(np.diff(enc_sorted))[0] + 1
-    starts = np.concatenate([[0], cuts])
-    ends = np.concatenate([cuts, [len(enc_sorted)]])
+    starts = np.flatnonzero(np.diff(enc_sorted, prepend=-1))
+    # the base-(total+1) digits of each block's code are its multidegree
+    mdegs = enc_sorted[starts, None] // powers % (total + 1)
     nmon = len(mons)
-    blocks: dict[MultiDegree, tuple[np.ndarray, np.ndarray]] = {}
-    for s, e in zip(starts, ends):
-        code = int(enc_sorted[s])
-        mdeg = []
-        for _ in range(n + 1):
-            code, rem = divmod(code, total + 1)
-            mdeg.append(rem)
-        idx = order[s:e]
-        blocks[tuple(mdeg)] = (
-            (idx // nmon).astype(np.int64),
-            (idx % nmon).astype(np.int64),
-        )
+    cuts = starts[1:]
+    blocks: dict[MultiDegree, tuple[np.ndarray, np.ndarray]] = dict(zip(
+        map(tuple, mdegs.tolist()),
+        zip(np.split(order // nmon, cuts), np.split(order % nmon, cuts)),
+    ))
     if sum(len(v[0]) for v in blocks.values()) != space_dim(n, d, p, m):
         raise InvariantViolation(f"blocks of degree {m}, p={p} do not partition the space")
     return blocks

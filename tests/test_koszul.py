@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import vsl.koszul
+from vsl.betti import _side
 from vsl.bounds import InvariantViolation, VeroneseParams, h0
 from vsl.harness import blockwise_rank, dense_differential
 from vsl.koszul import (
@@ -57,6 +58,66 @@ def test_space_blocks_degree_zero_coefficients():
 
 def test_space_blocks_empty_for_negative_degree():
     assert space_blocks(1, 2, 1, -2) == {}
+
+
+def loop_space_blocks(n: int, d: int, p: int, m: int) -> dict:
+    """Reference space_blocks: decodes each block's multidegree by divmod."""
+    mons = monomial_basis(n, m)
+    if p < 0 or p > h0(n, d) or not mons:
+        return {}
+    _, weights = wedge_subsets(n, d, p)
+    total = p * d + m
+    powers = (total + 1) ** np.arange(n + 1, dtype=np.int64)
+    mon_w = np.array(mons, dtype=np.int64).reshape(len(mons), n + 1)
+    enc = ((weights @ powers)[:, None] + (mon_w @ powers)[None, :]).ravel()
+    order = np.argsort(enc, kind="stable")
+    enc_sorted = enc[order]
+    cuts = np.nonzero(np.diff(enc_sorted))[0] + 1
+    starts = np.concatenate([[0], cuts])
+    ends = np.concatenate([cuts, [len(enc_sorted)]])
+    blocks = {}
+    for s, e in zip(starts, ends):
+        code = int(enc_sorted[s])
+        mdeg = []
+        for _ in range(n + 1):
+            code, rem = divmod(code, total + 1)
+            mdeg.append(rem)
+        idx = order[s:e]
+        blocks[tuple(mdeg)] = (
+            (idx // len(mons)).astype(np.int64),
+            (idx % len(mons)).astype(np.int64),
+        )
+    return blocks
+
+
+def pinned_table_spaces() -> list[tuple[int, int, int, int]]:
+    """(n, d, p, m) of the in, middle and out spaces of every complex the
+    engine ranks for the pinned tables: (2,3) at b = 0 and -1, (1,4),
+    (2,4) strands 1-2, the (2,5) linear strand at p = 16..21 and the (3,2)
+    linear strand."""
+    tables = (
+        ((2, 3, 0), range(4), None), ((2, 3, -1), range(4), None),
+        ((1, 4, 0), range(3), None), ((2, 4, 0), (1, 2), None),
+        ((2, 5, 0), (1,), range(16, 22)), ((3, 2, 0), (1,), None),
+    )
+    spaces = set()
+    for (n, d, b), qs, ps in tables:
+        for q in qs:
+            for p in ps if ps is not None else range(h0(n, d) + 1):
+                params, p2, q2 = _side(VeroneseParams(n, d, b), p, q)
+                for k in (-1, 0, 1):
+                    spaces.add((n, d, p2 + k, params.b + (q2 - k) * d))
+    return sorted(spaces)
+
+
+def test_space_blocks_match_the_divmod_loop_on_the_pinned_tables():
+    for space in pinned_table_spaces():
+        want = loop_space_blocks(*space)
+        got = space_blocks(*space)
+        assert list(got) == list(want), space
+        for mdeg, arrays in want.items():
+            for a, b in zip(got[mdeg], arrays):
+                assert a.dtype == b.dtype and np.array_equal(a, b), (space, mdeg)
 
 
 def test_space_blocks_match_enumeration():
