@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb
 from typing import NamedTuple
 
@@ -46,20 +46,32 @@ class KoszulBlockMatrix:
     """One block of a Koszul differential as a sparse sign matrix.
 
     Rows index the multidegree slice of the target space, columns the slice
-    of the source space; entries are (row, col, +-1) triples.
+    of the source space.  Entry i sits at (rows[i], cols[i]) with value
+    vals[i], three int64 arrays; `entries` gives the same entries as
+    (row, col, value) triples of Python ints.
     """
 
     key: BlockKey
     nrows: int
     ncols: int
-    entries: list[tuple[int, int, int]]
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+
+    @classmethod
+    def from_entries(cls, key: BlockKey, nrows: int, ncols: int, entries) -> KoszulBlockMatrix:
+        """The block of (row, col, value) triples (repeats accumulate)."""
+        rows, cols, vals = np.array(entries, dtype=np.int64).reshape(-1, 3).T
+        return cls(key, nrows, ncols, rows.copy(), cols.copy(), vals.copy())
+
+    @cached_property
+    def entries(self) -> list[tuple[int, int, int]]:
+        return list(zip(self.rows.tolist(), self.cols.tolist(), self.vals.tolist()))
 
     def dense(self) -> np.ndarray:
         """The block as a dense int64 matrix (repeated positions add up)."""
         a = np.zeros((self.nrows, self.ncols), dtype=np.int64)
-        if self.entries:
-            rows, cols, vals = np.array(self.entries, dtype=np.int64).T
-            np.add.at(a, (rows, cols), vals)
+        np.add.at(a, (self.rows, self.cols), self.vals)
         return a
 
 
@@ -177,7 +189,7 @@ def differential_block(key: BlockKey) -> KoszulBlockMatrix:
     m_src = b + q * d
     src = space_blocks(n, d, p, m_src).get(mdeg)
     if m_src < 0 or src is None:
-        return KoszulBlockMatrix(key, 0, 0, [])
+        return KoszulBlockMatrix.from_entries(key, 0, 0, [])
     tgt = space_blocks(n, d, p - 1, m_src + d).get(mdeg)
     if tgt is None:
         raise InvariantViolation("deletion image left the multidegree slice")
@@ -197,10 +209,7 @@ def differential_block(key: BlockKey) -> KoszulBlockMatrix:
     if not np.array_equal(tgt_codes[rows], codes):
         raise InvariantViolation("deletion image left the multidegree slice")
     # sign of deleting position j from a p-tuple: +1 at the last position
-    signs = [1 if (p - 1 - j) % 2 == 0 else -1 for j in range(p)]
-    entries = list(zip(
-        rows.ravel().tolist(),
-        np.repeat(np.arange(len(si)), p).tolist(),
-        signs * len(si),
-    ))
-    return KoszulBlockMatrix(key, len(tgt[0]), len(si), entries)
+    signs = np.empty_like(rows)
+    signs[:] = (-1) ** (p - 1 - np.arange(p))
+    cols = np.arange(len(si)).repeat(p)
+    return KoszulBlockMatrix(key, len(tgt[0]), len(si), rows.ravel(), cols, signs.ravel())

@@ -5,6 +5,17 @@ The sparse GF(p) path computes every block rank; the rational path
 certifies blocks within a size cap with no modular arithmetic.  Primes
 come from a fixed list of ten 31-bit primes so a run can be reproduced and
 cross-checked at a second prime.
+
+`sparse_rank` has two strategies, chosen by a block's stored entry count
+alone.  A block with at least `ROUNDS_MIN_NNZ` and fewer than
+`ROUNDS_MAX_NNZ` entries goes to `sparse_rank_rounds`, which picks many
+compatible pivots at once and eliminates them together with numpy.  Any
+other block is eliminated one pivot at a time by the Python Markowitz loop
+`sparse_rank_entries`.  One round forms at most `ROUND_PRODUCTS_CAP`
+Schur-complement products, so the join's temporaries stay bounded however
+large the block (the fill of the active matrix is not).  Both compute the
+exact rank over GF(p), so ranks, reports and cache bytes do not depend on
+which strategy ran.
 """
 
 from __future__ import annotations
@@ -14,6 +25,8 @@ from dataclasses import dataclass
 from math import gcd
 
 import numpy as np
+
+from .bounds import InvariantViolation
 
 # The ten largest 31-bit primes, fixed once: entries of +-1 reduced mod any
 # of these keep all elimination arithmetic inside 64-bit integers.
@@ -31,6 +44,24 @@ PINNED_PRIMES: tuple[int, ...] = (
 )
 
 DEFAULT_DENSE_LIMIT = 2000
+
+# Blocks with at least ROUNDS_MIN_NNZ and fewer than ROUNDS_MAX_NNZ stored
+# entries are ranked in rounds (see `sparse_rank`).  The lower end comes
+# from per-nnz-bucket timings of both strategies: rounds win from 750
+# entries on every strand timed; below that they lose on small blocks and
+# only tie on the tall blocks of the (2,5) p=16..21 strand.  The upper end
+# comes from single blocks of the (2,5) K_{6..8,1} and (3,3) K_{8..10,1}
+# complexes: rounds won on every block timed below 200K entries (up to
+# 193K), tied at 202K and 210K, and lost 2.3-3.1x in two runs on the
+# 220K-entry central block of (2,5) K_{7,1}, whose active matrix fills
+# faster than rounds clear it.
+ROUNDS_MIN_NNZ = 750
+ROUNDS_MAX_NNZ = 200_000
+
+# The most Schur-complement products, the sum of |L_k|*|U_k| over its
+# pivots, that one round of `sparse_rank_rounds` forms: it bounds the
+# join's temporaries however large the block.
+ROUND_PRODUCTS_CAP = 1 << 18
 
 
 def is_prime(p: int) -> bool:
@@ -82,24 +113,33 @@ class PrimeDisagreement(Exception):
 
 
 def sparse_rank(block, field: FieldSpec) -> int:
-    """Rank of a sparse sign matrix over GF(p) by Markowitz-style elimination.
+    """Rank of a sparse block over GF(p).
 
-    `block` needs .nrows, .ncols and .entries (an iterable of (row, col,
-    value) triples; later triples at the same position accumulate).  Pivots
-    are chosen fill-aware: the active column with fewest entries, then the
-    shortest row in it, ties broken by lowest index, so the elimination
-    order is deterministic.  Columns wait in a lazy min-heap keyed by
-    (entry count, column): a pivot step re-pushes only the columns of the
-    pivot row, the only ones whose counts it can change, and entries whose
-    column is gone or whose count is out of date are skipped when popped.
-    The pivot row leaves the matrix scaled once by its pivot's inverse, so
-    clearing the pivot column from a row r subtracts r's entry times the
-    scaled row.
+    `block` needs .nrows, .ncols, .entries (an iterable of (row, col,
+    value) triples; later triples at the same position accumulate) and the
+    same triples as int64 arrays .rows, .cols and .vals.  A block with at
+    least ROUNDS_MIN_NNZ and fewer than ROUNDS_MAX_NNZ triples is ranked by
+    `sparse_rank_rounds`, any other by `sparse_rank_entries`.
     """
+    if ROUNDS_MIN_NNZ <= block.vals.size < ROUNDS_MAX_NNZ:
+        return sparse_rank_rounds(block.rows, block.cols, block.vals, block.nrows, block.ncols, field.p)
     return sparse_rank_entries(block.entries, field.p)
 
 
 def sparse_rank_entries(entries, p: int) -> int:
+    """Rank over GF(p) of (row, col, value) triples (repeats accumulate) by
+    Markowitz-style elimination, one pivot at a time.
+
+    Pivots are chosen fill-aware: the active column with fewest entries,
+    then the shortest row in it, ties broken by lowest index, so the
+    elimination order is deterministic.  Columns wait in a lazy min-heap
+    keyed by (entry count, column): a pivot step re-pushes only the columns
+    of the pivot row, the only ones whose counts it can change, and entries
+    whose column is gone or whose count is out of date are skipped when
+    popped.  The pivot row leaves the matrix scaled once by its pivot's
+    inverse, so clearing the pivot column from a row r subtracts r's entry
+    times the scaled row.
+    """
     rows: dict[int, dict[int, int]] = {}
     for r, c, v in entries:
         row = rows.setdefault(r, {})
@@ -155,6 +195,122 @@ def sparse_rank_entries(entries, p: int) -> int:
     return rank
 
 
+_NO_SCORE = np.iinfo(np.int64).max
+
+
+def sparse_rank_rounds(rows, cols, vals, nrows: int, ncols: int, p: int) -> int:
+    """Rank over GF(p) of the nrows x ncols matrix with entries (rows[i],
+    cols[i], vals[i]) (repeats accumulate), by rounds of compatible pivots.
+
+    Each round scores every entry by its Markowitz cost (row count - 1) *
+    (column count - 1), ties to the earlier position in row-major order,
+    and takes as candidates the entries cheapest in both their row and
+    their column.  A candidate whose row holds another candidate's column
+    is dropped, the cheaper of the two kept, so the pivot submatrix is
+    diagonal; the cheapest entry always stays, so every round makes
+    progress.  Pivots are then taken in cost order while their products
+    |L_k|*|U_k| sum to at most ROUND_PRODUCTS_CAP (at least one pivot), and
+    all are eliminated at once: the Schur complement is the rest of the
+    matrix plus, for every pivot k, its column entries a_ik times its row
+    entries u_kj scaled by -1/a_kk, joined on k, summed mod p per position
+    with zeros dropped.  rank = pivots + rank(Schur complement).  Values
+    stay below p < 2^31, so every product stays below 2^62.
+    """
+    rows, cols, vals = _combine_mod(
+        np.asarray(rows, dtype=np.int64),
+        np.asarray(cols, dtype=np.int64),
+        np.asarray(vals, dtype=np.int64) % p,
+        ncols,
+        p,
+    )
+    rank = 0
+    while vals.size:
+        piv = _round_pivots(rows, cols, nrows, ncols)
+        k = piv.size
+        piv_of_row = np.full(nrows, -1)
+        piv_of_row[rows[piv]] = np.arange(k)
+        piv_of_col = np.full(ncols, -1)
+        piv_of_col[cols[piv]] = np.arange(k)
+        kr, kc = piv_of_row[rows], piv_of_col[cols]
+        in_row, in_col = kr >= 0, kc >= 0
+        both = in_row & in_col
+        if not k or np.count_nonzero(both) != k or not np.array_equal(kr[both], kc[both]):
+            raise InvariantViolation("sparse_rank_rounds: pivot submatrix is not diagonal")
+        rank += k
+        inv = np.array([pow(v, -1, p) for v in vals[piv].tolist()], dtype=np.int64)
+        # L: pivot-column entries off the pivot rows; U: pivot-row entries
+        # off the pivot columns, scaled by the pivot's inverse, grouped by k
+        low = in_col & ~in_row
+        lk, li, lv = kc[low], rows[low], p - vals[low]
+        up = in_row & ~in_col
+        order = np.argsort(kr[up], kind="stable")
+        uk, uj, uv = kr[up][order], cols[up][order], vals[up][order]
+        uv = uv * inv[uk] % p
+        per_pivot = np.bincount(uk, minlength=k)
+        reps = per_pivot[lk]
+        rest = ~(in_row | in_col)
+        rows, cols, vals = rows[rest], cols[rest], vals[rest]
+        if total := int(reps.sum()):
+            # L entry e meets each U entry of its pivot: `at` repeats e once
+            # per such entry, `ui` walks that pivot's slice of the U arrays
+            at = np.repeat(np.arange(lk.size), reps)
+            first = np.cumsum(per_pivot) - per_pivot
+            ui = np.arange(total) + np.repeat(first[lk] - (np.cumsum(reps) - reps), reps)
+            rows, cols, vals = _combine_mod(
+                np.concatenate([rows, li[at]]),
+                np.concatenate([cols, uj[ui]]),
+                np.concatenate([vals, lv[at] * uv[ui] % p]),
+                ncols,
+                p,
+            )
+    return rank
+
+
+def _round_pivots(rows, cols, nrows: int, ncols: int) -> np.ndarray:
+    """Positions of one round's pivots, cheapest first: see
+    `sparse_rank_rounds`.  Its per-entry scores die with the call, before
+    the round's Schur complement is formed."""
+    row_count = np.bincount(rows, minlength=nrows)
+    col_count = np.bincount(cols, minlength=ncols)
+    cost = (row_count[rows] - 1) * (col_count[cols] - 1)
+    # cost in the high bits, position in the low 32: one comparable score
+    score = np.minimum(cost, 1 << 30) << 32 | np.arange(rows.size)
+    row_best = np.full(nrows, _NO_SCORE)
+    np.minimum.at(row_best, rows, score)
+    col_best = np.full(ncols, _NO_SCORE)
+    np.minimum.at(col_best, cols, score)
+    keep = (score == row_best[rows]) & (score == col_best[cols])
+    row_cand = np.full(nrows, -1)
+    row_cand[rows[keep]] = score[keep]
+    col_cand = np.full(ncols, -1)
+    col_cand[cols[keep]] = score[keep]
+    by_row, by_col = row_cand[rows], col_cand[cols]
+    clash = (by_row >= 0) & (by_col >= 0) & ~keep
+    # of two candidates whose row and column meet, drop the dearer one
+    keep[np.maximum(by_row[clash], by_col[clash]) & 0xFFFFFFFF] = False
+    piv = np.flatnonzero(keep)
+    piv = piv[np.argsort(score[piv])]
+    products = np.cumsum(cost[piv])
+    return piv[: max(1, int(np.searchsorted(products, ROUND_PRODUCTS_CAP, side="right")))]
+
+
+def _combine_mod(rows, cols, vals, ncols: int, p: int):
+    """The entries sorted row-major, values at one position summed mod p,
+    zeros dropped; values must be reduced mod p already."""
+    key = rows * ncols + cols
+    order = np.argsort(key)
+    key, vals = key[order], vals[order]
+    new = np.empty(key.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(key[1:], key[:-1], out=new[1:])
+    if not new.all():
+        starts = np.flatnonzero(new)
+        key, vals = key[starts], np.add.reduceat(vals, starts) % p
+    nonzero = vals != 0
+    key, vals = key[nonzero], vals[nonzero]
+    return key // ncols, key % ncols, vals
+
+
 def dense_rank_mod(a: np.ndarray, p: int) -> int:
     """Rank over GF(p) of a dense integer matrix."""
     return len(rref_mod(a, p)[1])
@@ -208,8 +364,10 @@ def echelon_mod(entries, p: int) -> dict[int, dict[int, int]]:
     triples (repeats accumulate), as {lead: vector}, each vector monic at its
     lead (lowest row).  Columns enter in index order and reduce at their lead
     until it is new.  The leads are where vectors of the column span lead.
-    A column's rows wait in a heap: a reduction only adds rows above its
-    lead, pushed as they appear, and rows gone from the column are skipped."""
+    A column's rows wait in a heap, each pushed once: a reduction only adds
+    rows above its lead, and a row that cancels stays in the column at 0,
+    still queued, so only a row new to the column is pushed; popped zeros
+    are skipped and never stored."""
     columns: dict[int, dict[int, int]] = {}
     for r, c, v in entries:
         col = columns.setdefault(c, {})
@@ -220,22 +378,18 @@ def echelon_mod(entries, p: int) -> dict[int, dict[int, int]]:
         heap = list(vec)
         heapq.heapify(heap)
         while heap:
-            if (lead := heapq.heappop(heap)) not in vec:
+            if not (f := vec[lead := heapq.heappop(heap)]):
                 continue
             if (stored := basis.get(lead)) is None:
-                inv = pow(vec[lead], -1, p)
-                basis[lead] = {r: v * inv % p for r, v in vec.items()}
+                inv = pow(f, -1, p)
+                basis[lead] = {r: v * inv % p for r, v in vec.items() if v}
                 break
-            f = vec[lead]
             for r, v in stored.items():
                 if (cur := vec.get(r)) is None:
-                    # f and v are units mod p, so a new entry is never 0
                     vec[r] = -f * v % p
                     heapq.heappush(heap, r)
-                elif x := (cur - f * v) % p:
-                    vec[r] = x
                 else:
-                    del vec[r]
+                    vec[r] = (cur - f * v) % p
     return basis
 
 

@@ -24,6 +24,7 @@ from vsl.betti import (
     euler_check,
 )
 from vsl.cache import BlockCache
+from vsl.cli import main
 from vsl.harness import verify
 from vsl.koszul import orbit_reduce, space_blocks
 from vsl.linalg import PINNED_PRIMES, FieldSpec, PrimeDisagreement
@@ -388,6 +389,37 @@ def test_threaded_engine_certifies_over_rationals(tmp_path):
         assert len(calls["rational_rank"]) == 953
         assert serial_run[0].stats["rational_certified"] == certified
         _pooled_matches_serial(run_dir, serial_run, direct_table, **options)
+
+
+def test_certified_blocks_pass_through_the_traced_rank_call(tmp_path, monkeypatch):
+    # what the benchmark's certified share counts: in a serial certifying
+    # verify, every block ranked over QQ was ranked by a call of
+    # vsl.betti.sparse_rank(block, field), once per field, on a block that
+    # carries .key, .nrows and .ncols
+    prime_calls, rational_keys = [], []
+    real_sparse, real_rational = vsl.betti.sparse_rank, vsl.betti.rational_rank
+
+    def sparse(block, field):
+        prime_calls.append((block.key, block.nrows, block.ncols, field.p))
+        return real_sparse(block, field)
+
+    def rational(block, *args, **kwargs):
+        rational_keys.append(block.key)
+        return real_rational(block, *args, **kwargs)
+
+    monkeypatch.setattr(vsl.betti, "sparse_rank", sparse)
+    monkeypatch.setattr(vsl.betti, "rational_rank", rational)
+    argv = ["verify", "--n", "2", "--d", "3", "--strands", "1,2", "--certify", "--format", "json"]
+    assert main([*argv, "--cache", str(tmp_path / "cache"), "--out", str(tmp_path / "out")]) == 0
+    primes = sorted({prime for *_, prime in prime_calls})
+    assert len(primes) == 2
+    per_key: dict = {}
+    for key, nrows, ncols, prime in prime_calls:
+        assert isinstance(nrows, int) and isinstance(ncols, int)
+        per_key.setdefault(key, []).append(prime)
+    assert rational_keys
+    for key in rational_keys:
+        assert sorted(per_key[key]) == primes, key
 
 
 def test_invariant_checks_survive_optimized_mode():

@@ -133,7 +133,7 @@ def test_selftest_catches_a_planted_sign_error(monkeypatch):
         block = real(key)
         if key == target_key:
             r, c, v = block.entries[0]
-            return KoszulBlockMatrix(
+            return KoszulBlockMatrix.from_entries(
                 key, block.nrows, block.ncols, [(r, c, -v)] + list(block.entries[1:])
             )
         return block

@@ -8,12 +8,21 @@ import pytest
 from conftest import lowest_lead_kernel_mod
 from hypothesis import given, settings, strategies as st
 
+import vsl.linalg
 from vsl.bounds import h0
 from vsl.harness import dense_differential
-from vsl.koszul import BlockKey, KoszulBlockMatrix, differential_block, space_blocks
+from vsl.koszul import (
+    BlockKey,
+    KoszulBlockMatrix,
+    differential_block,
+    orbit_reduce,
+    space_blocks,
+)
 from vsl.linalg import (
     DEFAULT_DENSE_LIMIT,
     PINNED_PRIMES,
+    ROUNDS_MAX_NNZ,
+    ROUNDS_MIN_NNZ,
     FieldSpec,
     dense_rank_mod,
     echelon_mod,
@@ -25,6 +34,7 @@ from vsl.linalg import (
     solve_mod,
     sparse_rank,
     sparse_rank_entries,
+    sparse_rank_rounds,
 )
 
 P = PINNED_PRIMES[0]
@@ -33,7 +43,7 @@ FIELD = FieldSpec.prime(P)
 
 def _block(entries, nrows, ncols) -> KoszulBlockMatrix:
     key = BlockKey(1, 1, 0, 1, 1, (0, 0))
-    return KoszulBlockMatrix(key, nrows, ncols, list(entries))
+    return KoszulBlockMatrix.from_entries(key, nrows, ncols, entries)
 
 
 def primes_from_seed(seed: int, count: int = 2) -> tuple[int, ...]:
@@ -167,6 +177,77 @@ def test_sparse_rank_matches_dense_under_cancellation(prime, case):
     for r, c, v in entries:
         a[r, c] += v
     assert sparse_rank_entries(entries, prime) == dense_rank_mod(a, prime)
+
+
+@pytest.mark.parametrize("prime", PINNED_PRIMES[:2])
+@settings(max_examples=150, deadline=None)
+@given(
+    case=triples_with_cancellation(min_size=0),
+    transpose=st.booleans(),
+    cap=st.sampled_from((None, 0, 3)),
+)
+def test_rounds_kernel_matches_dense_rank(prime, case, transpose, cap):
+    # repeated positions, sums that cancel mod p, values p-1, empty rows
+    # and columns, tall and wide shapes; a small round cap takes one pivot
+    # (cap 0) or a few per round
+    nrows, ncols, entries, flags = case
+    entries = [(r, c, v % prime if f else v) for (r, c, v), f in zip(entries, flags)]
+    if transpose:
+        nrows, ncols, entries = ncols, nrows, [(c, r, v) for r, c, v in entries]
+    a = np.zeros((nrows, ncols), dtype=np.int64)
+    for r, c, v in entries:
+        a[r, c] += v
+    block = _block(entries, nrows, ncols)
+    with pytest.MonkeyPatch.context() as mp:
+        if cap is not None:
+            mp.setattr(vsl.linalg, "ROUND_PRODUCTS_CAP", cap)
+        got = sparse_rank_rounds(block.rows, block.cols, block.vals, nrows, ncols, prime)
+    assert got == dense_rank_mod(a, prime)
+
+
+@pytest.mark.parametrize("prime", PINNED_PRIMES[:2])
+def test_rounds_kernel_matches_markowitz_on_koszul_blocks(prime):
+    # every orbit-representative block of the (2,3) strands 0..3 and of the
+    # (2,4) and (3,2) linear strands, whatever its size
+    count = 0
+    for n, d, strands in ((2, 3, range(4)), (2, 4, (1,)), (3, 2, (1,))):
+        for q in strands:
+            for p in range(1, h0(n, d) + 1):
+                for mdeg, _ in orbit_reduce(space_blocks(n, d, p, q * d)):
+                    block = differential_block(BlockKey(n, d, 0, p, q, mdeg))
+                    want = sparse_rank_entries(block.entries, prime)
+                    got = sparse_rank_rounds(
+                        block.rows, block.cols, block.vals, block.nrows, block.ncols, prime
+                    )
+                    assert got == want, block.key
+                    count += 1
+    assert count > 1000
+
+
+def test_sparse_rank_routes_by_entry_count(monkeypatch):
+    # blocks with ROUNDS_MIN_NNZ and ROUNDS_MAX_NNZ - 1 entries take the
+    # rounds kernel, one entry fewer or more the Markowitz loop, and all
+    # give the rank
+    calls = []
+    for name in ("sparse_rank_rounds", "sparse_rank_entries"):
+        real = getattr(vsl.linalg, name)
+        monkeypatch.setattr(
+            vsl.linalg, name, lambda *a, real=real, name=name: calls.append(name) or real(*a)
+        )
+    cases = (
+        (ROUNDS_MIN_NNZ, "sparse_rank_rounds"),
+        (ROUNDS_MIN_NNZ - 1, "sparse_rank_entries"),
+        (ROUNDS_MAX_NNZ - 1, "sparse_rank_rounds"),
+        (ROUNDS_MAX_NNZ, "sparse_rank_entries"),
+    )
+    for nnz, kernel in cases:
+        # column c meets rows 2c and 2c + 1 (the last perhaps only 2c), so
+        # one round takes every column: rank = number of columns
+        entries = [(2 * c + j, c, 1) for c in range((nnz + 1) // 2) for j in (0, 1)][:nnz]
+        ncols = (nnz + 1) // 2
+        calls.clear()
+        assert sparse_rank(_block(entries, 2 * ncols, ncols), FIELD) == ncols
+        assert calls == [kernel]
 
 
 def test_full_matrix_rank_for_line_quadric():

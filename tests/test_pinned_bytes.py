@@ -1,5 +1,5 @@
-"""Pinned output and cache bytes of the CLI on the (2,3) tables, plus the
-maps report of the line quartic (1,4).
+"""Pinned output and cache bytes of the CLI on the (2,3) tables and the
+(2,4) linear strand, plus the maps report of the line quartic (1,4).
 
 Each case runs `vsl.cli.main` in-process at the first pinned prime, with
 its own empty cache directory, and compares the report (and, where listed,
@@ -30,6 +30,13 @@ TABLE = ["--n", "2", "--d", "3"]
 # name: (argv, expected exit status, whether blocks.jsonl is pinned too)
 CASES = {
     "betti_2_3_json": (["betti", *TABLE, "--format", "json"], 0, True),
+    # the only case with blocks of ROUNDS_MIN_NNZ entries or more, which
+    # `sparse_rank` ranks in rounds: (2,3) blocks are all smaller
+    "betti_2_4_q1_json": (
+        ["betti", "--n", "2", "--d", "4", "--q-min", "1", "--q-max", "1", "--format", "json"],
+        0,
+        True,
+    ),
     "betti_2_3_cols20_ascii": (["betti", *TABLE, "--max-block-cols", "20"], 0, False),
     "betti_2_3_cols20_csv": (
         ["betti", *TABLE, "--max-block-cols", "20", "--format", "csv"], 0, False
