@@ -15,8 +15,8 @@ either side; `_side` picks the smaller one from sizes alone.
 from __future__ import annotations
 
 import concurrent.futures
+from collections.abc import Callable
 from dataclasses import dataclass, field as dc_field
-from itertools import repeat
 
 from .bounds import (
     InvariantViolation,
@@ -94,7 +94,7 @@ def _rank_job(
     The block is ranked over every field in `fields` (the engine's, checked
     once when it was built), and over the rationals when both sides are
     within rational_cap.  Returns ({prime: rank}, rational rank or None);
-    `Engine._rank_blocks` compares these ranks and stores them.
+    `Engine._collect` compares these ranks and stores them.
     """
     block = differential_block(key)
     ranks = {field.p: sparse_rank(block, field) for field in fields}
@@ -106,6 +106,13 @@ def _rank_job(
     ):
         exact = rational_rank(block, dense_limit=rational_cap)
     return ranks, exact
+
+
+def _rank_group(
+    keys: list[BlockKey], fields: list[tuple[FieldSpec, ...]], rational_cap: int | None
+) -> dict[BlockKey, tuple[dict[int, int], int | None]]:
+    """Run `_rank_job` on each key in turn: one share, one pool task."""
+    return {key: _rank_job(key, f, rational_cap) for key, f in zip(keys, fields)}
 
 
 class Engine:
@@ -121,10 +128,14 @@ class Engine:
     `_side`); `direct_dim` computes an entry by its own complex, after
     checking the ceilings from sizes alone.
 
-    Block ranks go through one path: `_rank_job` computes the prime and
-    rational ranks, serially or in the engine's pool, largest block first;
-    `_rank_blocks` compares the rational rank with each fresh prime rank,
-    stores ranks in `keys` and prime order and compares the two primes.
+    Block ranks go through one path in two halves.  `_submit` hands an
+    entry's uncached blocks, largest first, to `_rank_job`: in `threads`
+    shares on the engine's pool, or in process at once.  `_collect` compares
+    the rational rank with each fresh prime rank, stores ranks in `keys` and
+    prime order and compares the two primes.  `betti_table` submits every
+    entry of its rectangle before it collects any, so no entry waits for
+    the one before it to finish; it collects in entry order, and each entry's
+    ranks are stored as that entry completes.
     Reports, cache files and stats therefore do not depend on `threads` or
     on the order jobs run in, nor refusals on the cache.
     With threads > 1 the engine ranks only inside `with engine:`, which owns
@@ -176,39 +187,70 @@ class Engine:
     def _cache_key(self, key: BlockKey, prime: int) -> CacheKey:
         return (key.n, key.d, key.b, key.p, key.q, key.mdeg, prime)
 
-    def _rank_blocks(
-        self, keys: list[BlockKey], mid_size: dict[MultiDegree, int]
-    ) -> dict[BlockKey, int]:
-        """Rank blocks through `_rank_job`, serially or on the engine's pool.
+    def _submit(
+        self,
+        keys: list[BlockKey],
+        mid_size: dict[MultiDegree, int],
+        pending: dict[BlockKey, concurrent.futures.Future],
+    ) -> tuple:
+        """Start ranking the blocks `keys` needs; `_collect` finishes.
 
-        Jobs cover the keys with an uncached engine prime and go out largest
-        first: by descending mid-slice size `mid_size[key.mdeg]`, an
-        out-block's columns and an in-block's rows alike, ties in key order.
-        Their results are checked and stored in `keys` order.
+        The cache is read once per key and prime.  Jobs cover the keys with
+        an uncached engine prime that no earlier entry of `pending` (the
+        run's key -> share map) is ranking.  They are sorted largest first:
+        by descending mid-slice size `mid_size[key.mdeg]`, an out-block's
+        columns and an in-block's rows alike, ties in key order.  With a
+        pool and at least 4 jobs, each job goes to the `threads` share with
+        the least mid-slice size so far, and each share to the pool as one
+        task; otherwise the jobs run here, now, in that order.
         """
         if self.threads > 1 and self._pool is None:
             raise RuntimeError(f"Engine(threads={self.threads}) ranks only inside `with engine:`")
-        primes = self.primes
         cached = {
-            key: {prime: self.cache.get(self._cache_key(key, prime)) for prime in primes}
+            key: {prime: self.cache.get(self._cache_key(key, prime)) for prime in self.primes}
             for key in keys
         }
         todo = {
             key: tuple(field for field in self.fields if found[field.p] is None)
             for key, found in cached.items()
-            if None in found.values()
+            if None in found.values() and key not in pending
         }
         order = sorted(todo, key=lambda key: (-mid_size[key.mdeg], key))
-        jobs = (order, map(todo.get, order), repeat(self.rational_cap))
-        if self.threads > 1 and len(todo) >= 4:
-            done = dict(zip(order, self._pool.map(_rank_job, *jobs, chunksize=8)))
+        if self.threads > 1 and len(order) >= 4:
+            shares: list[list[BlockKey]] = [[] for _ in range(self.threads)]
+            loads = [0] * self.threads
+            for key in order:
+                least = loads.index(min(loads))
+                shares[least].append(key)
+                loads[least] += mid_size[key.mdeg]
+            for share in filter(None, shares):
+                jobs = (share, list(map(todo.get, share)), self.rational_cap)
+                pending.update(dict.fromkeys(share, self._pool.submit(_rank_group, *jobs)))
         else:
-            done = dict(zip(order, map(_rank_job, *jobs)))
+            done: concurrent.futures.Future = concurrent.futures.Future()
+            done.set_result(_rank_group(order, list(map(todo.get, order)), self.rational_cap))
+            pending.update(dict.fromkeys(order, done))
+        return keys, cached, todo.keys(), pending
+
+    def _collect(self, submitted: tuple) -> dict[BlockKey, int]:
+        """Check and store the ranks `_submit` started, in `keys` order.
+
+        Waits for the shares that rank `keys`.  Entries that share `pending`
+        are collected in the order they were submitted: a key an earlier
+        entry ranked is read from that entry's share and counts as a cache
+        hit, as it would have had that entry been collected before this one
+        was submitted.
+        """
+        keys, cached, own, pending = submitted
+        primes = self.primes
         out: dict[BlockKey, int] = {}
         for key in keys:
-            fresh, exact = done.get(key, ({}, None))
+            found = cached[key]
+            fresh, exact = pending[key].result()[key] if None in found.values() else ({}, None)
             ranks = []
-            for prime, rank in cached[key].items():
+            for prime, rank in found.items():
+                if rank is None and key not in own:
+                    rank = fresh[prime]
                 if rank is not None:
                     self.stats["cache_hits"] += 1
                 else:
@@ -255,13 +297,21 @@ class Engine:
         A partner the ceilings refuse falls back to the direct complex, so
         routing never skips an entry `direct_dim` computes.
         """
+        finish, via = self._plan_entry(params, p, q, {})
+        return finish(), via
+
+    def _plan_entry(
+        self, params: VeroneseParams, p: int, q: int, pending: dict
+    ) -> tuple[Callable[[], int], dict | None]:
+        """`kpq_entry` up to its ranks: the submitted entry's finish half
+        and the partner index, with `pending` as in `_submit`."""
         side = _side(params, p, q)
         if side != (params, p, q):
             try:
-                return self.direct_dim(*side), {"p": side[1], "q": side[2], "b": side[0].b}
+                return self._plan_direct(*side, pending), {"p": side[1], "q": side[2], "b": side[0].b}
             except ResourceRefusal:
                 pass
-        return self.direct_dim(params, p, q), None
+        return self._plan_direct(params, p, q, pending), None
 
     def direct_dim(self, params: VeroneseParams, p: int, q: int) -> int:
         """dim K_{p,q} at params by its own complex, orbit-reduced blockwise.
@@ -271,14 +321,22 @@ class Engine:
         in-block can exceed the ceiling only when its whole space does, so
         the in-space is enumerated only then.
         """
+        return self._plan_direct(params, p, q, {})()
+
+    def _plan_direct(
+        self, params: VeroneseParams, p: int, q: int, pending: dict
+    ) -> Callable[[], int]:
+        """`direct_dim` up to its ranks: check the ceilings and submit the
+        blocks, with `pending` as in `_submit`.  Returns the finish half,
+        which collects the ranks and sums the homology of every orbit."""
         n, d, b = params.n, params.d, params.b
         m_mid = b + q * d
         if p < 0 or p > h0(n, d) or m_mid < 0:
-            return 0
+            return lambda: 0
         self._check_space(params, p, m_mid)
         mid_blocks = space_blocks(n, d, p, m_mid)
         if not mid_blocks:
-            return 0
+            return lambda: 0
         orbits = orbit_reduce(mid_blocks.keys())
         m_in = b + (q - 1) * d
         want_out = p >= 1
@@ -298,16 +356,21 @@ class Engine:
             if ncols > ceiling:
                 self.stats["refusals"] += 1
                 raise ResourceRefusal(f"block {key} has {ncols} columns (ceiling {ceiling})")
-        ranks = self._rank_blocks(keys_out + keys_in, mid_size)
-        total = 0
-        for rep, count in orbits:
-            r_out = ranks[BlockKey(n, d, b, p, q, rep)] if want_out else 0
-            r_in = ranks[BlockKey(n, d, b, p + 1, q - 1, rep)] if want_in else 0
-            hom = mid_size[rep] - r_out - r_in
-            if hom < 0:
-                raise InvariantViolation(f"negative homology contribution at {rep}")
-            total += count * hom
-        return total
+        submitted = self._submit(keys_out + keys_in, mid_size, pending)
+
+        def finish() -> int:
+            ranks = self._collect(submitted)
+            total = 0
+            for rep, count in orbits:
+                r_out = ranks[BlockKey(n, d, b, p, q, rep)] if want_out else 0
+                r_in = ranks[BlockKey(n, d, b, p + 1, q - 1, rep)] if want_in else 0
+                hom = mid_size[rep] - r_out - r_in
+                if hom < 0:
+                    raise InvariantViolation(f"negative homology contribution at {rep}")
+                total += count * hom
+            return total
+
+        return finish
 
 
 @dataclass
@@ -404,9 +467,12 @@ def betti_table(
 ) -> BettiTable:
     """Compute a rectangle of the Betti table, refusals recorded as skipped.
 
-    Entries are computed q by q, p ascending within each q.  An end given
-    as None defaults to the edge of everything that can be nonzero: p in
-    [0, h0(n,d)] and q in [0, n+1].
+    Entries are planned q by q, p ascending within each q: refused, or
+    their block ranks submitted.  Only then are they collected, in the same
+    order, so the engine's pool never waits for one entry to finish before
+    it gets the next one's blocks.  An end given as None defaults to the
+    edge of everything that can be nonzero: p in [0, h0(n,d)] and q in
+    [0, n+1].
     """
     (p_lo, p_hi), (q_lo, q_hi) = p_range, q_range
     p_hi = h0(params.n, params.d) if p_hi is None else p_hi
@@ -417,15 +483,18 @@ def betti_table(
         primes=engine.primes,
         certified=engine.certify_prime is not None,
     )
+    pending: dict = {}
+    planned = {}
     for q in range(q_lo or 0, q_hi + 1):
         for p in range(p_lo or 0, p_hi + 1):
             try:
-                table.dims[(p, q)], via = engine.kpq_entry(params, p, q)
+                planned[(p, q)] = engine._plan_entry(params, p, q, pending)
             except ResourceRefusal as refusal:
                 table.skipped[(p, q)] = str(refusal)
-                continue
-            if via is not None:
-                table.via[(p, q)] = via
+    for entry, (finish, via) in planned.items():
+        table.dims[entry] = finish()
+        if via is not None:
+            table.via[entry] = via
     return table
 
 

@@ -16,6 +16,7 @@ import vsl.linalg
 
 from vsl.bounds import VeroneseParams, binom, green_vanishing_bound, h0
 from vsl.betti import (
+    BettiTable,
     Engine,
     ResourceLimits,
     ResourceRefusal,
@@ -245,6 +246,45 @@ def test_threaded_engine_matches_serial(eng):
         idle = Engine(FieldSpec.prime(PINNED_PRIMES[0]), cache=cache, threads=2)
         with pytest.raises(RuntimeError, match=r"Engine\(threads=2\) ranks only inside"):
             idle.kpq_dim(pr, 2, 1)
+
+
+@pytest.mark.parametrize("max_block_cols", [None, 20])
+def test_pipelined_table_matches_entry_by_entry(tmp_path, max_block_cols):
+    # betti_table submits every entry before it collects any.  In the full
+    # (2,3) table K_{p,0}'s out-blocks are K_{p-1,1}'s in-blocks, so later
+    # entries find keys an earlier pending entry is ranking: every cache hit
+    # of a cold run is one.  A 20-column ceiling refuses entries mid-window.
+    # At 1 and 2 threads the table, the cache bytes and the stats equal those
+    # of ranking the entries one by one, each stored before the next starts
+    limits = ResourceLimits() if max_block_cols is None else ResourceLimits(max_block_cols)
+    params = VeroneseParams(2, 3)
+
+    def engine(name, threads=1):
+        cache = BlockCache.open(str(tmp_path / name))
+        return Engine(FieldSpec.prime(PINNED_PRIMES[0]), cache, limits, threads)
+
+    one_by_one = engine("reference")
+    expected = BettiTable(params, one_by_one.field, primes=one_by_one.primes)
+    for q in range(params.n + 2):
+        for p in range(h0(2, 3) + 1):
+            try:
+                expected.dims[(p, q)], via = one_by_one.kpq_entry(params, p, q)
+            except ResourceRefusal as refusal:
+                expected.skipped[(p, q)] = str(refusal)
+                continue
+            if via is not None:
+                expected.via[(p, q)] = via
+    assert one_by_one.stats["cache_hits"] > 0
+    assert bool(expected.skipped) == (max_block_cols is not None)
+    with open(tmp_path / "reference" / "blocks.jsonl", "rb") as fh:
+        expected_bytes = fh.read()
+    for threads in (1, 2):
+        with engine(f"t{threads}", threads) as pipelined:
+            table = betti_table(params, pipelined)
+        assert table.to_json_dict() == expected.to_json_dict()
+        assert pipelined.stats == one_by_one.stats
+        with open(tmp_path / f"t{threads}" / "blocks.jsonl", "rb") as fh:
+            assert fh.read() == expected_bytes
 
 
 def test_one_entry_fits_the_space_blocks_cache(monkeypatch):

@@ -13,7 +13,7 @@ import vsl.betti
 import vsl.cli
 import vsl.syzygy
 import vsl.harness as harness
-from vsl.betti import Engine, ResourceLimits, ResourceRefusal
+from vsl.betti import Engine, ResourceLimits, ResourceRefusal, betti_table
 from vsl.bounds import VeroneseParams
 from vsl.cli import main
 from vsl.harness import (
@@ -637,7 +637,8 @@ def test_cli_engine_flags_below_one_exit_2(monkeypatch, capsys, flag, value):
 
 
 class _CountingPool(concurrent.futures.ProcessPoolExecutor):
-    """A process pool that logs its construction, each map and its shutdown."""
+    """A process pool that logs its construction, each submitted job and its
+    shutdown."""
 
     log: list[str] = []
 
@@ -645,9 +646,9 @@ class _CountingPool(concurrent.futures.ProcessPoolExecutor):
         super().__init__(*args, **kwargs)
         self.log.append("open")
 
-    def map(self, *args, **kwargs):
-        self.log.append("map")
-        return super().map(*args, **kwargs)
+    def submit(self, *args, **kwargs):
+        self.log.append("submit")
+        return super().submit(*args, **kwargs)
 
     def shutdown(self, *args, **kwargs):
         super().shutdown(*args, **kwargs)
@@ -676,13 +677,29 @@ def test_cli_opens_one_pool_per_command(monkeypatch, capsys):
         assert main(argv) == 0
         assert log[0] == "open" and log[-1] == "shutdown", argv
         assert log.count("open") == log.count("shutdown") == 1, argv
-        assert log.count("map") > 1, argv
+        assert log.count("submit") > 2, argv
     capsys.readouterr()
     monkeypatch.setattr(vsl.betti, "_rank_job", _rank_job_failing_in_workers)
     log.clear()
     with pytest.raises(ZeroDivisionError, match="planted failure in a pool worker"):
         main(betti)
-    assert log == ["open", "map", "shutdown"]
+    assert log[0] == "open" and log[-1] == "shutdown"
+    assert log.count("open") == log.count("shutdown") == 1
+    assert log.count("submit") > 2
+    assert not multiprocessing.active_children()
+
+
+@pytest.mark.parametrize("threads", [2, 3])
+def test_one_pooled_entry_goes_out_in_threads_shares(monkeypatch, threads):
+    # a window of one entry with many uncached blocks still keeps every
+    # worker busy: its jobs go out as `threads` shares, no more
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _CountingPool)
+    _CountingPool.log.clear()
+    with Engine(FieldSpec.prime(PINNED_PRIMES[0]), threads=threads) as engine:
+        table = betti_table(VeroneseParams(2, 4), engine, (5, 5), (1, 1))
+    assert table.dims == {(5, 1): 7095}
+    assert engine.stats["blocks_ranked"] >= 4
+    assert _CountingPool.log == ["open"] + ["submit"] * threads + ["shutdown"]
 
 
 def test_cli_selftest(capsys):
