@@ -15,8 +15,10 @@ either side; `_side` picks the smaller one from sizes alone.
 from __future__ import annotations
 
 import concurrent.futures
-from collections.abc import Callable
+import os
+from collections.abc import Iterable
 from dataclasses import dataclass, field as dc_field
+from typing import NamedTuple
 
 from .bounds import (
     InvariantViolation,
@@ -38,7 +40,6 @@ from .linalg import (
     rational_rank,
     sparse_rank,
 )
-from .polyspace import MultiDegree
 
 
 class ResourceRefusal(RuntimeError):
@@ -94,7 +95,7 @@ def _rank_job(
     The block is ranked over every field in `fields` (the engine's, checked
     once when it was built), and over the rationals when both sides are
     within rational_cap.  Returns ({prime: rank}, rational rank or None);
-    `Engine._collect` compares these ranks and stores them.
+    `Engine._dims` compares these ranks and stores them.
     """
     block = differential_block(key)
     ranks = {field.p: sparse_rank(block, field) for field in fields}
@@ -115,6 +116,19 @@ def _rank_group(
     return {key: _rank_job(key, f, rational_cap) for key, f in zip(keys, fields)}
 
 
+class _Plan(NamedTuple):
+    """One entry's block work, decided from sizes: per orbit of its middle
+    space (count, mid size, out key, in key), a key None where that
+    differential vanishes, and the partner index it is computed through."""
+
+    orbits: list[tuple[int, int, BlockKey | None, BlockKey | None]]
+    via: dict | None = None
+
+    def sizes(self) -> dict[BlockKey, int]:
+        """Each block key with its orbit's mid size, out-blocks first."""
+        return {o[i]: o[1] for i in (2, 3) for o in self.orbits if o[i] is not None}
+
+
 class Engine:
     """Computes and caches block ranks over one prime field.
 
@@ -124,23 +138,17 @@ class Engine:
     if given, and `fields` their FieldSpecs, built once for every rank job.
     rational_cap: blocks with both sides at most this size are additionally
     certified by fraction-free rational elimination.
-    `kpq_entry` computes each entry on the smaller side of the duality (see
-    `_side`); `direct_dim` computes an entry by its own complex, after
-    checking the ceilings from sizes alone.
 
-    Block ranks go through one path in two halves.  `_submit` hands an
-    entry's uncached blocks, largest first, to `_rank_job`: in `threads`
-    shares on the engine's pool, or in process at once.  `_collect` compares
-    the rational rank with each fresh prime rank, stores ranks in `keys` and
-    prime order and compares the two primes.  `betti_table` submits every
-    entry of its rectangle before it collects any, so no entry waits for
-    the one before it to finish; it collects in entry order, and each entry's
-    ranks are stored as that entry completes.
-    Reports, cache files and stats therefore do not depend on `threads` or
-    on the order jobs run in, nor refusals on the cache.
+    Every entry goes plan -> rank -> sum.  `_plan` checks its blocks against
+    the ceilings from sizes alone, `_route` plans the side `_side` picks,
+    and `_dims` submits the blocks of a run of plans before it collects,
+    stores and sums any.  `kpq_entry` and `direct_dim` run one plan;
+    `betti_table` and `verify` run their whole window.  Reports, cache files
+    and stats do not depend on `threads` or on the order jobs run in, nor
+    refusals on the cache.
     With threads > 1 the engine ranks only inside `with engine:`, which owns
-    one process pool until the `with` ends: its workers, forked at the first
-    pooled rank, serve every entry of a command.
+    one process pool until the `with` ends: its workers, at most one per
+    usable CPU, are forked at the first pooled rank and serve the command.
     """
 
     def __init__(
@@ -174,7 +182,10 @@ class Engine:
 
     def __enter__(self) -> Engine:
         if self.threads > 1:
-            self._pool = concurrent.futures.ProcessPoolExecutor(self.threads)
+            # shares are still dealt `threads` ways: results do not change
+            usable = getattr(os, "sched_getaffinity", None)
+            cpus = len(usable(0)) if usable else os.cpu_count() or 1
+            self._pool = concurrent.futures.ProcessPoolExecutor(min(self.threads, cpus))
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
@@ -182,98 +193,94 @@ class Engine:
         if pool is not None:
             pool.shutdown(cancel_futures=exc_type is not None)
 
-    # -- block-level ranks ------------------------------------------------
+    # -- plan -> rank -> sum -----------------------------------------------
 
     def _cache_key(self, key: BlockKey, prime: int) -> CacheKey:
         return (key.n, key.d, key.b, key.p, key.q, key.mdeg, prime)
 
-    def _submit(
-        self,
-        keys: list[BlockKey],
-        mid_size: dict[MultiDegree, int],
-        pending: dict[BlockKey, concurrent.futures.Future],
-    ) -> tuple:
-        """Start ranking the blocks `keys` needs; `_collect` finishes.
+    def _dims(self, plans: Iterable[_Plan]) -> list[int]:
+        """dim of each planned entry: the engine's one rank path.
 
-        The cache is read once per key and prime.  Jobs cover the keys with
-        an uncached engine prime that no earlier entry of `pending` (the
-        run's key -> share map) is ranking.  They are sorted largest first:
-        by descending mid-slice size `mid_size[key.mdeg]`, an out-block's
-        columns and an in-block's rows alike, ties in key order.  With a
-        pool and at least 4 jobs, each job goes to the `threads` share with
-        the least mid-slice size so far, and each share to the pool as one
-        task; otherwise the jobs run here, now, in that order.
+        Plans are taken one at a time, each submitted before the next is
+        made.  The cache is read once per key and prime; jobs cover the keys
+        with an uncached prime that no earlier plan is ranking, largest mid
+        size first (an out-block's columns, an in-block's rows), ties in key
+        order.  With a pool and at least 4 jobs, each job goes to the
+        `threads` share with the least mid size so far, each share to the
+        pool as one task; otherwise they run here, now.  After the last
+        plan, ranks are collected plan by plan in key and prime order,
+        checked, stored and summed.  A key an earlier plan ranked counts as
+        a cache hit, as if that plan had been collected first.
         """
         if self.threads > 1 and self._pool is None:
             raise RuntimeError(f"Engine(threads={self.threads}) ranks only inside `with engine:`")
-        cached = {
-            key: {prime: self.cache.get(self._cache_key(key, prime)) for prime in self.primes}
-            for key in keys
-        }
-        todo = {
-            key: tuple(field for field in self.fields if found[field.p] is None)
-            for key, found in cached.items()
-            if None in found.values() and key not in pending
-        }
-        order = sorted(todo, key=lambda key: (-mid_size[key.mdeg], key))
-        if self.threads > 1 and len(order) >= 4:
-            shares: list[list[BlockKey]] = [[] for _ in range(self.threads)]
-            loads = [0] * self.threads
-            for key in order:
-                least = loads.index(min(loads))
-                shares[least].append(key)
-                loads[least] += mid_size[key.mdeg]
-            for share in filter(None, shares):
-                jobs = (share, list(map(todo.get, share)), self.rational_cap)
-                pending.update(dict.fromkeys(share, self._pool.submit(_rank_group, *jobs)))
-        else:
-            done: concurrent.futures.Future = concurrent.futures.Future()
-            done.set_result(_rank_group(order, list(map(todo.get, order)), self.rational_cap))
-            pending.update(dict.fromkeys(order, done))
-        return keys, cached, todo.keys(), pending
-
-    def _collect(self, submitted: tuple) -> dict[BlockKey, int]:
-        """Check and store the ranks `_submit` started, in `keys` order.
-
-        Waits for the shares that rank `keys`.  Entries that share `pending`
-        are collected in the order they were submitted: a key an earlier
-        entry ranked is read from that entry's share and counts as a cache
-        hit, as it would have had that entry been collected before this one
-        was submitted.
-        """
-        keys, cached, own, pending = submitted
-        primes = self.primes
-        out: dict[BlockKey, int] = {}
-        for key in keys:
-            found = cached[key]
-            fresh, exact = pending[key].result()[key] if None in found.values() else ({}, None)
-            ranks = []
-            for prime, rank in found.items():
-                if rank is None and key not in own:
-                    rank = fresh[prime]
-                if rank is not None:
-                    self.stats["cache_hits"] += 1
-                else:
-                    rank = fresh[prime]
-                    if exact is not None and exact != rank:
+        jobs: dict[BlockKey, concurrent.futures.Future] = {}
+        submitted = []
+        for plan in plans:
+            sizes = plan.sizes()
+            found = {
+                key: {prime: self.cache.get(self._cache_key(key, prime)) for prime in self.primes}
+                for key in sizes
+            }
+            todo = {
+                key: tuple(field for field in self.fields if ranks[field.p] is None)
+                for key, ranks in found.items()
+                if None in ranks.values() and key not in jobs
+            }
+            order = sorted(todo, key=lambda key: (-sizes[key], key))
+            if self.threads > 1 and len(order) >= 4:
+                shares: list[list[BlockKey]] = [[] for _ in range(self.threads)]
+                loads = [0] * self.threads
+                for key in order:
+                    least = loads.index(min(loads))
+                    shares[least].append(key)
+                    loads[least] += sizes[key]
+                for share in filter(None, shares):
+                    task = (share, list(map(todo.get, share)), self.rational_cap)
+                    jobs.update(dict.fromkeys(share, self._pool.submit(_rank_group, *task)))
+            else:
+                done: concurrent.futures.Future = concurrent.futures.Future()
+                done.set_result(_rank_group(order, list(map(todo.get, order)), self.rational_cap))
+                jobs.update(dict.fromkeys(order, done))
+            submitted.append((plan, found, todo.keys()))
+        dims = []
+        for plan, found, own in submitted:
+            ranks: dict[BlockKey | None, int] = {}
+            for key, cached in found.items():
+                fresh, exact = jobs[key].result()[key] if None in cached.values() else ({}, None)
+                both = []
+                for prime, hit in cached.items():
+                    rank = fresh[prime] if hit is None else hit
+                    if hit is None and key in own:
+                        if exact is not None and exact != rank:
+                            raise PrimeDisagreement(
+                                f"rational rank {exact} != GF({prime}) rank {rank} at {key}"
+                            )
+                        self.cache.put(self._cache_key(key, prime), rank)
+                        self.stats["blocks_ranked"] += 1
+                        self.stats["rational_certified"] += exact is not None
+                    else:
+                        self.stats["cache_hits"] += 1
+                    both.append(rank)
+                if len(both) == 2:
+                    self.stats["dual_prime_checks"] += 1
+                    if both[0] != both[1]:
                         raise PrimeDisagreement(
-                            f"rational rank {exact} != GF({prime}) rank {rank} at {key}"
+                            f"GF({self.primes[0]}) rank {both[0]} != "
+                            f"GF({self.primes[1]}) rank {both[1]} at {key}"
                         )
-                    self.cache.put(self._cache_key(key, prime), rank)
-                    self.stats["blocks_ranked"] += 1
-                    self.stats["rational_certified"] += exact is not None
-                ranks.append(rank)
-            if len(ranks) == 2:
-                self.stats["dual_prime_checks"] += 1
-                if ranks[0] != ranks[1]:
-                    raise PrimeDisagreement(
-                        f"GF({primes[0]}) rank {ranks[0]} != "
-                        f"GF({primes[1]}) rank {ranks[1]} at {key}"
+                ranks[key] = both[0]
+            total = 0
+            for count, mid, out, into in plan.orbits:
+                # a vanishing differential (key None) has rank 0
+                hom = mid - ranks.get(out, 0) - ranks.get(into, 0)
+                if hom < 0:
+                    raise InvariantViolation(
+                        f"negative homology contribution at {(out or into).mdeg}"
                     )
-            out[key] = ranks[0]
-        return out
-
-    # -- homology ranks ----------------------------------------------------
+                total += count * hom
+            dims.append(total)
+        return dims
 
     def _check_space(self, params: VeroneseParams, p: int, m: int) -> int:
         dim = space_dim(params.n, params.d, p, m)
@@ -285,6 +292,59 @@ class Engine:
             )
         return dim
 
+    def _plan(self, params: VeroneseParams, p: int, q: int, via: dict | None = None) -> _Plan:
+        """K_{p,q} at params on its own complex, orbit-reduced blockwise, as
+        a `_Plan` with the given via.
+
+        Every block is checked against the column ceiling, cached or not,
+        and a refusal raises ResourceRefusal before any block is ranked.  An
+        out-block's columns are a mid block; an in-block can exceed the
+        ceiling only when its whole space does, so the in-space is
+        enumerated only then.
+        """
+        n, d, b = params.n, params.d, params.b
+        m_mid = b + q * d
+        if p < 0 or p > h0(n, d) or m_mid < 0:
+            return _Plan([], via)
+        self._check_space(params, p, m_mid)
+        mid_blocks = space_blocks(n, d, p, m_mid)
+        if not mid_blocks:
+            return _Plan([], via)
+        m_in = b + (q - 1) * d
+        want_in = m_in >= 0 and p + 1 <= h0(n, d)
+        in_dim = self._check_space(params, p + 1, m_in) if want_in else 0
+        orbits = [
+            (
+                count,
+                len(mid_blocks[rep][0]),
+                BlockKey(n, d, b, p, q, rep) if p >= 1 else None,
+                BlockKey(n, d, b, p + 1, q - 1, rep) if want_in else None,
+            )
+            for rep, count in orbit_reduce(mid_blocks.keys())
+        ]
+        ceiling = self.limits.max_block_cols
+        cols = [(out, mid) for _, mid, out, _ in orbits if out is not None]
+        if in_dim > ceiling:
+            in_blocks = space_blocks(n, d, p + 1, m_in)
+            cols += [(k, len(in_blocks[k.mdeg][0])) for *_, k in orbits if k.mdeg in in_blocks]
+        for key, ncols in cols:
+            if ncols > ceiling:
+                self.stats["refusals"] += 1
+                raise ResourceRefusal(f"block {key} has {ncols} columns (ceiling {ceiling})")
+        return _Plan(orbits, via)
+
+    def _route(self, params: VeroneseParams, p: int, q: int) -> _Plan:
+        """K_{p,q}'s plan on the side `_side` picks.  A partner the ceilings
+        refuse falls back to the direct complex, so routing never skips an
+        entry `direct_dim` computes."""
+        side = _side(params, p, q)
+        if side != (params, p, q):
+            try:
+                return self._plan(*side, {"p": side[1], "q": side[2], "b": side[0].b})
+            except ResourceRefusal:
+                pass
+        return self._plan(params, p, q)
+
     def kpq_dim(self, params: VeroneseParams, p: int, q: int) -> int:
         """dim K_{p,q} at params, on the smaller side of the duality; see
         `kpq_entry`."""
@@ -292,85 +352,14 @@ class Engine:
 
     def kpq_entry(self, params: VeroneseParams, p: int, q: int) -> tuple[int, dict | None]:
         """dim K_{p,q} at params and the partner index {"p", "q", "b"} it
-        was computed through, or None when it was computed directly.
-
-        A partner the ceilings refuse falls back to the direct complex, so
-        routing never skips an entry `direct_dim` computes.
-        """
-        finish, via = self._plan_entry(params, p, q, {})
-        return finish(), via
-
-    def _plan_entry(
-        self, params: VeroneseParams, p: int, q: int, pending: dict
-    ) -> tuple[Callable[[], int], dict | None]:
-        """`kpq_entry` up to its ranks: the submitted entry's finish half
-        and the partner index, with `pending` as in `_submit`."""
-        side = _side(params, p, q)
-        if side != (params, p, q):
-            try:
-                return self._plan_direct(*side, pending), {"p": side[1], "q": side[2], "b": side[0].b}
-            except ResourceRefusal:
-                pass
-        return self._plan_direct(params, p, q, pending), None
+        was computed through, or None when it was computed directly; see
+        `_route`."""
+        plan = self._route(params, p, q)
+        return self._dims([plan])[0], plan.via
 
     def direct_dim(self, params: VeroneseParams, p: int, q: int) -> int:
-        """dim K_{p,q} at params by its own complex, orbit-reduced blockwise.
-
-        Every block is checked against the column ceiling before any is
-        ranked, cached or not.  An out-block's columns are a mid block; an
-        in-block can exceed the ceiling only when its whole space does, so
-        the in-space is enumerated only then.
-        """
-        return self._plan_direct(params, p, q, {})()
-
-    def _plan_direct(
-        self, params: VeroneseParams, p: int, q: int, pending: dict
-    ) -> Callable[[], int]:
-        """`direct_dim` up to its ranks: check the ceilings and submit the
-        blocks, with `pending` as in `_submit`.  Returns the finish half,
-        which collects the ranks and sums the homology of every orbit."""
-        n, d, b = params.n, params.d, params.b
-        m_mid = b + q * d
-        if p < 0 or p > h0(n, d) or m_mid < 0:
-            return lambda: 0
-        self._check_space(params, p, m_mid)
-        mid_blocks = space_blocks(n, d, p, m_mid)
-        if not mid_blocks:
-            return lambda: 0
-        orbits = orbit_reduce(mid_blocks.keys())
-        m_in = b + (q - 1) * d
-        want_out = p >= 1
-        want_in = m_in >= 0 and p + 1 <= h0(n, d)
-        in_dim = self._check_space(params, p + 1, m_in) if want_in else 0
-        keys_out = [BlockKey(n, d, b, p, q, rep) for rep, _ in orbits] if want_out else []
-        keys_in = (
-            [BlockKey(n, d, b, p + 1, q - 1, rep) for rep, _ in orbits] if want_in else []
-        )
-        mid_size = {rep: len(mid_blocks[rep][0]) for rep, _ in orbits}
-        ceiling = self.limits.max_block_cols
-        cols = [(key, mid_size[key.mdeg]) for key in keys_out]
-        if in_dim > ceiling:
-            in_blocks = space_blocks(n, d, p + 1, m_in)
-            cols += [(k, len(in_blocks[k.mdeg][0])) for k in keys_in if k.mdeg in in_blocks]
-        for key, ncols in cols:
-            if ncols > ceiling:
-                self.stats["refusals"] += 1
-                raise ResourceRefusal(f"block {key} has {ncols} columns (ceiling {ceiling})")
-        submitted = self._submit(keys_out + keys_in, mid_size, pending)
-
-        def finish() -> int:
-            ranks = self._collect(submitted)
-            total = 0
-            for rep, count in orbits:
-                r_out = ranks[BlockKey(n, d, b, p, q, rep)] if want_out else 0
-                r_in = ranks[BlockKey(n, d, b, p + 1, q - 1, rep)] if want_in else 0
-                hom = mid_size[rep] - r_out - r_in
-                if hom < 0:
-                    raise InvariantViolation(f"negative homology contribution at {rep}")
-                total += count * hom
-            return total
-
-        return finish
+        """dim K_{p,q} at params by its own complex; see `_plan`."""
+        return self._dims([self._plan(params, p, q)])[0]
 
 
 @dataclass
@@ -459,6 +448,32 @@ class BettiTable:
         }
 
 
+def _table(params: VeroneseParams, engine: Engine, entries: list[tuple[int, int]]) -> BettiTable:
+    """The entries (p, q) of params, refusals recorded as skipped, all
+    through one `Engine._dims`: the pool never waits for one entry to finish
+    before it gets the next one's blocks."""
+    certified = engine.certify_prime is not None
+    table = BettiTable(params, engine.field, primes=engine.primes, certified=certified)
+    planned = []
+
+    def plans():
+        for entry in entries:
+            try:
+                plan = engine._route(params, *entry)
+            except ResourceRefusal as refusal:
+                table.skipped[entry] = str(refusal)
+                continue
+            planned.append((entry, plan.via))
+            yield plan
+
+    dims = engine._dims(plans())
+    for (entry, via), dim in zip(planned, dims):
+        table.dims[entry] = dim
+        if via is not None:
+            table.via[entry] = via
+    return table
+
+
 def betti_table(
     params: VeroneseParams,
     engine: Engine,
@@ -467,35 +482,16 @@ def betti_table(
 ) -> BettiTable:
     """Compute a rectangle of the Betti table, refusals recorded as skipped.
 
-    Entries are planned q by q, p ascending within each q: refused, or
-    their block ranks submitted.  Only then are they collected, in the same
-    order, so the engine's pool never waits for one entry to finish before
-    it gets the next one's blocks.  An end given as None defaults to the
-    edge of everything that can be nonzero: p in [0, h0(n,d)] and q in
-    [0, n+1].
+    Its entries, q by q and p ascending within each q, go plan -> rank ->
+    sum through one `Engine._dims` (see `_table`).  An end given as None
+    defaults to the edge of everything that can be nonzero: p in
+    [0, h0(n,d)] and q in [0, n+1].
     """
     (p_lo, p_hi), (q_lo, q_hi) = p_range, q_range
     p_hi = h0(params.n, params.d) if p_hi is None else p_hi
     q_hi = params.n + 1 if q_hi is None else q_hi
-    table = BettiTable(
-        params,
-        engine.field,
-        primes=engine.primes,
-        certified=engine.certify_prime is not None,
-    )
-    pending: dict = {}
-    planned = {}
-    for q in range(q_lo or 0, q_hi + 1):
-        for p in range(p_lo or 0, p_hi + 1):
-            try:
-                planned[(p, q)] = engine._plan_entry(params, p, q, pending)
-            except ResourceRefusal as refusal:
-                table.skipped[(p, q)] = str(refusal)
-    for entry, (finish, via) in planned.items():
-        table.dims[entry] = finish()
-        if via is not None:
-            table.via[entry] = via
-    return table
+    qs, ps = range(q_lo or 0, q_hi + 1), range(p_lo or 0, p_hi + 1)
+    return _table(params, engine, [(p, q) for q in qs for p in ps])
 
 
 def duality_check(params: VeroneseParams, p: int, q: int, engine: Engine) -> dict:

@@ -25,7 +25,7 @@ from .bounds import (
     range_predictions,
 )
 from .betti import (
-    CONSISTENT, SKIPPED, VIOLATION, Engine, betti_table, duality_check, euler_check
+    CONSISTENT, SKIPPED, VIOLATION, Engine, _table, duality_check, euler_check
 )
 from .cache import BlockCache
 from .koszul import BlockKey, differential_block, space_blocks
@@ -192,17 +192,19 @@ def verify(
 ) -> VerificationReport:
     """Compute whole strands and grade every published claim against them.
 
-    Each strand is a `betti_table` row with p from p_min to p_max (default:
-    the wedge size bound h0(n,d), beyond which every entry is zero for
+    Each strand is a table row with p from p_min to p_max (default: the
+    wedge size bound h0(n,d), beyond which every entry is zero for
     dimension reasons); rows carry its dims, refusals and the duality
-    partner an entry was computed through, if any.
+    partner an entry was computed through, if any.  All strands are one
+    table, so no strand waits for the one before it (see `_table`).
     """
     cap = h0(params.n, params.d) if p_max is None else p_max
     report = VerificationReport(params, engine.field, list(strands), cap, p_min)
+    ps = range(p_min, cap + 1)
+    table = _table(params, engine, [(p, q) for q in strands for p in ps])
     for q in strands:
         preds = range_predictions(params, q)
-        table = betti_table(params, engine, (p_min, cap), (q, q))
-        for p in range(p_min, cap + 1):
+        for p in ps:
             dim, skipped = table.dim(p, q), table.skipped.get((p, q))
             checks = [_check_prediction(pr, p, dim, skipped) for pr in preds]
             report.rows.append(

@@ -287,6 +287,37 @@ def test_pipelined_table_matches_entry_by_entry(tmp_path, max_block_cols):
             assert fh.read() == expected_bytes
 
 
+@pytest.mark.parametrize("max_block_cols", [None, 20])
+@pytest.mark.parametrize("strands", [[1, 2], [2, 1]])
+def test_verify_plans_across_strands(tmp_path, strands, max_block_cols):
+    # verify ranks all its strands through one engine run, so the later
+    # strand's entries find keys the earlier strand's are still ranking.
+    # At 1 and 2 threads the report, the cache bytes and the stats equal
+    # those of verifying one strand at a time, each stored before the next
+    limits = ResourceLimits() if max_block_cols is None else ResourceLimits(max_block_cols)
+    params = VeroneseParams(2, 3)
+
+    def engine(name, threads=1):
+        cache = BlockCache.open(str(tmp_path / name))
+        return Engine(FieldSpec.prime(PINNED_PRIMES[0]), cache, limits, threads)
+
+    one_by_one = engine("reference")
+    reports = [verify(params, [q], one_by_one) for q in strands]
+    expected = reports[0]
+    expected.strands = strands
+    expected.rows = [row for report in reports for row in report.rows]
+    assert one_by_one.stats["cache_hits"] > 0
+    with open(tmp_path / "reference" / "blocks.jsonl", "rb") as fh:
+        expected_bytes = fh.read()
+    for threads in (1, 2):
+        with engine(f"t{threads}", threads) as planned:
+            report = verify(params, strands, planned)
+        assert report.to_json_dict() == expected.to_json_dict()
+        assert planned.stats == one_by_one.stats
+        with open(tmp_path / f"t{threads}" / "blocks.jsonl", "rb") as fh:
+            assert fh.read() == expected_bytes
+
+
 def test_one_entry_fits_the_space_blocks_cache(monkeypatch):
     # space_blocks keeps one entry's working set, maxsize=3: the middle
     # space, the out-blocks' target and the in-blocks' source.  Ranking a

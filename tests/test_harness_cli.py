@@ -702,6 +702,67 @@ def test_one_pooled_entry_goes_out_in_threads_shares(monkeypatch, threads):
     assert _CountingPool.log == ["open"] + ["submit"] * threads + ["shutdown"]
 
 
+def test_pooled_verify_does_not_wait_between_strands(monkeypatch, capsys):
+    # verify submits every strand's shares before it reads any result, so
+    # no worker idles at the end of strand 1 while strand 2 is planned
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _CountingPool)
+    log = _CountingPool.log
+    real_result = concurrent.futures.Future.result
+
+    def logged_result(self, *args, **kwargs):
+        log.append("result")
+        return real_result(self, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures.Future, "result", logged_result)
+    submits = {}
+    for strands in ("1", "1,2"):
+        log.clear()
+        assert main(["verify", "--n", "2", "--d", "3", "--strands", strands, "--threads", "2"]) == 0
+        submits[strands] = log.count("submit")
+        assert "submit" not in log[log.index("result"):], strands
+    assert submits["1,2"] > submits["1"]
+    capsys.readouterr()
+
+
+class _InlinePool:
+    """Stands in for the process pool: logs the size it was given and runs
+    each task at submit, so it starts no process."""
+
+    log: list[str] = []
+
+    def __init__(self, max_workers=None):
+        self.log.append(f"open {max_workers}")
+
+    def submit(self, fn, *args):
+        self.log.append("submit")
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
+
+    def shutdown(self, cancel_futures=False):
+        self.log.append("shutdown")
+
+
+@pytest.mark.parametrize(
+    "cpus, threads, workers", [({0, 1}, 8, 2), ({0, 1, 2, 3}, 3, 3), (None, 8, 3)]
+)
+def test_pool_has_at_most_one_worker_per_usable_cpu(monkeypatch, cpus, threads, workers):
+    # `threads` shares are dealt whatever the pool's size, but no more
+    # workers are forked than this process may run on (os.cpu_count(), 3
+    # here, where the platform has no sched_getaffinity)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    if cpus is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    _InlinePool.log.clear()
+    with Engine(FieldSpec.prime(PINNED_PRIMES[0]), threads=threads) as engine:
+        table = betti_table(VeroneseParams(2, 4), engine, (5, 5), (1, 1))
+    assert table.dims == {(5, 1): 7095}
+    assert _InlinePool.log == [f"open {workers}"] + ["submit"] * threads + ["shutdown"]
+
+
 def test_cli_selftest(capsys):
     assert main(["selftest", "--fast"]) == 0
     assert "checks passed" in capsys.readouterr().out
