@@ -35,10 +35,13 @@ from .koszul import (
     space_dim,
 )
 from .linalg import (
+    ROUNDS_MAX_NNZ,
+    ROUNDS_MIN_NNZ,
     FieldSpec,
     PrimeDisagreement,
     rational_rank,
     sparse_rank,
+    sparse_ranks,
 )
 
 
@@ -87,33 +90,63 @@ def _side(params: VeroneseParams, p: int, q: int) -> tuple[VeroneseParams, int, 
     return params, p, q
 
 
-def _rank_job(
-    key: BlockKey, fields: tuple[FieldSpec, ...], rational_cap: int | None
-) -> tuple[dict[int, int], int | None]:
-    """Assemble one block once and rank it: the Engine's only rank work.
+def _certified(block, rational_cap: int | None) -> bool:
+    """Whether the block is ranked over the rationals too: both of its sides
+    are within rational_cap."""
+    return rational_cap is not None and max(block.nrows, block.ncols) <= rational_cap
 
-    The block is ranked over every field in `fields` (the engine's, checked
-    once when it was built), and over the rationals when both sides are
-    within rational_cap.  Returns ({prime: rank}, rational rank or None);
-    `Engine._dims` compares these ranks and stores them.
-    """
-    block = differential_block(key)
+
+def _rank_job(
+    block, fields: tuple[FieldSpec, ...], rational_cap: int | None
+) -> tuple[dict[int, int], int | None]:
+    """Rank one assembled block on its own: by `sparse_rank` over every
+    field in `fields` (the engine's, checked once when it was built), and
+    over the rationals when it is `_certified`.  Returns ({prime: rank},
+    rational rank or None)."""
     ranks = {field.p: sparse_rank(block, field) for field in fields}
-    exact = None
-    if (
-        rational_cap is not None
-        and block.nrows <= rational_cap
-        and block.ncols <= rational_cap
-    ):
-        exact = rational_rank(block, dense_limit=rational_cap)
-    return ranks, exact
+    if _certified(block, rational_cap):
+        return ranks, rational_rank(block, dense_limit=rational_cap)
+    return ranks, None
+
+
+def _rank_batch(batch: list, ranked: dict) -> None:
+    """Rank a batch of (block, fields) by one `sparse_ranks` call per field,
+    over the blocks that need it, into ranked[block.key]."""
+    for field in dict.fromkeys(field for _, need in batch for field in need):
+        blocks = [block for block, need in batch if field in need]
+        for block, rank in zip(blocks, sparse_ranks(blocks, field)):
+            ranked[block.key][0][field.p] = rank
 
 
 def _rank_group(
     keys: list[BlockKey], fields: list[tuple[FieldSpec, ...]], rational_cap: int | None
 ) -> dict[BlockKey, tuple[dict[int, int], int | None]]:
-    """Run `_rank_job` on each key in turn: one share, one pool task."""
-    return {key: _rank_job(key, f, rational_cap) for key, f in zip(keys, fields)}
+    """Assemble each key's block once, in order, and rank it over its
+    fields: one share, one pool task, the engine's only rank work.
+
+    A block of fewer than ROUNDS_MIN_NNZ entries that is not `_certified`
+    joins the current batch, which is ranked by `_rank_batch` once its
+    entries reach ROUNDS_MAX_NNZ and at the end of the share; every other
+    block goes through `_rank_job`.  Returns {key: ({prime: rank},
+    rational rank or None)} in key order; `Engine._dims` compares these
+    ranks and stores them.
+    """
+    ranked: dict[BlockKey, tuple[dict[int, int], int | None]] = {}
+    batch: list = []
+    nnz = 0
+    for key, need in zip(keys, fields):
+        block = differential_block(key)
+        if block.vals.size >= ROUNDS_MIN_NNZ or _certified(block, rational_cap):
+            ranked[key] = _rank_job(block, need, rational_cap)
+            continue
+        ranked[key] = ({}, None)
+        batch.append((block, need))
+        nnz += block.vals.size
+        if nnz >= ROUNDS_MAX_NNZ:
+            _rank_batch(batch, ranked)
+            batch, nnz = [], 0
+    _rank_batch(batch, ranked)
+    return ranked
 
 
 class _Plan(NamedTuple):
@@ -142,7 +175,10 @@ class Engine:
     Every entry goes plan -> rank -> sum.  `_plan` checks its blocks against
     the ceilings from sizes alone, `_route` plans the side `_side` picks,
     and `_dims` submits the blocks of a run of plans before it collects,
-    stores and sums any.  `kpq_entry` and `direct_dim` run one plan;
+    stores and sums any.  Each share of blocks is one `_rank_group`: its
+    small blocks that are not certified over the rationals are ranked
+    together, in batches, by `sparse_ranks`; every other block on its own.
+    `kpq_entry` and `direct_dim` run one plan;
     `betti_table` and `verify` run their whole window.  Reports, cache files
     and stats do not depend on `threads` or on the order jobs run in, nor
     refusals on the cache.

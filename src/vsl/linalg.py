@@ -6,16 +6,20 @@ certifies blocks within a size cap with no modular arithmetic.  Primes
 come from a fixed list of ten 31-bit primes so a run can be reproduced and
 cross-checked at a second prime.
 
-`sparse_rank` has two strategies, chosen by a block's stored entry count
-alone.  A block with at least `ROUNDS_MIN_NNZ` and fewer than
-`ROUNDS_MAX_NNZ` entries goes to `sparse_rank_rounds`, which picks many
-compatible pivots at once and eliminates them together with numpy.  Any
-other block is eliminated one pivot at a time by the Python Markowitz loop
+One rounds kernel, `_round_elimination`, picks many compatible pivots at
+once and eliminates them together with numpy; it returns each pivot's
+column.  `sparse_ranks` ranks many blocks in one run of it over their
+block-diagonal stack, so small blocks share its per-round numpy cost, and
+counts each block's pivots in its column range.  `sparse_rank` ranks one
+block and picks a strategy from its stored entry count alone: a block with
+at least `ROUNDS_MIN_NNZ` and fewer than `ROUNDS_MAX_NNZ` entries goes to
+`sparse_rank_rounds`, the kernel's one-block case; any other block is
+eliminated one pivot at a time by the Python Markowitz loop
 `sparse_rank_entries`.  One round forms at most `ROUND_PRODUCTS_CAP`
 Schur-complement products, so the join's temporaries stay bounded however
-large the block (the fill of the active matrix is not).  Both compute the
-exact rank over GF(p), so ranks, reports and cache bytes do not depend on
-which strategy ran.
+large the matrix (the fill of the active matrix is not).  Every path
+computes the exact rank over GF(p), so ranks, reports and cache bytes do
+not depend on which one ran.
 """
 
 from __future__ import annotations
@@ -54,12 +58,14 @@ DEFAULT_DENSE_LIMIT = 2000
 # complexes: rounds won on every block timed below 200K entries (up to
 # 193K), tied at 202K and 210K, and lost 2.3-3.1x in two runs on the
 # 220K-entry central block of (2,5) K_{7,1}, whose active matrix fills
-# faster than rounds clear it.
+# faster than rounds clear it.  The engine ranks its smaller blocks together
+# by `sparse_ranks` instead, batches of up to ROUNDS_MAX_NNZ entries that
+# share the per-round cost (see `betti._rank_group`).
 ROUNDS_MIN_NNZ = 750
 ROUNDS_MAX_NNZ = 200_000
 
 # The most Schur-complement products, the sum of |L_k|*|U_k| over its
-# pivots, that one round of `sparse_rank_rounds` forms: it bounds the
+# pivots, that one round of `_round_elimination` forms: it bounds the
 # join's temporaries however large the block.
 ROUND_PRODUCTS_CAP = 1 << 18
 
@@ -198,9 +204,56 @@ def sparse_rank_entries(entries, p: int) -> int:
 _NO_SCORE = np.iinfo(np.int64).max
 
 
+def sparse_ranks(blocks, field: FieldSpec) -> list[int]:
+    """Ranks over GF(p) of `blocks`, in order, by one rounds elimination of
+    their block-diagonal stack.
+
+    Each block needs .nrows, .ncols and its entries as int64 arrays .rows,
+    .cols and .vals.  Its rows and columns are offset by the rows and
+    columns of the blocks before it, the stack is eliminated once by
+    `_round_elimination`, and each block's rank is the number of pivots in
+    its column range.  A block-diagonal matrix stays block-diagonal under
+    elimination, so the blocks share rounds without meeting.  A block given
+    a rank above min(nrows, ncols) raises InvariantViolation.
+    """
+    if not blocks:
+        return []
+    nrows = np.array([block.nrows for block in blocks], dtype=np.int64)
+    ncols = np.array([block.ncols for block in blocks], dtype=np.int64)
+    row_at, col_at = np.cumsum(nrows) - nrows, np.cumsum(ncols) - ncols
+    sizes = [block.vals.size for block in blocks]
+    pivots = _round_elimination(
+        np.concatenate([block.rows for block in blocks]) + np.repeat(row_at, sizes),
+        np.concatenate([block.cols for block in blocks]) + np.repeat(col_at, sizes),
+        np.concatenate([block.vals for block in blocks]),
+        int(nrows.sum()),
+        int(ncols.sum()),
+        field.p,
+    )
+    # an empty block shares its start with the next one: side="right"
+    # credits a pivot to the last block starting at or before its column
+    owner = np.searchsorted(col_at, pivots, side="right") - 1
+    ranks = np.bincount(owner, minlength=len(blocks))
+    over = np.flatnonzero(ranks > np.minimum(nrows, ncols))
+    if over.size:
+        i = int(over[0])
+        raise InvariantViolation(
+            f"sparse_ranks: rank {ranks[i]} of a {nrows[i]}x{ncols[i]} block"
+        )
+    return ranks.tolist()
+
+
 def sparse_rank_rounds(rows, cols, vals, nrows: int, ncols: int, p: int) -> int:
     """Rank over GF(p) of the nrows x ncols matrix with entries (rows[i],
-    cols[i], vals[i]) (repeats accumulate), by rounds of compatible pivots.
+    cols[i], vals[i]) (repeats accumulate): the pivot count of
+    `_round_elimination`."""
+    return int(_round_elimination(rows, cols, vals, nrows, ncols, p).size)
+
+
+def _round_elimination(rows, cols, vals, nrows: int, ncols: int, p: int) -> np.ndarray:
+    """The columns of the pivots of an elimination over GF(p), by rounds of
+    compatible pivots, of the nrows x ncols matrix with entries (rows[i],
+    cols[i], vals[i]) (repeats accumulate): the one rounds kernel.
 
     Each round scores every entry by its Markowitz cost (row count - 1) *
     (column count - 1), ties to the earlier position in row-major order,
@@ -223,7 +276,7 @@ def sparse_rank_rounds(rows, cols, vals, nrows: int, ncols: int, p: int) -> int:
         ncols,
         p,
     )
-    rank = 0
+    pivot_cols = [np.empty(0, dtype=np.int64)]
     while vals.size:
         piv = _round_pivots(rows, cols, nrows, ncols)
         k = piv.size
@@ -235,8 +288,8 @@ def sparse_rank_rounds(rows, cols, vals, nrows: int, ncols: int, p: int) -> int:
         in_row, in_col = kr >= 0, kc >= 0
         both = in_row & in_col
         if not k or np.count_nonzero(both) != k or not np.array_equal(kr[both], kc[both]):
-            raise InvariantViolation("sparse_rank_rounds: pivot submatrix is not diagonal")
-        rank += k
+            raise InvariantViolation("_round_elimination: pivot submatrix is not diagonal")
+        pivot_cols.append(cols[piv])
         inv = np.array([pow(v, -1, p) for v in vals[piv].tolist()], dtype=np.int64)
         # L: pivot-column entries off the pivot rows; U: pivot-row entries
         # off the pivot columns, scaled by the pivot's inverse, grouped by k
@@ -263,12 +316,12 @@ def sparse_rank_rounds(rows, cols, vals, nrows: int, ncols: int, p: int) -> int:
                 ncols,
                 p,
             )
-    return rank
+    return np.concatenate(pivot_cols)
 
 
 def _round_pivots(rows, cols, nrows: int, ncols: int) -> np.ndarray:
     """Positions of one round's pivots, cheapest first: see
-    `sparse_rank_rounds`.  Its per-entry scores die with the call, before
+    `_round_elimination`.  Its per-entry scores die with the call, before
     the round's Schur complement is formed."""
     row_count = np.bincount(rows, minlength=nrows)
     col_count = np.bincount(cols, minlength=ncols)

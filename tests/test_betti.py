@@ -20,6 +20,7 @@ from vsl.betti import (
     Engine,
     ResourceLimits,
     ResourceRefusal,
+    _rank_group,
     betti_table,
     duality_check,
     euler_check,
@@ -28,7 +29,7 @@ from vsl.cache import BlockCache
 from vsl.cli import main
 from vsl.harness import verify
 from vsl.koszul import orbit_reduce, space_blocks
-from vsl.linalg import PINNED_PRIMES, FieldSpec, PrimeDisagreement
+from vsl.linalg import PINNED_PRIMES, ROUNDS_MIN_NNZ, FieldSpec, PrimeDisagreement
 
 
 def test_line_quadric_single_syzygy(eng):
@@ -341,22 +342,29 @@ def test_one_entry_fits_the_space_blocks_cache(monkeypatch):
 
 
 def test_rank_jobs_go_out_largest_first(monkeypatch):
-    # jobs run by descending mid-slice size (an out-block's columns, an
-    # in-block's rows), ties in key order; ranks are stored in `keys` order
+    # jobs are assembled and ranked by descending mid-slice size (an
+    # out-block's columns, an in-block's rows), ties in key order, also
+    # inside a batch; ranks are stored in `keys` order
     params, p, q = VeroneseParams(2, 4), 5, 1
     mid = space_blocks(2, 4, p, q * 4)
-    jobs = []
-    real = vsl.betti._rank_job
+    jobs, batched = [], []
+    real_block, real_ranks = vsl.betti.differential_block, vsl.betti.sparse_ranks
 
-    def recording(key, primes, rational_cap):
+    def recording_block(key):
         jobs.append(key)
-        return real(key, primes, rational_cap)
+        return real_block(key)
 
-    monkeypatch.setattr(vsl.betti, "_rank_job", recording)
+    def recording_ranks(blocks, field):
+        batched.extend(block.key for block in blocks)
+        return real_ranks(blocks, field)
+
+    monkeypatch.setattr(vsl.betti, "differential_block", recording_block)
+    monkeypatch.setattr(vsl.betti, "sparse_ranks", recording_ranks)
     engine = Engine(FieldSpec.prime(PINNED_PRIMES[0]))
     assert engine.direct_dim(params, p, q) == 7095
     assert len(mid[jobs[0].mdeg][0]) == max(len(sub) for sub, _ in mid.values())
     assert jobs == sorted(jobs, key=lambda key: (-len(mid[key.mdeg][0]), key))
+    assert batched and batched == [key for key in jobs if key in batched]
     reps = [rep for rep, _ in orbit_reduce(mid)]
     stored = [(key[3], key[4], key[5]) for key in engine.cache.ranks]
     assert stored == [(p, q, rep) for rep in reps] + [(p + 1, q - 1, rep) for rep in reps]
@@ -373,6 +381,105 @@ def test_rank_jobs_run_no_primality_test(monkeypatch):
     assert engine.direct_dim(VeroneseParams(2, 3), 4, 1) > 0
     assert engine.stats["dual_prime_checks"] > 0
     assert calls == []
+
+
+@pytest.mark.parametrize("window", [((2, 3), (None, None)), ((2, 4), (1, 1))])
+def test_batched_ranks_match_per_block_ranks(tmp_path, monkeypatch, window):
+    # a run that certifies nothing ranks every block under ROUNDS_MIN_NNZ
+    # entries in batches, none by a per-block `sparse_rank` call; at 1 and
+    # 2 threads its report, stats and cache bytes equal those of ranking
+    # every block on its own
+    (n, d), q_range = window
+    params = VeroneseParams(n, d)
+
+    def run(name, threads):
+        cache = BlockCache.open(str(tmp_path / name))
+        with Engine(FieldSpec.prime(PINNED_PRIMES[0]), cache, threads=threads) as engine:
+            table = betti_table(params, engine, q_range=q_range)
+        blocks = (tmp_path / name / "blocks.jsonl").read_bytes()
+        return table.to_json_dict(), engine.stats, blocks
+
+    real_rank, real_ranks = vsl.betti.sparse_rank, vsl.betti.sparse_ranks
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(vsl.betti, "sparse_ranks", lambda blocks, f: [real_rank(b, f) for b in blocks])
+        per_block = run("per-block", 1)
+    single, batched = [], []
+
+    def rank(block, field):
+        single.append(block.vals.size)
+        return real_rank(block, field)
+
+    def ranks(blocks, field):
+        batched.extend(blocks)
+        return real_ranks(blocks, field)
+
+    monkeypatch.setattr(vsl.betti, "sparse_rank", rank)
+    monkeypatch.setattr(vsl.betti, "sparse_ranks", ranks)
+    assert run("t1", 1) == per_block
+    assert all(size >= ROUNDS_MIN_NNZ for size in single)
+    assert all(block.vals.size < ROUNDS_MIN_NNZ for block in batched)
+    assert len(single) + len(batched) == per_block[1]["blocks_ranked"]
+    assert len(batched) > len(single)
+    assert run("t2", 2) == per_block
+
+
+def test_batches_flush_at_rounds_max_nnz(tmp_path, monkeypatch):
+    # with a small batch bound one share flushes several batches, each as
+    # its entries reach the bound and the last at the end of the share, and
+    # no rank changes: neither the share's nor a table's
+    field = FieldSpec.prime(PINNED_PRIMES[0])
+
+    def run(name):
+        engine = Engine(field, BlockCache.open(str(tmp_path / name)))
+        table = betti_table(VeroneseParams(2, 3), engine)
+        return table.to_json_dict(), engine.stats, (tmp_path / name / "blocks.jsonl").read_bytes()
+
+    # K_{5,1}: 40 blocks, 3,323 entries, the largest 555
+    keys = list(Engine(field)._plan(VeroneseParams(2, 3), 5, 1).sizes())
+    needs = [(field,)] * len(keys)
+    whole = run("whole"), _rank_group(keys, needs, None)
+    batches = []
+    real = vsl.betti.sparse_ranks
+
+    def ranks(blocks, field):
+        batches.append([block.vals.size for block in blocks])
+        return real(blocks, field)
+
+    monkeypatch.setattr(vsl.betti, "sparse_ranks", ranks)
+    monkeypatch.setattr(vsl.betti, "ROUNDS_MAX_NNZ", 1000)
+    assert run("flushed") == whole[0]
+    batches.clear()
+    assert _rank_group(keys, needs, None) == whole[1]
+    assert len(batches) >= 3 and sum(map(len, batches)) == len(keys)
+    for batch in batches[:-1]:
+        assert sum(batch[:-1]) < 1000 <= sum(batch)
+    assert 0 < sum(batches[-1]) < 1000
+
+
+def test_batch_ranks_a_key_only_at_the_primes_it_needs(monkeypatch):
+    # a key cached at the first prime needs only the second: it is batched
+    # for that prime alone, and its result holds that prime alone
+    fields = tuple(FieldSpec.prime(prime) for prime in PINNED_PRIMES[:2])
+    keys = list(Engine(fields[0])._plan(VeroneseParams(2, 3), 3, 1).sizes())
+    calls = []
+    real = vsl.betti.sparse_ranks
+
+    def ranks(blocks, field):
+        calls.append((field.p, [block.key for block in blocks]))
+        return real(blocks, field)
+
+    monkeypatch.setattr(vsl.betti, "sparse_ranks", ranks)
+    needs = [fields[1:] if i % 2 else fields for i in range(len(keys))]
+    ranked = _rank_group(keys, needs, None)
+    assert calls == [
+        (fields[0].p, keys[::2]),
+        (fields[1].p, keys),
+    ]
+    assert list(ranked) == keys
+    for key, need in zip(keys, needs):
+        ranks_of_key, exact = ranked[key]
+        assert list(ranks_of_key) == [field.p for field in need] and exact is None
+        assert len(set(ranks_of_key.values())) == 1
 
 
 def _cubic_table(cache_dir, build=betti_table, **engine_options):
@@ -494,15 +601,29 @@ def test_certified_blocks_pass_through_the_traced_rank_call(tmp_path, monkeypatc
 
 
 def test_invariant_checks_survive_optimized_mode():
-    # `python -O` strips asserts; an overcounted rank must still be refused
+    # `python -O` strips asserts; an overcounted batched rank must still be
+    # refused, and so must a kernel that credits a block more pivots than
+    # it has rows or columns
     script = textwrap.dedent("""
+        import numpy as np
         import vsl.betti as betti
+        import vsl.linalg as linalg
         from vsl import Engine, FieldSpec, InvariantViolation, PINNED_PRIMES, VeroneseParams
-        real = betti.sparse_rank
-        betti.sparse_rank = lambda block, field: real(block, field) + 1
+        from vsl.koszul import BlockKey, KoszulBlockMatrix
+        real = betti.sparse_ranks
+        betti.sparse_ranks = lambda blocks, field: [rank + 1 for rank in real(blocks, field)]
         engine = Engine(FieldSpec.prime(PINNED_PRIMES[0]))
         try:
             engine.kpq_dim(VeroneseParams(1, 3), 1, 1)
+        except InvariantViolation as exc:
+            print("InvariantViolation:", exc)
+        kernel = linalg._round_elimination
+        linalg._round_elimination = lambda *args: np.repeat(kernel(*args), 2)
+        block = KoszulBlockMatrix.from_entries(
+            BlockKey(1, 1, 0, 1, 1, (0, 0)), 2, 3, [(0, 0, 1), (1, 2, 1)]
+        )
+        try:
+            linalg.sparse_ranks([block], engine.field)
         except InvariantViolation as exc:
             print("InvariantViolation:", exc)
         print("debug" if __debug__ else "optimized")
@@ -516,3 +637,4 @@ def test_invariant_checks_survive_optimized_mode():
     lines = proc.stdout.splitlines()
     assert lines[-1] == "optimized"
     assert lines[0].startswith("InvariantViolation: negative homology")
+    assert lines[1] == "InvariantViolation: sparse_ranks: rank 4 of a 2x3 block"

@@ -655,14 +655,14 @@ class _CountingPool(concurrent.futures.ProcessPoolExecutor):
         self.log.append("shutdown")
 
 
-_real_rank_job = vsl.betti._rank_job
+_real_sparse_ranks = vsl.betti.sparse_ranks
 
 
-def _rank_job_failing_in_workers(*args):
-    """`_rank_job` in this process; a planted failure in a pool worker."""
+def _sparse_ranks_failing_in_workers(*args):
+    """`sparse_ranks` in this process; a planted failure in a pool worker."""
     if multiprocessing.parent_process() is not None:
         raise ZeroDivisionError("planted failure in a pool worker")
-    return _real_rank_job(*args)
+    return _real_sparse_ranks(*args)
 
 
 def test_cli_opens_one_pool_per_command(monkeypatch, capsys):
@@ -679,7 +679,8 @@ def test_cli_opens_one_pool_per_command(monkeypatch, capsys):
         assert log.count("open") == log.count("shutdown") == 1, argv
         assert log.count("submit") > 2, argv
     capsys.readouterr()
-    monkeypatch.setattr(vsl.betti, "_rank_job", _rank_job_failing_in_workers)
+    # every (2,3) block is small and uncertified, so workers rank in batches
+    monkeypatch.setattr(vsl.betti, "sparse_ranks", _sparse_ranks_failing_in_workers)
     log.clear()
     with pytest.raises(ZeroDivisionError, match="planted failure in a pool worker"):
         main(betti)

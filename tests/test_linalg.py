@@ -35,6 +35,7 @@ from vsl.linalg import (
     sparse_rank,
     sparse_rank_entries,
     sparse_rank_rounds,
+    sparse_ranks,
 )
 
 P = PINNED_PRIMES[0]
@@ -222,6 +223,67 @@ def test_rounds_kernel_matches_markowitz_on_koszul_blocks(prime):
                     assert got == want, block.key
                     count += 1
     assert count > 1000
+
+
+def _engine_blocks(params, q_range):
+    """The blocks an engine ranks for a window of params, in plan order:
+    the window is planned, not ranked."""
+    from vsl.betti import Engine, betti_table
+
+    keys = []
+    engine = Engine(FIELD)
+    engine._dims = lambda plans: [keys.extend(plan.sizes()) or 0 for plan in plans]
+    betti_table(params, engine, q_range=q_range)
+    return [differential_block(key) for key in dict.fromkeys(keys)]
+
+
+@pytest.mark.parametrize("prime", PINNED_PRIMES[:2])
+def test_sparse_ranks_match_markowitz_on_engine_blocks(prime):
+    # every block an engine ranks for the full (2,3) table and the (2,4)
+    # linear strand, each window stacked into one batch
+    from vsl.bounds import VeroneseParams
+
+    for params, q_range in ((VeroneseParams(2, 3), (None, None)), (VeroneseParams(2, 4), (1, 1))):
+        blocks = _engine_blocks(params, q_range)
+        want = [sparse_rank_entries(block.entries, prime) for block in blocks]
+        assert len(blocks) > 150 and any(want)
+        assert sparse_ranks(blocks, FieldSpec.prime(prime)) == want
+
+
+def test_sparse_ranks_edge_blocks():
+    # no blocks; empty blocks (0x0, 0xk, kx0) before, between and after
+    # others, where a pivot's column range starts where an empty one's
+    # does; repeats that cancel to 0; repeats that add up
+    assert sparse_ranks([], FIELD) == []
+    ident = [(i, i, 1) for i in range(3)]
+    cases = [
+        (ident, 3, 3, 3),
+        ([], 0, 0, 0),
+        ([], 4, 0, 0),
+        ([], 0, 5, 0),
+        ([(0, 0, 1), (0, 0, -1), (1, 1, 2), (1, 1, P - 2)], 2, 2, 0),
+        ([(0, 1, 1), (0, 1, 1), (1, 0, 3)], 2, 2, 2),
+        ([], 3, 0, 0),
+        (ident[:2], 2, 4, 2),
+        ([], 0, 0, 0),
+    ]
+    for order in (cases, cases[::-1], cases[1:4]):
+        blocks = [_block(entries, nrows, ncols) for entries, nrows, ncols, _ in order]
+        assert sparse_ranks(blocks, FIELD) == [rank for *_, rank in order]
+
+
+def test_sparse_ranks_path_block_in_a_batch():
+    # a 700-entry path (column c meets rows c and c + 1) takes its pivots
+    # one or two per round; in a batch the other blocks wait for it and
+    # every rank is still right
+    path = _block([(c + j, c, 1) for c in range(350) for j in (0, 1)], 351, 350)
+    rng = random.Random(7)
+    noise = [(rng.randrange(40), rng.randrange(30), rng.choice((1, -1))) for _ in range(300)]
+    wide = _block([(c, r, v) for r, c, v in noise], 30, 40)
+    blocks = [_block(noise, 40, 30), path, _block([(0, 0, 1)], 1, 1), wide]
+    want = [sparse_rank_entries(block.entries, P) for block in blocks]
+    assert want[1] == 350 and path.vals.size == 700
+    assert sparse_ranks(blocks, FIELD) == want
 
 
 def test_sparse_rank_routes_by_entry_count(monkeypatch):
