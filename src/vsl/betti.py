@@ -34,15 +34,7 @@ from .koszul import (
     space_blocks,
     space_dim,
 )
-from .linalg import (
-    ROUNDS_MAX_NNZ,
-    ROUNDS_MIN_NNZ,
-    FieldSpec,
-    PrimeDisagreement,
-    rational_rank,
-    sparse_rank,
-    sparse_ranks,
-)
+from .linalg import FieldSpec, PrimeDisagreement, block_ranks
 
 
 class ResourceRefusal(RuntimeError):
@@ -90,63 +82,16 @@ def _side(params: VeroneseParams, p: int, q: int) -> tuple[VeroneseParams, int, 
     return params, p, q
 
 
-def _certified(block, rational_cap: int | None) -> bool:
-    """Whether the block is ranked over the rationals too: both of its sides
-    are within rational_cap."""
-    return rational_cap is not None and max(block.nrows, block.ncols) <= rational_cap
-
-
-def _rank_job(
-    block, fields: tuple[FieldSpec, ...], rational_cap: int | None
-) -> tuple[dict[int, int], int | None]:
-    """Rank one assembled block on its own: by `sparse_rank` over every
-    field in `fields` (the engine's, checked once when it was built), and
-    over the rationals when it is `_certified`.  Returns ({prime: rank},
-    rational rank or None)."""
-    ranks = {field.p: sparse_rank(block, field) for field in fields}
-    if _certified(block, rational_cap):
-        return ranks, rational_rank(block, dense_limit=rational_cap)
-    return ranks, None
-
-
-def _rank_batch(batch: list, ranked: dict) -> None:
-    """Rank a batch of (block, fields) by one `sparse_ranks` call per field,
-    over the blocks that need it, into ranked[block.key]."""
-    for field in dict.fromkeys(field for _, need in batch for field in need):
-        blocks = [block for block, need in batch if field in need]
-        for block, rank in zip(blocks, sparse_ranks(blocks, field)):
-            ranked[block.key][0][field.p] = rank
-
-
 def _rank_group(
     keys: list[BlockKey], fields: list[tuple[FieldSpec, ...]], rational_cap: int | None
 ) -> dict[BlockKey, tuple[dict[int, int], int | None]]:
     """Assemble each key's block once, in order, and rank it over its
-    fields: one share, one pool task, the engine's only rank work.
-
-    A block of fewer than ROUNDS_MIN_NNZ entries that is not `_certified`
-    joins the current batch, which is ranked by `_rank_batch` once its
-    entries reach ROUNDS_MAX_NNZ and at the end of the share; every other
-    block goes through `_rank_job`.  Returns {key: ({prime: rank},
-    rational rank or None)} in key order; `Engine._dims` compares these
-    ranks and stores them.
+    fields (the engine's, checked once when it was built) by
+    `linalg.block_ranks`: one share, one pool task, the engine's only rank
+    work.  Returns {key: ({prime: rank}, rational rank or None)} in key
+    order; `Engine._dims` compares these ranks and stores them.
     """
-    ranked: dict[BlockKey, tuple[dict[int, int], int | None]] = {}
-    batch: list = []
-    nnz = 0
-    for key, need in zip(keys, fields):
-        block = differential_block(key)
-        if block.vals.size >= ROUNDS_MIN_NNZ or _certified(block, rational_cap):
-            ranked[key] = _rank_job(block, need, rational_cap)
-            continue
-        ranked[key] = ({}, None)
-        batch.append((block, need))
-        nnz += block.vals.size
-        if nnz >= ROUNDS_MAX_NNZ:
-            _rank_batch(batch, ranked)
-            batch, nnz = [], 0
-    _rank_batch(batch, ranked)
-    return ranked
+    return block_ranks(map(differential_block, keys), fields, rational_cap)
 
 
 class _Plan(NamedTuple):
@@ -175,13 +120,12 @@ class Engine:
     Every entry goes plan -> rank -> sum.  `_plan` checks its blocks against
     the ceilings from sizes alone, `_route` plans the side `_side` picks,
     and `_dims` submits the blocks of a run of plans before it collects,
-    stores and sums any.  Each share of blocks is one `_rank_group`: its
-    small blocks that are not certified over the rationals are ranked
-    together, in batches, by `sparse_ranks`; every other block on its own.
-    `kpq_entry` and `direct_dim` run one plan;
-    `betti_table` and `verify` run their whole window.  Reports, cache files
-    and stats do not depend on `threads` or on the order jobs run in, nor
-    refusals on the cache.
+    stores and sums any.  Each share of blocks is one `_rank_group`, which
+    ranks through `linalg.block_ranks`: that alone decides which blocks are
+    ranked on their own and which together.  `kpq_dim` and `direct_dim`
+    run one plan; `betti_table` and `verify` run their whole window.
+    Reports, cache files and stats do not depend on `threads` or on the
+    order jobs run in, nor refusals on the cache.
     With threads > 1 the engine ranks only inside `with engine:`, which owns
     one process pool until the `with` ends: its workers, at most one per
     usable CPU, are forked at the first pooled rank and serve the command.
@@ -382,16 +326,8 @@ class Engine:
         return self._plan(params, p, q)
 
     def kpq_dim(self, params: VeroneseParams, p: int, q: int) -> int:
-        """dim K_{p,q} at params, on the smaller side of the duality; see
-        `kpq_entry`."""
-        return self.kpq_entry(params, p, q)[0]
-
-    def kpq_entry(self, params: VeroneseParams, p: int, q: int) -> tuple[int, dict | None]:
-        """dim K_{p,q} at params and the partner index {"p", "q", "b"} it
-        was computed through, or None when it was computed directly; see
-        `_route`."""
-        plan = self._route(params, p, q)
-        return self._dims([plan])[0], plan.via
+        """dim K_{p,q} at params, on the side `_route` picks."""
+        return self._dims([self._route(params, p, q)])[0]
 
     def direct_dim(self, params: VeroneseParams, p: int, q: int) -> int:
         """dim K_{p,q} at params by its own complex; see `_plan`."""

@@ -115,7 +115,11 @@ class BlockCache:
 
 
 def cache_stats(directory: str) -> dict:
-    return BlockCache.open(directory).stats()
+    """`BlockCache.stats` of DIRECTORY/blocks.jsonl, read only: nothing is
+    created, and a missing file has zero records."""
+    cache = BlockCache(path=os.path.join(directory, CACHE_FILENAME))
+    cache._load()
+    return cache.stats()
 
 
 def cache_gc(directory: str, keep_primes=PINNED_PRIMES) -> dict:

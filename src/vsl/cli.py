@@ -299,6 +299,8 @@ def cmd_selftest(args: argparse.Namespace) -> int:
 def cmd_cache(args: argparse.Namespace) -> int:
     if args.cache is None:
         args.parser.error("cache directory required (--cache or VSL_CACHE_DIR)")
+    if not os.path.isdir(args.cache):
+        args.parser.error(f"cache directory {args.cache} does not exist")
     if args.cache_action == "stats":
         _emit(args, _json_text(cache_stats(args.cache)))
         return 0

@@ -29,7 +29,7 @@ from .betti import (
 )
 from .cache import BlockCache
 from .koszul import BlockKey, differential_block, space_blocks
-from .linalg import FieldSpec, PINNED_PRIMES, dense_rank_mod, sparse_rank
+from .linalg import FieldSpec, PINNED_PRIMES, block_ranks, dense_rank_mod
 from .polyspace import monomial_basis, monomial_index, multiply
 from .syzygy import (
     ChainSpace,
@@ -253,16 +253,16 @@ def dense_differential(params: VeroneseParams, p: int, q: int) -> np.ndarray:
 
 
 def blockwise_rank(params: VeroneseParams, p: int, q: int, prime: int) -> int:
-    """Orbit-free blockwise rank total (every block, no orbit shortcut)."""
+    """Orbit-free blockwise rank total (every block, no orbit shortcut),
+    ranked through `block_ranks`, the engine's own block-rank path."""
     n, d, b = params.n, params.d, params.b
     m_src = b + q * d
     if p < 1 or m_src < 0 or p > h0(n, d):
         return 0
-    total = 0
-    for mdeg in space_blocks(n, d, p, m_src):
-        block = differential_block(BlockKey(n, d, b, p, q, mdeg))
-        total += sparse_rank(block, FieldSpec.prime(prime))
-    return total
+    keys = (BlockKey(n, d, b, p, q, mdeg) for mdeg in space_blocks(n, d, p, m_src))
+    fields = itertools.repeat((FieldSpec.prime(prime),))
+    ranked = block_ranks(map(differential_block, keys), fields, None)
+    return sum(ranks[prime] for ranks, _ in ranked.values())
 
 
 # -- selftest ------------------------------------------------------------------

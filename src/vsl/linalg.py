@@ -12,14 +12,18 @@ column.  `sparse_ranks` ranks many blocks in one run of it over their
 block-diagonal stack, so small blocks share its per-round numpy cost, and
 counts each block's pivots in its column range.  `sparse_rank` ranks one
 block and picks a strategy from its stored entry count alone: a block with
-at least `ROUNDS_MIN_NNZ` and fewer than `ROUNDS_MAX_NNZ` entries goes to
-`sparse_rank_rounds`, the kernel's one-block case; any other block is
+at least `ROUNDS_MIN_NNZ` and fewer than `ROUNDS_MAX_NNZ` entries is the
+kernel's one-block case, `sparse_ranks([block], field)`; any other block is
 eliminated one pivot at a time by the Python Markowitz loop
 `sparse_rank_entries`.  One round forms at most `ROUND_PRODUCTS_CAP`
 Schur-complement products, so the join's temporaries stay bounded however
 large the matrix (the fill of the active matrix is not).  Every path
 computes the exact rank over GF(p), so ranks, reports and cache bytes do
 not depend on which one ran.
+
+`block_ranks` is the one block-rank path, the only place that chooses
+between ranking a block on its own and ranking it in a batch: the engine's
+rank jobs and the harness's blockwise check both go through it.
 """
 
 from __future__ import annotations
@@ -58,9 +62,9 @@ DEFAULT_DENSE_LIMIT = 2000
 # complexes: rounds won on every block timed below 200K entries (up to
 # 193K), tied at 202K and 210K, and lost 2.3-3.1x in two runs on the
 # 220K-entry central block of (2,5) K_{7,1}, whose active matrix fills
-# faster than rounds clear it.  The engine ranks its smaller blocks together
-# by `sparse_ranks` instead, batches of up to ROUNDS_MAX_NNZ entries that
-# share the per-round cost (see `betti._rank_group`).
+# faster than rounds clear it.  `block_ranks` ranks smaller blocks together
+# by `sparse_ranks` instead, in batches of up to ROUNDS_MAX_NNZ entries that
+# share the per-round cost.
 ROUNDS_MIN_NNZ = 750
 ROUNDS_MAX_NNZ = 200_000
 
@@ -125,11 +129,54 @@ def sparse_rank(block, field: FieldSpec) -> int:
     value) triples; later triples at the same position accumulate) and the
     same triples as int64 arrays .rows, .cols and .vals.  A block with at
     least ROUNDS_MIN_NNZ and fewer than ROUNDS_MAX_NNZ triples is ranked by
-    `sparse_rank_rounds`, any other by `sparse_rank_entries`.
+    the rounds kernel on its own, `sparse_ranks([block], field)`, any other
+    by `sparse_rank_entries`.
     """
     if ROUNDS_MIN_NNZ <= block.vals.size < ROUNDS_MAX_NNZ:
-        return sparse_rank_rounds(block.rows, block.cols, block.vals, block.nrows, block.ncols, field.p)
+        return sparse_ranks([block], field)[0]
     return sparse_rank_entries(block.entries, field.p)
+
+
+def block_ranks(blocks, fields, rational_cap: int | None) -> dict:
+    """Ranks of `blocks` over their `fields`: the one block-rank path.
+
+    `blocks` is an iterable of blocks carrying .key (see `sparse_rank`),
+    `fields` one tuple of FieldSpecs per block.  A block is certified when
+    both of its sides are within rational_cap (None certifies nothing).  A
+    certified block, and any other of ROUNDS_MIN_NNZ entries or more, is
+    ranked on its own as soon as it is pulled: by `sparse_rank` per field,
+    and a certified one by `rational_rank` too.  Every other block waits in
+    a batch, ranked by one `sparse_ranks` call per field over the blocks
+    that need it once its entries reach ROUNDS_MAX_NNZ, and at the end.
+    Returns {key: ({prime: rank}, rational rank or None)} in block order.
+    """
+    ranked: dict = {}
+    batch: list = []
+    nnz = 0
+
+    def flush() -> None:
+        for field in dict.fromkeys(field for _, need in batch for field in need):
+            members = [block for block, need in batch if field in need]
+            for block, rank in zip(members, sparse_ranks(members, field)):
+                ranked[block.key][0][field.p] = rank
+        batch.clear()
+
+    for block, need in zip(blocks, fields):
+        certified = rational_cap is not None and max(block.nrows, block.ncols) <= rational_cap
+        if certified or block.vals.size >= ROUNDS_MIN_NNZ:
+            ranked[block.key] = (
+                {field.p: sparse_rank(block, field) for field in need},
+                rational_rank(block, dense_limit=rational_cap) if certified else None,
+            )
+            continue
+        ranked[block.key] = ({}, None)
+        batch.append((block, need))
+        nnz += block.vals.size
+        if nnz >= ROUNDS_MAX_NNZ:
+            flush()
+            nnz = 0
+    flush()
+    return ranked
 
 
 def sparse_rank_entries(entries, p: int) -> int:
@@ -241,13 +288,6 @@ def sparse_ranks(blocks, field: FieldSpec) -> list[int]:
             f"sparse_ranks: rank {ranks[i]} of a {nrows[i]}x{ncols[i]} block"
         )
     return ranks.tolist()
-
-
-def sparse_rank_rounds(rows, cols, vals, nrows: int, ncols: int, p: int) -> int:
-    """Rank over GF(p) of the nrows x ncols matrix with entries (rows[i],
-    cols[i], vals[i]) (repeats accumulate): the pivot count of
-    `_round_elimination`."""
-    return int(_round_elimination(rows, cols, vals, nrows, ncols, p).size)
 
 
 def _round_elimination(rows, cols, vals, nrows: int, ncols: int, p: int) -> np.ndarray:

@@ -269,12 +269,13 @@ def test_pipelined_table_matches_entry_by_entry(tmp_path, max_block_cols):
     for q in range(params.n + 2):
         for p in range(h0(2, 3) + 1):
             try:
-                expected.dims[(p, q)], via = one_by_one.kpq_entry(params, p, q)
+                plan = one_by_one._route(params, p, q)
             except ResourceRefusal as refusal:
                 expected.skipped[(p, q)] = str(refusal)
                 continue
-            if via is not None:
-                expected.via[(p, q)] = via
+            expected.dims[(p, q)] = one_by_one._dims([plan])[0]
+            if plan.via is not None:
+                expected.via[(p, q)] = plan.via
     assert one_by_one.stats["cache_hits"] > 0
     assert bool(expected.skipped) == (max_block_cols is not None)
     with open(tmp_path / "reference" / "blocks.jsonl", "rb") as fh:
@@ -341,27 +342,50 @@ def test_one_entry_fits_the_space_blocks_cache(monkeypatch):
     assert info.misses == len(set(calls)) == info.maxsize == 3
 
 
+def _record_ranks(monkeypatch):
+    """Record the blocks `vsl.linalg` ranks as (alone, batched): the blocks
+    given to `sparse_rank`, and those given to `sparse_ranks` from
+    anywhere but `sparse_rank`, which reaches the rounds kernel as a
+    one-block `sparse_ranks`."""
+    alone, batched, ranking = [], [], []
+    real_rank, real_ranks = vsl.linalg.sparse_rank, vsl.linalg.sparse_ranks
+
+    def rank(block, field):
+        alone.append(block)
+        ranking.append(block)
+        try:
+            return real_rank(block, field)
+        finally:
+            ranking.pop()
+
+    def ranks(blocks, field):
+        if not ranking:
+            batched.extend(blocks)
+        return real_ranks(blocks, field)
+
+    monkeypatch.setattr(vsl.linalg, "sparse_rank", rank)
+    monkeypatch.setattr(vsl.linalg, "sparse_ranks", ranks)
+    return alone, batched
+
+
 def test_rank_jobs_go_out_largest_first(monkeypatch):
     # jobs are assembled and ranked by descending mid-slice size (an
     # out-block's columns, an in-block's rows), ties in key order, also
     # inside a batch; ranks are stored in `keys` order
     params, p, q = VeroneseParams(2, 4), 5, 1
     mid = space_blocks(2, 4, p, q * 4)
-    jobs, batched = [], []
-    real_block, real_ranks = vsl.betti.differential_block, vsl.betti.sparse_ranks
+    jobs = []
+    real_block = vsl.betti.differential_block
 
     def recording_block(key):
         jobs.append(key)
         return real_block(key)
 
-    def recording_ranks(blocks, field):
-        batched.extend(block.key for block in blocks)
-        return real_ranks(blocks, field)
-
     monkeypatch.setattr(vsl.betti, "differential_block", recording_block)
-    monkeypatch.setattr(vsl.betti, "sparse_ranks", recording_ranks)
+    _, batched_blocks = _record_ranks(monkeypatch)
     engine = Engine(FieldSpec.prime(PINNED_PRIMES[0]))
     assert engine.direct_dim(params, p, q) == 7095
+    batched = [block.key for block in batched_blocks]
     assert len(mid[jobs[0].mdeg][0]) == max(len(sub) for sub, _ in mid.values())
     assert jobs == sorted(jobs, key=lambda key: (-len(mid[key.mdeg][0]), key))
     assert batched and batched == [key for key in jobs if key in batched]
@@ -399,24 +423,16 @@ def test_batched_ranks_match_per_block_ranks(tmp_path, monkeypatch, window):
         blocks = (tmp_path / name / "blocks.jsonl").read_bytes()
         return table.to_json_dict(), engine.stats, blocks
 
-    real_rank, real_ranks = vsl.betti.sparse_rank, vsl.betti.sparse_ranks
+    # the reference ranks every block on its own by the Markowitz loop
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(vsl.betti, "sparse_ranks", lambda blocks, f: [real_rank(b, f) for b in blocks])
+        markowitz = vsl.linalg.sparse_rank_entries
+        mp.setattr(
+            vsl.linalg, "sparse_ranks", lambda blocks, f: [markowitz(b.entries, f.p) for b in blocks]
+        )
         per_block = run("per-block", 1)
-    single, batched = [], []
-
-    def rank(block, field):
-        single.append(block.vals.size)
-        return real_rank(block, field)
-
-    def ranks(blocks, field):
-        batched.extend(blocks)
-        return real_ranks(blocks, field)
-
-    monkeypatch.setattr(vsl.betti, "sparse_rank", rank)
-    monkeypatch.setattr(vsl.betti, "sparse_ranks", ranks)
+    single, batched = _record_ranks(monkeypatch)
     assert run("t1", 1) == per_block
-    assert all(size >= ROUNDS_MIN_NNZ for size in single)
+    assert all(block.vals.size >= ROUNDS_MIN_NNZ for block in single)
     assert all(block.vals.size < ROUNDS_MIN_NNZ for block in batched)
     assert len(single) + len(batched) == per_block[1]["blocks_ranked"]
     assert len(batched) > len(single)
@@ -439,14 +455,14 @@ def test_batches_flush_at_rounds_max_nnz(tmp_path, monkeypatch):
     needs = [(field,)] * len(keys)
     whole = run("whole"), _rank_group(keys, needs, None)
     batches = []
-    real = vsl.betti.sparse_ranks
+    real = vsl.linalg.sparse_ranks
 
     def ranks(blocks, field):
         batches.append([block.vals.size for block in blocks])
         return real(blocks, field)
 
-    monkeypatch.setattr(vsl.betti, "sparse_ranks", ranks)
-    monkeypatch.setattr(vsl.betti, "ROUNDS_MAX_NNZ", 1000)
+    monkeypatch.setattr(vsl.linalg, "sparse_ranks", ranks)
+    monkeypatch.setattr(vsl.linalg, "ROUNDS_MAX_NNZ", 1000)
     assert run("flushed") == whole[0]
     batches.clear()
     assert _rank_group(keys, needs, None) == whole[1]
@@ -462,13 +478,13 @@ def test_batch_ranks_a_key_only_at_the_primes_it_needs(monkeypatch):
     fields = tuple(FieldSpec.prime(prime) for prime in PINNED_PRIMES[:2])
     keys = list(Engine(fields[0])._plan(VeroneseParams(2, 3), 3, 1).sizes())
     calls = []
-    real = vsl.betti.sparse_ranks
+    real = vsl.linalg.sparse_ranks
 
     def ranks(blocks, field):
         calls.append((field.p, [block.key for block in blocks]))
         return real(blocks, field)
 
-    monkeypatch.setattr(vsl.betti, "sparse_ranks", ranks)
+    monkeypatch.setattr(vsl.linalg, "sparse_ranks", ranks)
     needs = [fields[1:] if i % 2 else fields for i in range(len(keys))]
     ranked = _rank_group(keys, needs, None)
     assert calls == [
@@ -545,8 +561,8 @@ def test_threaded_engine_certifies_over_rationals(tmp_path):
         run_dir = tmp_path / str(certify_prime)
         calls = {"rational_rank": [], "differential_block": []}
 
-        def counting(name, key_of):
-            real = getattr(vsl.betti, name)
+        def counting(module, name, key_of):
+            real = getattr(module, name)
 
             def counted(*args, **kwargs):
                 calls[name].append(key_of(args[0]))
@@ -554,11 +570,11 @@ def test_threaded_engine_certifies_over_rationals(tmp_path):
             return counted
 
         with pytest.MonkeyPatch.context() as mp:
-            for name, key_of in (
-                ("rational_rank", lambda block: block.key),
-                ("differential_block", lambda key: key),
+            for module, name, key_of in (
+                (vsl.linalg, "rational_rank", lambda block: block.key),
+                (vsl.betti, "differential_block", lambda key: key),
             ):
-                mp.setattr(vsl.betti, name, counting(name, key_of))
+                mp.setattr(module, name, counting(module, name, key_of))
             serial_run = _cubic_table(run_dir / "serial", direct_table, **options)
         # one assembly and one rational elimination per distinct block,
         # however many primes rank it; each stored rank of it is certified
@@ -572,10 +588,10 @@ def test_threaded_engine_certifies_over_rationals(tmp_path):
 def test_certified_blocks_pass_through_the_traced_rank_call(tmp_path, monkeypatch):
     # what the benchmark's certified share counts: in a serial certifying
     # verify, every block ranked over QQ was ranked by a call of
-    # vsl.betti.sparse_rank(block, field), once per field, on a block that
+    # vsl.linalg.sparse_rank(block, field), once per field, on a block that
     # carries .key, .nrows and .ncols
     prime_calls, rational_keys = [], []
-    real_sparse, real_rational = vsl.betti.sparse_rank, vsl.betti.rational_rank
+    real_sparse, real_rational = vsl.linalg.sparse_rank, vsl.linalg.rational_rank
 
     def sparse(block, field):
         prime_calls.append((block.key, block.nrows, block.ncols, field.p))
@@ -585,8 +601,8 @@ def test_certified_blocks_pass_through_the_traced_rank_call(tmp_path, monkeypatc
         rational_keys.append(block.key)
         return real_rational(block, *args, **kwargs)
 
-    monkeypatch.setattr(vsl.betti, "sparse_rank", sparse)
-    monkeypatch.setattr(vsl.betti, "rational_rank", rational)
+    monkeypatch.setattr(vsl.linalg, "sparse_rank", sparse)
+    monkeypatch.setattr(vsl.linalg, "rational_rank", rational)
     argv = ["verify", "--n", "2", "--d", "3", "--strands", "1,2", "--certify", "--format", "json"]
     assert main([*argv, "--cache", str(tmp_path / "cache"), "--out", str(tmp_path / "out")]) == 0
     primes = sorted({prime for *_, prime in prime_calls})
@@ -606,12 +622,11 @@ def test_invariant_checks_survive_optimized_mode():
     # it has rows or columns
     script = textwrap.dedent("""
         import numpy as np
-        import vsl.betti as betti
         import vsl.linalg as linalg
         from vsl import Engine, FieldSpec, InvariantViolation, PINNED_PRIMES, VeroneseParams
         from vsl.koszul import BlockKey, KoszulBlockMatrix
-        real = betti.sparse_ranks
-        betti.sparse_ranks = lambda blocks, field: [rank + 1 for rank in real(blocks, field)]
+        real = linalg.sparse_ranks
+        linalg.sparse_ranks = lambda blocks, field: [rank + 1 for rank in real(blocks, field)]
         engine = Engine(FieldSpec.prime(PINNED_PRIMES[0]))
         try:
             engine.kpq_dim(VeroneseParams(1, 3), 1, 1)
@@ -623,7 +638,7 @@ def test_invariant_checks_survive_optimized_mode():
             BlockKey(1, 1, 0, 1, 1, (0, 0)), 2, 3, [(0, 0, 1), (1, 2, 1)]
         )
         try:
-            linalg.sparse_ranks([block], engine.field)
+            real([block], engine.field)
         except InvariantViolation as exc:
             print("InvariantViolation:", exc)
         print("debug" if __debug__ else "optimized")

@@ -40,6 +40,13 @@ def test_empty_directory_has_zero_records(tmp_path):
     assert cache_stats(str(tmp_path))["records"] == 0
 
 
+def test_stats_are_read_only(tmp_path):
+    # reading the stats of a directory that does not exist creates nothing
+    missing = tmp_path / "missing"
+    assert cache_stats(str(missing))["records"] == 0
+    assert not missing.exists()
+
+
 def test_record_count_matches_block_enumeration(tmp_path):
     cache = BlockCache.open(str(tmp_path))
     engine = Engine(FieldSpec.prime(P1), cache=cache)

@@ -9,8 +9,8 @@ import sys
 
 import pytest
 
-import vsl.betti
 import vsl.cli
+import vsl.linalg
 import vsl.syzygy
 import vsl.harness as harness
 from vsl.betti import Engine, ResourceLimits, ResourceRefusal, betti_table
@@ -408,6 +408,18 @@ def test_cli_cache_requires_directory(monkeypatch, capsys):
     assert "cache directory required" in capsys.readouterr().err
 
 
+def test_cli_cache_on_a_missing_directory_is_a_usage_error(tmp_path, capsys):
+    # a mistyped --cache is refused, not read as an empty cache, and
+    # neither stats nor gc creates it
+    missing = tmp_path / "missing"
+    for action in ("stats", "gc"):
+        with pytest.raises(SystemExit) as exc:
+            main(["cache", action, "--cache", str(missing)])
+        assert exc.value.code == 2
+        assert f"cache directory {missing} does not exist" in capsys.readouterr().err
+    assert not missing.exists()
+
+
 def test_cli_out_writes_file(tmp_path, capsys):
     out = tmp_path / "bounds.json"
     rc = main(
@@ -655,7 +667,7 @@ class _CountingPool(concurrent.futures.ProcessPoolExecutor):
         self.log.append("shutdown")
 
 
-_real_sparse_ranks = vsl.betti.sparse_ranks
+_real_sparse_ranks = vsl.linalg.sparse_ranks
 
 
 def _sparse_ranks_failing_in_workers(*args):
@@ -680,7 +692,7 @@ def test_cli_opens_one_pool_per_command(monkeypatch, capsys):
         assert log.count("submit") > 2, argv
     capsys.readouterr()
     # every (2,3) block is small and uncertified, so workers rank in batches
-    monkeypatch.setattr(vsl.betti, "sparse_ranks", _sparse_ranks_failing_in_workers)
+    monkeypatch.setattr(vsl.linalg, "sparse_ranks", _sparse_ranks_failing_in_workers)
     log.clear()
     with pytest.raises(ZeroDivisionError, match="planted failure in a pool worker"):
         main(betti)

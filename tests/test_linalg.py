@@ -24,6 +24,7 @@ from vsl.linalg import (
     ROUNDS_MAX_NNZ,
     ROUNDS_MIN_NNZ,
     FieldSpec,
+    block_ranks,
     dense_rank_mod,
     echelon_mod,
     is_prime,
@@ -34,7 +35,6 @@ from vsl.linalg import (
     solve_mod,
     sparse_rank,
     sparse_rank_entries,
-    sparse_rank_rounds,
     sparse_ranks,
 )
 
@@ -202,7 +202,7 @@ def test_rounds_kernel_matches_dense_rank(prime, case, transpose, cap):
     with pytest.MonkeyPatch.context() as mp:
         if cap is not None:
             mp.setattr(vsl.linalg, "ROUND_PRODUCTS_CAP", cap)
-        got = sparse_rank_rounds(block.rows, block.cols, block.vals, nrows, ncols, prime)
+        got = sparse_ranks([block], FieldSpec.prime(prime))[0]
     assert got == dense_rank_mod(a, prime)
 
 
@@ -217,24 +217,27 @@ def test_rounds_kernel_matches_markowitz_on_koszul_blocks(prime):
                 for mdeg, _ in orbit_reduce(space_blocks(n, d, p, q * d)):
                     block = differential_block(BlockKey(n, d, 0, p, q, mdeg))
                     want = sparse_rank_entries(block.entries, prime)
-                    got = sparse_rank_rounds(
-                        block.rows, block.cols, block.vals, block.nrows, block.ncols, prime
-                    )
+                    got = sparse_ranks([block], FieldSpec.prime(prime))[0]
                     assert got == want, block.key
                     count += 1
     assert count > 1000
 
 
-def _engine_blocks(params, q_range):
-    """The blocks an engine ranks for a window of params, in plan order:
-    the window is planned, not ranked."""
+def _engine_keys(params, q_range):
+    """The block keys an engine ranks for a window of params, in plan
+    order: the window is planned, not ranked."""
     from vsl.betti import Engine, betti_table
 
     keys = []
     engine = Engine(FIELD)
     engine._dims = lambda plans: [keys.extend(plan.sizes()) or 0 for plan in plans]
     betti_table(params, engine, q_range=q_range)
-    return [differential_block(key) for key in dict.fromkeys(keys)]
+    return list(dict.fromkeys(keys))
+
+
+def _engine_blocks(params, q_range):
+    """The blocks an engine ranks for a window of params, in plan order."""
+    return [differential_block(key) for key in _engine_keys(params, q_range)]
 
 
 @pytest.mark.parametrize("prime", PINNED_PRIMES[:2])
@@ -286,20 +289,90 @@ def test_sparse_ranks_path_block_in_a_batch():
     assert sparse_ranks(blocks, FIELD) == want
 
 
+def test_block_ranks_keeps_large_and_certified_blocks_alone(monkeypatch):
+    # the blocks of the (2,4) linear strand at two primes, certified up to
+    # 300 rows and columns: a block of ROUNDS_MIN_NNZ entries or more, and
+    # a certified one, is ranked by `sparse_rank` once per field before the
+    # next block is pulled, and no `_round_elimination` call holds a large
+    # block with another; a certified block is ranked over QQ once, and
+    # every other block only in batches
+    from vsl.bounds import VeroneseParams
+
+    cap = 300
+    fields = tuple(FieldSpec.prime(prime) for prime in PINNED_PRIMES[:2])
+    keys = _engine_keys(VeroneseParams(2, 4), (1, 1))
+    events, sizes, stacked, held, exact = [], {}, [], [], []
+
+    def pulled():
+        for key in keys:
+            block = differential_block(key)
+            sizes[key] = (block.vals.size, max(block.nrows, block.ncols))
+            events.append(("pull", key))
+            yield block
+
+    real_rank, real_ranks = vsl.linalg.sparse_rank, vsl.linalg.sparse_ranks
+    real_kernel, real_rational = vsl.linalg._round_elimination, vsl.linalg.rational_rank
+
+    def rank(block, field):
+        events.append(("rank", block.key, field.p))
+        return real_rank(block, field)
+
+    def ranks(blocks, field):
+        stacked.append(blocks)
+        try:
+            return real_ranks(blocks, field)
+        finally:
+            stacked.pop()
+
+    def kernel(*args):
+        held.append([block.key for block in stacked[-1]])
+        return real_kernel(*args)
+
+    def rational(block, **kwargs):
+        exact.append(block.key)
+        return real_rational(block, **kwargs)
+
+    monkeypatch.setattr(vsl.linalg, "sparse_rank", rank)
+    monkeypatch.setattr(vsl.linalg, "sparse_ranks", ranks)
+    monkeypatch.setattr(vsl.linalg, "_round_elimination", kernel)
+    monkeypatch.setattr(vsl.linalg, "rational_rank", rational)
+    ranked = block_ranks(pulled(), [fields] * len(keys), cap)
+
+    large = {key for key in keys if sizes[key][0] >= ROUNDS_MIN_NNZ}
+    certified = [key for key in keys if sizes[key][1] <= cap]
+    alone = large | set(certified)
+    assert large & set(certified) and large - set(certified)
+    assert set(certified) - large and set(keys) - alone
+    for i, event in enumerate(events):
+        if event[0] == "pull" and event[1] in alone:
+            assert events[i + 1 : i + 1 + len(fields)] == [("rank", event[1], f.p) for f in fields]
+    assert len(events) == len(keys) + len(fields) * len(alone)
+    assert any(len(call) > 1 for call in held)
+    assert any(call == [key] for call in held for key in large)
+    assert all(len(call) == 1 for call in held if large.intersection(call))
+    assert exact == certified
+    assert list(ranked) == keys
+    for key, (by_prime, rational_rank_of_key) in ranked.items():
+        assert list(by_prime) == [field.p for field in fields]
+        assert len(set(by_prime.values())) == 1
+        assert rational_rank_of_key == (by_prime[fields[0].p] if key in certified else None)
+
+
 def test_sparse_rank_routes_by_entry_count(monkeypatch):
     # blocks with ROUNDS_MIN_NNZ and ROUNDS_MAX_NNZ - 1 entries take the
-    # rounds kernel, one entry fewer or more the Markowitz loop, and all
+    # rounds kernel (a one-block `sparse_ranks`), one entry fewer or more
+    # the Markowitz loop, and all
     # give the rank
     calls = []
-    for name in ("sparse_rank_rounds", "sparse_rank_entries"):
+    for name in ("sparse_ranks", "sparse_rank_entries"):
         real = getattr(vsl.linalg, name)
         monkeypatch.setattr(
             vsl.linalg, name, lambda *a, real=real, name=name: calls.append(name) or real(*a)
         )
     cases = (
-        (ROUNDS_MIN_NNZ, "sparse_rank_rounds"),
+        (ROUNDS_MIN_NNZ, "sparse_ranks"),
         (ROUNDS_MIN_NNZ - 1, "sparse_rank_entries"),
-        (ROUNDS_MAX_NNZ - 1, "sparse_rank_rounds"),
+        (ROUNDS_MAX_NNZ - 1, "sparse_ranks"),
         (ROUNDS_MAX_NNZ, "sparse_rank_entries"),
     )
     for nnz, kernel in cases:

@@ -77,7 +77,8 @@ def test_refused_partner_falls_back_to_the_direct_complex():
     cubic = VeroneseParams(2, 3)
     assert _side(cubic, 6, 0) != (cubic, 6, 0)
     engine = Engine(FieldSpec.prime(PINNED_PRIMES[0]), limits=limits)
-    assert engine.kpq_entry(cubic, 6, 0) == (0, None)
+    plan = engine._route(cubic, 6, 0)
+    assert plan.via is None and engine._dims([plan]) == [0]
     assert engine.stats["refusals"] == 1
     entries = {(e["p"], e["q"]): e for e in betti_table(cubic, engine).to_json_dict()["entries"]}
     assert entries[(6, 0)] == {"p": 6, "q": 0, "dim": 0, "status": "ZERO"}
