@@ -119,16 +119,17 @@ class Engine:
 
     Every entry goes plan -> rank -> sum.  `_plan` checks its blocks against
     the ceilings from sizes alone, `_route` plans the side `_side` picks,
-    and `_dims` submits the blocks of a run of plans before it collects,
-    stores and sums any.  Each share of blocks is one `_rank_group`, which
-    ranks through `linalg.block_ranks`: that alone decides which blocks are
-    ranked on their own and which together.  `kpq_dim` and `direct_dim`
-    run one plan; `betti_table` and `verify` run their whole window.
-    Reports, cache files and stats do not depend on `threads` or on the
-    order jobs run in, nor refusals on the cache.
-    With threads > 1 the engine ranks only inside `with engine:`, which owns
-    one process pool until the `with` ends: its workers, at most one per
-    usable CPU, are forked at the first pooled rank and serve the command.
+    and `_dims` deals the uncached blocks of a run of plans into `threads`
+    shares before it collects, stores and sums any.  Each share is one
+    `_rank_group`, which ranks through `linalg.block_ranks`: that alone
+    decides which blocks are ranked on their own and which together.
+    `kpq_dim` and `direct_dim` run one plan; `betti_table` and `verify` run
+    their whole window.  Reports, cache files and stats do not depend on
+    `threads` or on the order jobs run in, nor refusals on the cache.
+    A serial engine ranks its one share in place.  With threads > 1 the
+    engine ranks only inside `with engine:`, which owns one process pool
+    until the `with` ends: its workers, at most one per usable CPU, are
+    forked at the first pooled rank and serve the command.
     """
 
     def __init__(
@@ -182,15 +183,15 @@ class Engine:
         """dim of each planned entry: the engine's one rank path.
 
         Plans are taken one at a time, each submitted before the next is
-        made.  The cache is read once per key and prime; jobs cover the keys
-        with an uncached prime that no earlier plan is ranking, largest mid
-        size first (an out-block's columns, an in-block's rows), ties in key
-        order.  With a pool and at least 4 jobs, each job goes to the
-        `threads` share with the least mid size so far, each share to the
-        pool as one task; otherwise they run here, now.  After the last
-        plan, ranks are collected plan by plan in key and prime order,
-        checked, stored and summed.  A key an earlier plan ranked counts as
-        a cache hit, as if that plan had been collected first.
+        made.  A plan's jobs are its keys with a prime the cache lacks that
+        no earlier plan is ranking, dealt largest mid size first (an
+        out-block's columns, an in-block's rows), ties in key order, each to
+        the `threads` share with the least mid size so far.  Each nonempty
+        share is one `_rank_group`, a pool task, or run here and now when
+        there is no pool: a serial engine is the one-share case.  After the
+        last plan, each plan's keys and primes are read from the cache in
+        order: a hit counts as one, and a miss takes its key's job's rank,
+        checked against the rational rank, then stored and counted.
         """
         if self.threads > 1 and self._pool is None:
             raise RuntimeError(f"Engine(threads={self.threads}) ranks only inside `with engine:`")
@@ -198,40 +199,38 @@ class Engine:
         submitted = []
         for plan in plans:
             sizes = plan.sizes()
-            found = {
-                key: {prime: self.cache.get(self._cache_key(key, prime)) for prime in self.primes}
-                for key in sizes
-            }
-            todo = {
-                key: tuple(field for field in self.fields if ranks[field.p] is None)
-                for key, ranks in found.items()
-                if None in ranks.values() and key not in jobs
-            }
-            order = sorted(todo, key=lambda key: (-sizes[key], key))
-            if self.threads > 1 and len(order) >= 4:
-                shares: list[list[BlockKey]] = [[] for _ in range(self.threads)]
-                loads = [0] * self.threads
-                for key in order:
-                    least = loads.index(min(loads))
-                    shares[least].append(key)
-                    loads[least] += sizes[key]
-                for share in filter(None, shares):
-                    task = (share, list(map(todo.get, share)), self.rational_cap)
-                    jobs.update(dict.fromkeys(share, self._pool.submit(_rank_group, *task)))
-            else:
-                done: concurrent.futures.Future = concurrent.futures.Future()
-                done.set_result(_rank_group(order, list(map(todo.get, order)), self.rational_cap))
-                jobs.update(dict.fromkeys(order, done))
-            submitted.append((plan, found, todo.keys()))
+            todo = {}
+            for key in sizes:
+                need = tuple(
+                    f for f in self.fields if self.cache.get(self._cache_key(key, f.p)) is None
+                )
+                if need and key not in jobs:
+                    todo[key] = need
+            shares: list[list[BlockKey]] = [[] for _ in range(self.threads)]
+            loads = [0] * self.threads
+            for key in sorted(todo, key=lambda key: (-sizes[key], key)):
+                least = loads.index(min(loads))
+                shares[least].append(key)
+                loads[least] += sizes[key]
+            for share in filter(None, shares):
+                task = (share, list(map(todo.get, share)), self.rational_cap)
+                if self._pool is None:
+                    job: concurrent.futures.Future = concurrent.futures.Future()
+                    job.set_result(_rank_group(*task))
+                else:
+                    job = self._pool.submit(_rank_group, *task)
+                jobs.update(dict.fromkeys(share, job))
+            submitted.append(plan)
         dims = []
-        for plan, found, own in submitted:
+        for plan in submitted:
             ranks: dict[BlockKey | None, int] = {}
-            for key, cached in found.items():
-                fresh, exact = jobs[key].result()[key] if None in cached.values() else ({}, None)
+            for key in plan.sizes():
                 both = []
-                for prime, hit in cached.items():
-                    rank = fresh[prime] if hit is None else hit
-                    if hit is None and key in own:
+                for prime in self.primes:
+                    rank = self.cache.get(self._cache_key(key, prime))
+                    if rank is None:
+                        fresh, exact = jobs[key].result()[key]
+                        rank = fresh[prime]
                         if exact is not None and exact != rank:
                             raise PrimeDisagreement(
                                 f"rational rank {exact} != GF({prime}) rank {rank} at {key}"
@@ -284,8 +283,6 @@ class Engine:
         """
         n, d, b = params.n, params.d, params.b
         m_mid = b + q * d
-        if p < 0 or p > h0(n, d) or m_mid < 0:
-            return _Plan([], via)
         self._check_space(params, p, m_mid)
         mid_blocks = space_blocks(n, d, p, m_mid)
         if not mid_blocks:

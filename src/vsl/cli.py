@@ -15,6 +15,7 @@ import dataclasses
 import io
 import json
 import os
+import re
 import sys
 
 from .bounds import VeroneseParams, h0, projection_codim, range_predictions
@@ -35,12 +36,13 @@ from .syzygy import (
 
 
 def _read_config(path: str) -> dict[str, str]:
-    """key = value lines; '#' starts a comment; keys match flag names with
-    either dashes or underscores."""
+    """key = value lines; '#' starts a comment at the start of a line or
+    after whitespace, so a value such as res#1.txt keeps it; keys match flag
+    names with either dashes or underscores."""
     out: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
+            line = re.sub(r"(^|\s)#.*", "", raw).strip()
             if not line:
                 continue
             if "=" not in line:

@@ -257,7 +257,7 @@ def blockwise_rank(params: VeroneseParams, p: int, q: int, prime: int) -> int:
     ranked through `block_ranks`, the engine's own block-rank path."""
     n, d, b = params.n, params.d, params.b
     m_src = b + q * d
-    if p < 1 or m_src < 0 or p > h0(n, d):
+    if p < 1:
         return 0
     keys = (BlockKey(n, d, b, p, q, mdeg) for mdeg in space_blocks(n, d, p, m_src))
     fields = itertools.repeat((FieldSpec.prime(prime),))

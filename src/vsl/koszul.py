@@ -188,7 +188,7 @@ def differential_block(key: BlockKey) -> KoszulBlockMatrix:
         raise ValueError(f"differential_block: need p >= 1, got p={p}")
     m_src = b + q * d
     src = space_blocks(n, d, p, m_src).get(mdeg)
-    if m_src < 0 or src is None:
+    if src is None:
         return KoszulBlockMatrix.from_entries(key, 0, 0, [])
     tgt = space_blocks(n, d, p - 1, m_src + d).get(mdeg)
     if tgt is None:

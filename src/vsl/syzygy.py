@@ -239,10 +239,7 @@ def cycle_basis(params: VeroneseParams, p: int, q: int, engine: Engine) -> list[
     """
     prime = engine.field.p
     space = ChainSpace(params, p, q, prime)
-    n, d = params.n, params.d
-    if p < 0 or p > h0(n, d) or space.m < 0:
-        return []
-    blocks = space_blocks(n, d, p, space.m)
+    blocks = space_blocks(params.n, params.d, p, space.m)
     classes: list[KoszulClass] = []
     for mdeg in sorted(blocks, reverse=True):
         elements = _block_elements(space, mdeg)

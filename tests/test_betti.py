@@ -27,9 +27,10 @@ from vsl.betti import (
 )
 from vsl.cache import BlockCache
 from vsl.cli import main
-from vsl.harness import verify
-from vsl.koszul import orbit_reduce, space_blocks
+from vsl.harness import blockwise_rank, verify
+from vsl.koszul import BlockKey, differential_block, orbit_reduce, space_blocks
 from vsl.linalg import PINNED_PRIMES, ROUNDS_MIN_NNZ, FieldSpec, PrimeDisagreement
+from vsl.syzygy import cycle_basis
 
 
 def test_line_quadric_single_syzygy(eng):
@@ -132,10 +133,17 @@ def test_euler_alternating_sums(eng):
 
 
 def test_kpq_out_of_range_indices_are_zero(eng):
+    # `space_blocks` alone decides that these complexes vanish: at p = -1,
+    # at p = h0 + 1 and in negative degree (b = -3, q = 1) every path that
+    # ranks or solves in them finds an empty middle space
     pr = VeroneseParams(1, 2)
-    assert eng.kpq_dim(pr, -1, 1) == 0
-    assert eng.kpq_dim(pr, h0(1, 2) + 1, 1) == 0
-    assert eng.kpq_dim(VeroneseParams(1, 2, -3), 0, 1) == 0  # negative degree
+    negative = VeroneseParams(1, 2, -3)
+    for params, p in ((pr, -1), (pr, h0(1, 2) + 1), (negative, 0), (negative, 1)):
+        assert eng.kpq_dim(params, p, 1) == 0
+        assert eng.direct_dim(params, p, 1) == 0
+        assert cycle_basis(params, p, 1, eng) == []
+        assert blockwise_rank(params, p, 1, eng.field.p) == 0
+    assert differential_block(BlockKey(1, 2, -3, 1, 1, (0, 0))).ncols == 0
 
 
 def test_resource_refusal_is_loud_and_skipped_in_tables():
@@ -318,6 +326,43 @@ def test_verify_plans_across_strands(tmp_path, strands, max_block_cols):
         assert planned.stats == one_by_one.stats
         with open(tmp_path / f"t{threads}" / "blocks.jsonl", "rb") as fh:
             assert fh.read() == expected_bytes
+
+
+def test_partly_warm_cache_across_pipelined_plans(tmp_path):
+    # strands 1-2 ranked uncertified leave every key cached at the primary
+    # prime.  A certified verify of them reads each of those as a cache hit
+    # and ranks the second prime alone, keys that an earlier pending plan
+    # ranks included, with the same report, stats and cache bytes at 1 and
+    # 2 threads; a poisoned primary record still raises
+    params = VeroneseParams(2, 3)
+    field = FieldSpec.prime(PINNED_PRIMES[0])
+    verify(params, [1, 2], Engine(field, BlockCache.open(str(tmp_path / "seed"))))
+    seeded = (tmp_path / "seed" / "blocks.jsonl").read_bytes()
+    known = BlockCache.open(str(tmp_path / "seed")).ranks
+
+    def run(name, threads, records):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "blocks.jsonl").write_bytes(records)
+        cache = BlockCache.open(str(tmp_path / name))
+        with Engine(field, cache, threads=threads, certify_prime=PINNED_PRIMES[1]) as engine:
+            report = verify(params, [1, 2], engine)
+        return report.to_json_dict(), engine.stats, (tmp_path / name / "blocks.jsonl").read_bytes()
+
+    runs = [run(f"t{threads}", threads, seeded) for threads in (1, 2)]
+    assert runs[0] == runs[1]
+    stats = runs[0][1]
+    fresh = [key for key in BlockCache.open(str(tmp_path / "t1")).ranks if key not in known]
+    assert {key[-1] for key in fresh} == {PINNED_PRIMES[1]}
+    assert len(fresh) == stats["blocks_ranked"]
+    assert stats["blocks_ranked"] + stats["cache_hits"] == 2 * stats["dual_prime_checks"]
+    assert stats["cache_hits"] > stats["dual_prime_checks"]
+    *head, last = seeded.decode().splitlines()
+    record = json.loads(last)
+    record["rank"] += 1
+    poisoned = "\n".join([*head, json.dumps(record, separators=(",", ":"))]) + "\n"
+    for threads in (1, 2):
+        with pytest.raises(PrimeDisagreement):
+            run(f"poisoned-t{threads}", threads, poisoned.encode())
 
 
 def test_one_entry_fits_the_space_blocks_cache(monkeypatch):

@@ -15,6 +15,7 @@ import vsl.syzygy
 import vsl.harness as harness
 from vsl.betti import Engine, ResourceLimits, ResourceRefusal, betti_table
 from vsl.bounds import VeroneseParams
+from vsl.cache import BlockCache
 from vsl.cli import main
 from vsl.harness import (
     CONSISTENT,
@@ -277,6 +278,17 @@ def test_cli_config_file_with_override(tmp_path, capsys):
     # the explicit --q 1 wins over the config value; d and format come from it
     assert all(pr["q"] == 1 for pr in preds)
     assert any(pr["source"] == "EL_CONJ" and pr["hi"] == 6 for pr in preds)
+
+
+def test_cli_config_keeps_a_hash_inside_a_value(tmp_path, capsys):
+    # '#' starts a comment only at the start of a line or after whitespace,
+    # so a path that contains one is read whole
+    out = tmp_path / "res#1.txt"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"n = 2  # the plane\nd = 3\t# cubics\nq = 1\nout = {out}\n")
+    assert main(["bounds", "--config", str(cfg)]) == 0
+    assert out.read_text() and not (tmp_path / "res").exists()
+    assert capsys.readouterr().out == ""
 
 
 def test_cli_config_rejects_malformed_lines(tmp_path, capsys):
@@ -735,6 +747,24 @@ def test_pooled_verify_does_not_wait_between_strands(monkeypatch, capsys):
         assert "submit" not in log[log.index("result"):], strands
     assert submits["1,2"] > submits["1"]
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("p, q", [(1, 0), (7, 1)])
+def test_pooled_small_entry_goes_to_the_pool(monkeypatch, tmp_path, p, q):
+    # a serial engine is the one-share case of the same deal, so a pooled
+    # engine submits an entry with only a few blocks to rank like any other,
+    # with the serial run's dim, stats and cache bytes
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _CountingPool)
+    runs = []
+    for threads in (1, 2):
+        _CountingPool.log.clear()
+        cache = BlockCache.open(str(tmp_path / f"t{threads}"))
+        with Engine(FieldSpec.prime(PINNED_PRIMES[0]), cache, threads=threads) as engine:
+            dim = engine.kpq_dim(VeroneseParams(2, 3), p, q)
+        runs.append((dim, engine.stats, (tmp_path / f"t{threads}" / "blocks.jsonl").read_bytes()))
+    assert 1 <= runs[0][1]["blocks_ranked"] <= 3
+    assert _CountingPool.log.count("submit") >= 1
+    assert runs[1] == runs[0]
 
 
 class _InlinePool:
