@@ -6,20 +6,20 @@ certifies blocks within a size cap with no modular arithmetic.  Primes
 come from a fixed list of ten 31-bit primes so a run can be reproduced and
 cross-checked at a second prime.
 
-One rounds kernel, `_round_elimination`, picks many compatible pivots at
-once and eliminates them together with numpy; it returns each pivot's
-column.  `sparse_ranks` ranks many blocks in one run of it over their
-block-diagonal stack, so small blocks share its per-round numpy cost, and
-counts each block's pivots in its column range.  `sparse_rank` ranks one
-block and picks a strategy from its stored entry count alone: a block with
-at least `ROUNDS_MIN_NNZ` and fewer than `ROUNDS_MAX_NNZ` entries is the
-kernel's one-block case, `sparse_ranks([block], field)`; any other block is
-eliminated one pivot at a time by the Python Markowitz loop
-`sparse_rank_entries`.  One round forms at most `ROUND_PRODUCTS_CAP`
+Two GF(p) kernels rank blocks.  The rounds kernel, `_round_elimination`,
+picks many compatible pivots at once and eliminates them together with
+numpy; it returns each pivot's column.  `sparse_ranks` ranks many blocks in
+one run of it over their block-diagonal stack, so small blocks share its
+per-round numpy cost, and counts each block's pivots in its column range.
+`sparse_rank` ranks one block and picks a kernel from its stored entry
+count alone: a block of `ROUNDS_MIN_NNZ` entries or more, however large,
+is the rounds kernel's one-block case, `sparse_ranks([block], field)`; a
+smaller one is ranked by the sparse echelon `echelon_mod`, the elimination
+the syzygy layer uses.  One round forms at most `ROUND_PRODUCTS_CAP`
 Schur-complement products, so the join's temporaries stay bounded however
-large the matrix (the fill of the active matrix is not).  Every path
-computes the exact rank over GF(p), so ranks, reports and cache bytes do
-not depend on which one ran.
+large the matrix (the fill of the active matrix is not).  Both kernels
+compute the exact rank over GF(p), so ranks, reports and cache bytes do not
+depend on which one ran.
 
 `block_ranks` is the one block-rank path, the only place that chooses
 between ranking a block on its own and ranking it in a batch: the engine's
@@ -53,25 +53,30 @@ PINNED_PRIMES: tuple[int, ...] = (
 
 DEFAULT_DENSE_LIMIT = 2000
 
-# Blocks with at least ROUNDS_MIN_NNZ and fewer than ROUNDS_MAX_NNZ stored
-# entries are ranked in rounds (see `sparse_rank`).  The lower end comes
-# from per-nnz-bucket timings of both strategies: rounds win from 750
+# Blocks of ROUNDS_MIN_NNZ stored entries or more are ranked in rounds on
+# their own (see `sparse_rank`).  The bound comes from per-nnz-bucket
+# timings of one-pivot elimination against rounds: rounds win from 750
 # entries on every strand timed; below that they lose on small blocks and
-# only tie on the tall blocks of the (2,5) p=16..21 strand.  The upper end
-# comes from single blocks of the (2,5) K_{6..8,1} and (3,3) K_{8..10,1}
-# complexes: rounds won on every block timed below 200K entries (up to
-# 193K), tied at 202K and 210K, and lost 2.3-3.1x in two runs on the
-# 220K-entry central block of (2,5) K_{7,1}, whose active matrix fills
-# faster than rounds clear it.  `block_ranks` ranks smaller blocks together
-# by `sparse_ranks` instead, in batches of up to ROUNDS_MAX_NNZ entries that
-# share the per-round cost.
+# only tie on the tall blocks of the (2,5) p=16..21 strand.
 ROUNDS_MIN_NNZ = 750
-ROUNDS_MAX_NNZ = 200_000
+
+# `block_ranks` ranks uncertified blocks under ROUNDS_MIN_NNZ entries
+# together by `sparse_ranks`, in batches of up to BATCH_MAX_NNZ entries
+# that share the per-round cost.
+BATCH_MAX_NNZ = 200_000
 
 # The most Schur-complement products, the sum of |L_k|*|U_k| over its
 # pivots, that one round of `_round_elimination` forms: it bounds the
-# join's temporaries however large the block.
-ROUND_PRODUCTS_CAP = 1 << 18
+# join's temporaries however large the block.  In the dense tail of a
+# large block one pivot forms about 1M products, so a smaller cap leaves
+# each late round a few pivots and a re-sort of the whole active matrix:
+# at 2^18 the 220K-entry central block of the direct (2,5) K_{7,1} took
+# 2.6x as long as one-pivot elimination.  2^24 is the smallest cap tried
+# (2^20, 2^22, 2^24) that ranks the 663K-entry central block of K_{9,1}
+# no slower than one-pivot elimination (62 s against 67 s).  Peak RSS at
+# 2^24, block assembly included: 521 MB on the 220K block and 2,018 MB on
+# the 663K one, where one-pivot elimination peaked at 763 and 3,346 MB.
+ROUND_PRODUCTS_CAP = 1 << 24
 
 
 def is_prime(p: int) -> bool:
@@ -127,14 +132,14 @@ def sparse_rank(block, field: FieldSpec) -> int:
 
     `block` needs .nrows, .ncols, .entries (an iterable of (row, col,
     value) triples; later triples at the same position accumulate) and the
-    same triples as int64 arrays .rows, .cols and .vals.  A block with at
-    least ROUNDS_MIN_NNZ and fewer than ROUNDS_MAX_NNZ triples is ranked by
-    the rounds kernel on its own, `sparse_ranks([block], field)`, any other
-    by `sparse_rank_entries`.
+    same triples as int64 arrays .rows, .cols and .vals.  A block of
+    ROUNDS_MIN_NNZ triples or more, however large, is ranked by the rounds
+    kernel on its own, `sparse_ranks([block], field)`; a smaller one by
+    `echelon_mod`, whose basis has one vector per pivot.
     """
-    if ROUNDS_MIN_NNZ <= block.vals.size < ROUNDS_MAX_NNZ:
-        return sparse_ranks([block], field)[0]
-    return sparse_rank_entries(block.entries, field.p)
+    if block.vals.size < ROUNDS_MIN_NNZ:
+        return len(echelon_mod(block.entries, field.p))
+    return sparse_ranks([block], field)[0]
 
 
 def block_ranks(blocks, fields, rational_cap: int | None) -> dict:
@@ -147,7 +152,7 @@ def block_ranks(blocks, fields, rational_cap: int | None) -> dict:
     ranked on its own as soon as it is pulled: by `sparse_rank` per field,
     and a certified one by `rational_rank` too.  Every other block waits in
     a batch, ranked by one `sparse_ranks` call per field over the blocks
-    that need it once its entries reach ROUNDS_MAX_NNZ, and at the end.
+    that need it once its entries reach BATCH_MAX_NNZ, and at the end.
     Returns {key: ({prime: rank}, rational rank or None)} in block order.
     """
     ranked: dict = {}
@@ -172,80 +177,11 @@ def block_ranks(blocks, fields, rational_cap: int | None) -> dict:
         ranked[block.key] = ({}, None)
         batch.append((block, need))
         nnz += block.vals.size
-        if nnz >= ROUNDS_MAX_NNZ:
+        if nnz >= BATCH_MAX_NNZ:
             flush()
             nnz = 0
     flush()
     return ranked
-
-
-def sparse_rank_entries(entries, p: int) -> int:
-    """Rank over GF(p) of (row, col, value) triples (repeats accumulate) by
-    Markowitz-style elimination, one pivot at a time.
-
-    Pivots are chosen fill-aware: the active column with fewest entries,
-    then the shortest row in it, ties broken by lowest index, so the
-    elimination order is deterministic.  Columns wait in a lazy min-heap
-    keyed by (entry count, column): a pivot step re-pushes only the columns
-    of the pivot row, the only ones whose counts it can change, and entries
-    whose column is gone or whose count is out of date are skipped when
-    popped.  The pivot row leaves the matrix scaled once by its pivot's
-    inverse, so clearing the pivot column from a row r subtracts r's entry
-    times the scaled row.
-    """
-    rows: dict[int, dict[int, int]] = {}
-    for r, c, v in entries:
-        row = rows.setdefault(r, {})
-        row[c] = (row.get(c, 0) + v) % p
-    cols: dict[int, set[int]] = {}
-    for r, row in list(rows.items()):
-        for c in [c for c, v in row.items() if v == 0]:
-            del row[c]
-        if not row:
-            del rows[r]
-            continue
-        for c in row:
-            cols.setdefault(c, set()).add(r)
-
-    queue = [(len(colset), c) for c, colset in cols.items()]
-    heapq.heapify(queue)
-    rank = 0
-    while queue:
-        # Fill-aware pivot: fewest-entry column, then shortest row in it.
-        count, pc = heapq.heappop(queue)
-        colset = cols.get(pc)
-        if colset is None or len(colset) != count:
-            continue
-        pr = min(colset, key=lambda r: (len(rows[r]), r))
-        rank += 1
-        del cols[pc]
-        colset.discard(pr)
-        prow = rows.pop(pr)
-        inv = pow(prow.pop(pc), -1, p)
-        # a column keeps its (possibly empty) set until it is a pivot column
-        for c, v in prow.items():
-            prow[c] = v * inv % p
-            cols[c].discard(pr)
-        for r in colset:
-            row = rows[r]
-            f = row.pop(pc)
-            for c, v in prow.items():
-                cur = row.get(c)
-                if cur is None:
-                    # f and v are units mod p, so a fill-in entry is never 0
-                    row[c] = -f * v % p
-                    cols[c].add(r)
-                elif cur := (cur - f * v) % p:
-                    row[c] = cur
-                else:
-                    del row[c]
-                    cols[c].discard(r)
-            if not row:
-                del rows[r]
-        for c in prow:
-            if size := len(cols[c]):
-                heapq.heappush(queue, (size, c))
-    return rank
 
 
 _NO_SCORE = np.iinfo(np.int64).max
@@ -310,8 +246,7 @@ def _round_elimination(rows, cols, vals, nrows: int, ncols: int, p: int) -> np.n
     stay below p < 2^31, so every product stays below 2^62.
     """
     rows, cols, vals = _combine_mod(
-        np.asarray(rows, dtype=np.int64),
-        np.asarray(cols, dtype=np.int64),
+        np.asarray(rows, dtype=np.int64) * ncols + np.asarray(cols, dtype=np.int64),
         np.asarray(vals, dtype=np.int64) % p,
         ncols,
         p,
@@ -343,19 +278,20 @@ def _round_elimination(rows, cols, vals, nrows: int, ncols: int, p: int) -> np.n
         reps = per_pivot[lk]
         rest = ~(in_row | in_col)
         rows, cols, vals = rows[rest], cols[rest], vals[rest]
+        # the peak of a round is its join: free the per-entry arrays first
+        del kr, kc, in_row, in_col, both, low, up, rest
         if total := int(reps.sum()):
             # L entry e meets each U entry of its pivot: `at` repeats e once
             # per such entry, `ui` walks that pivot's slice of the U arrays
             at = np.repeat(np.arange(lk.size), reps)
             first = np.cumsum(per_pivot) - per_pivot
             ui = np.arange(total) + np.repeat(first[lk] - (np.cumsum(reps) - reps), reps)
-            rows, cols, vals = _combine_mod(
-                np.concatenate([rows, li[at]]),
-                np.concatenate([cols, uj[ui]]),
-                np.concatenate([vals, lv[at] * uv[ui] % p]),
-                ncols,
-                p,
-            )
+            key = np.concatenate([rows * ncols + cols, li[at] * ncols + uj[ui]])
+            vals = np.concatenate([vals, lv[at] * uv[ui] % p])
+            # only the join's keys and values stay alive through its sort
+            del rows, cols, at, ui
+            rows, cols, vals = _combine_mod(key, vals, ncols, p)
+            del key
     return np.concatenate(pivot_cols)
 
 
@@ -387,10 +323,10 @@ def _round_pivots(rows, cols, nrows: int, ncols: int) -> np.ndarray:
     return piv[: max(1, int(np.searchsorted(products, ROUND_PRODUCTS_CAP, side="right")))]
 
 
-def _combine_mod(rows, cols, vals, ncols: int, p: int):
-    """The entries sorted row-major, values at one position summed mod p,
-    zeros dropped; values must be reduced mod p already."""
-    key = rows * ncols + cols
+def _combine_mod(key, vals, ncols: int, p: int):
+    """The entries at row-major positions key = row * ncols + col, sorted,
+    values at one position summed mod p, zeros dropped, as (rows, cols,
+    vals); values must be reduced mod p already."""
     order = np.argsort(key)
     key, vals = key[order], vals[order]
     new = np.empty(key.size, dtype=bool)

@@ -8,7 +8,7 @@ import pytest
 from vsl.betti import BettiTable, Engine, ResourceRefusal
 from vsl.bounds import VeroneseParams, h0
 from vsl.koszul import BlockKey, differential_block, space_blocks, wedge_subsets
-from vsl.linalg import FieldSpec, PINNED_PRIMES, echelon_mod, nullspace_mod, rref_mod
+from vsl.linalg import FieldSpec, PINNED_PRIMES, echelon_mod, kernel_mod, nullspace_mod, rref_mod
 from vsl.polyspace import PointOverField
 from vsl.syzygy import KoszulClass, alpha_chain, point_functional
 from vsl.wedge import det_mod
@@ -79,6 +79,12 @@ def lowest_lead_kernel_mod(entries: list, ncols: int, p: int) -> list[dict]:
     top = max((r for r, _, _ in entries), default=-1) + ncols
     basis = echelon_mod(entries + [(top - c, c, 1) for c in range(ncols)], p)
     return [{top - k: v for k, v in b.items()} for lead, b in basis.items() if lead > top - ncols]
+
+
+def nullity_rank(block, p: int) -> int:
+    """The reference rank of a block over GF(p), by rank-nullity through
+    `kernel_mod`, an elimination apart from both rank kernels."""
+    return block.ncols - len(kernel_mod(block.entries, block.ncols, p))
 
 
 def single_contraction(space, coeffs: dict, phi) -> dict:

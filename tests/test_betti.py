@@ -8,7 +8,7 @@ import textwrap
 
 import pytest
 
-from conftest import direct_table
+from conftest import direct_table, nullity_rank
 
 import vsl
 import vsl.koszul
@@ -468,11 +468,10 @@ def test_batched_ranks_match_per_block_ranks(tmp_path, monkeypatch, window):
         blocks = (tmp_path / name / "blocks.jsonl").read_bytes()
         return table.to_json_dict(), engine.stats, blocks
 
-    # the reference ranks every block on its own by the Markowitz loop
+    # the reference ranks every block on its own by rank-nullity
     with pytest.MonkeyPatch.context() as mp:
-        markowitz = vsl.linalg.sparse_rank_entries
         mp.setattr(
-            vsl.linalg, "sparse_ranks", lambda blocks, f: [markowitz(b.entries, f.p) for b in blocks]
+            vsl.linalg, "sparse_ranks", lambda blocks, f: [nullity_rank(b, f.p) for b in blocks]
         )
         per_block = run("per-block", 1)
     single, batched = _record_ranks(monkeypatch)
@@ -484,7 +483,7 @@ def test_batched_ranks_match_per_block_ranks(tmp_path, monkeypatch, window):
     assert run("t2", 2) == per_block
 
 
-def test_batches_flush_at_rounds_max_nnz(tmp_path, monkeypatch):
+def test_batches_flush_at_batch_max_nnz(tmp_path, monkeypatch):
     # with a small batch bound one share flushes several batches, each as
     # its entries reach the bound and the last at the end of the share, and
     # no rank changes: neither the share's nor a table's
@@ -507,7 +506,7 @@ def test_batches_flush_at_rounds_max_nnz(tmp_path, monkeypatch):
         return real(blocks, field)
 
     monkeypatch.setattr(vsl.linalg, "sparse_ranks", ranks)
-    monkeypatch.setattr(vsl.linalg, "ROUNDS_MAX_NNZ", 1000)
+    monkeypatch.setattr(vsl.linalg, "BATCH_MAX_NNZ", 1000)
     assert run("flushed") == whole[0]
     batches.clear()
     assert _rank_group(keys, needs, None) == whole[1]

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import lowest_lead_kernel_mod
+from conftest import lowest_lead_kernel_mod, nullity_rank
 from hypothesis import given, settings, strategies as st
 
 import vsl.linalg
@@ -21,7 +21,6 @@ from vsl.koszul import (
 from vsl.linalg import (
     DEFAULT_DENSE_LIMIT,
     PINNED_PRIMES,
-    ROUNDS_MAX_NNZ,
     ROUNDS_MIN_NNZ,
     FieldSpec,
     block_ranks,
@@ -34,7 +33,6 @@ from vsl.linalg import (
     rref_mod,
     solve_mod,
     sparse_rank,
-    sparse_rank_entries,
     sparse_ranks,
 )
 
@@ -138,7 +136,7 @@ def test_rank_routes_agree_on_random_sign_matrices():
             a[r, c] += v
         expected = rank_modp_fraction_check(a)
         assert dense_rank_mod(a, P) == expected
-        assert sparse_rank_entries(entries, P) == expected
+        assert sparse_rank(_block(entries, nrows, ncols), FIELD) == expected
         assert rational_rank(_block(entries, nrows, ncols)) == expected
 
 
@@ -177,7 +175,9 @@ def test_sparse_rank_matches_dense_under_cancellation(prime, case):
     a = np.zeros((nrows, ncols), dtype=np.int64)
     for r, c, v in entries:
         a[r, c] += v
-    assert sparse_rank_entries(entries, prime) == dense_rank_mod(a, prime)
+    assert sparse_rank(_block(entries, nrows, ncols), FieldSpec.prime(prime)) == dense_rank_mod(
+        a, prime
+    )
 
 
 @pytest.mark.parametrize("prime", PINNED_PRIMES[:2])
@@ -207,16 +207,23 @@ def test_rounds_kernel_matches_dense_rank(prime, case, transpose, cap):
 
 
 @pytest.mark.parametrize("prime", PINNED_PRIMES[:2])
-def test_rounds_kernel_matches_markowitz_on_koszul_blocks(prime):
+def test_rounds_kernel_matches_kernel_mod_on_koszul_blocks(prime):
     # every orbit-representative block of the (2,3) strands 0..3 and of the
-    # (2,4) and (3,2) linear strands, whatever its size
+    # (2,4) and (3,2) linear strands, whatever its size, but those an
+    # engine ranks for the (2,4) linear strand: the next test checks them
+    from vsl.bounds import VeroneseParams
+
+    engine_keys = set(_engine_keys(VeroneseParams(2, 4), (1, 1)))
     count = 0
     for n, d, strands in ((2, 3, range(4)), (2, 4, (1,)), (3, 2, (1,))):
         for q in strands:
             for p in range(1, h0(n, d) + 1):
                 for mdeg, _ in orbit_reduce(space_blocks(n, d, p, q * d)):
-                    block = differential_block(BlockKey(n, d, 0, p, q, mdeg))
-                    want = sparse_rank_entries(block.entries, prime)
+                    key = BlockKey(n, d, 0, p, q, mdeg)
+                    if key in engine_keys:
+                        continue
+                    block = differential_block(key)
+                    want = nullity_rank(block, prime)
                     got = sparse_ranks([block], FieldSpec.prime(prime))[0]
                     assert got == want, block.key
                     count += 1
@@ -241,14 +248,14 @@ def _engine_blocks(params, q_range):
 
 
 @pytest.mark.parametrize("prime", PINNED_PRIMES[:2])
-def test_sparse_ranks_match_markowitz_on_engine_blocks(prime):
+def test_sparse_ranks_match_kernel_mod_on_engine_blocks(prime):
     # every block an engine ranks for the full (2,3) table and the (2,4)
     # linear strand, each window stacked into one batch
     from vsl.bounds import VeroneseParams
 
     for params, q_range in ((VeroneseParams(2, 3), (None, None)), (VeroneseParams(2, 4), (1, 1))):
         blocks = _engine_blocks(params, q_range)
-        want = [sparse_rank_entries(block.entries, prime) for block in blocks]
+        want = [nullity_rank(block, prime) for block in blocks]
         assert len(blocks) > 150 and any(want)
         assert sparse_ranks(blocks, FieldSpec.prime(prime)) == want
 
@@ -284,7 +291,7 @@ def test_sparse_ranks_path_block_in_a_batch():
     noise = [(rng.randrange(40), rng.randrange(30), rng.choice((1, -1))) for _ in range(300)]
     wide = _block([(c, r, v) for r, c, v in noise], 30, 40)
     blocks = [_block(noise, 40, 30), path, _block([(0, 0, 1)], 1, 1), wide]
-    want = [sparse_rank_entries(block.entries, P) for block in blocks]
+    want = [nullity_rank(block, P) for block in blocks]
     assert want[1] == 350 and path.vals.size == 700
     assert sparse_ranks(blocks, FIELD) == want
 
@@ -359,21 +366,21 @@ def test_block_ranks_keeps_large_and_certified_blocks_alone(monkeypatch):
 
 
 def test_sparse_rank_routes_by_entry_count(monkeypatch):
-    # blocks with ROUNDS_MIN_NNZ and ROUNDS_MAX_NNZ - 1 entries take the
-    # rounds kernel (a one-block `sparse_ranks`), one entry fewer or more
-    # the Markowitz loop, and all
-    # give the rank
+    # a block of ROUNDS_MIN_NNZ entries or more takes the rounds kernel (a
+    # one-block `sparse_ranks`) however large, one entry fewer `echelon_mod`,
+    # and all give the rank
     calls = []
-    for name in ("sparse_ranks", "sparse_rank_entries"):
+    for name in ("sparse_ranks", "echelon_mod"):
         real = getattr(vsl.linalg, name)
         monkeypatch.setattr(
             vsl.linalg, name, lambda *a, real=real, name=name: calls.append(name) or real(*a)
         )
     cases = (
+        (ROUNDS_MIN_NNZ - 1, "echelon_mod"),
         (ROUNDS_MIN_NNZ, "sparse_ranks"),
-        (ROUNDS_MIN_NNZ - 1, "sparse_rank_entries"),
-        (ROUNDS_MAX_NNZ - 1, "sparse_ranks"),
-        (ROUNDS_MAX_NNZ, "sparse_rank_entries"),
+        (199_999, "sparse_ranks"),
+        (200_000, "sparse_ranks"),
+        (250_000, "sparse_ranks"),
     )
     for nnz, kernel in cases:
         # column c meets rows 2c and 2c + 1 (the last perhaps only 2c), so
@@ -383,6 +390,39 @@ def test_sparse_rank_routes_by_entry_count(monkeypatch):
         calls.clear()
         assert sparse_rank(_block(entries, 2 * ncols, ncols), FIELD) == ncols
         assert calls == [kernel]
+
+
+def test_round_pivots_take_the_cheapest_within_the_products_cap(monkeypatch):
+    # every round of the largest (2,4) linear-strand block at a small cap:
+    # the round's pivots come cheapest first, in distinct rows and columns,
+    # and are the first of the uncapped round's pivots; their products sum
+    # to at most ROUND_PRODUCTS_CAP unless the round takes one pivot alone.
+    # Some rounds are cut short by the cap, some take one pivot above it
+    from vsl.bounds import VeroneseParams
+
+    cap = 2_000
+    block = max(_engine_blocks(VeroneseParams(2, 4), (1, 1)), key=lambda b: b.vals.size)
+    real = vsl.linalg._round_pivots
+    rounds = []
+
+    def pivots(rows, cols, nrows, ncols):
+        monkeypatch.setattr(vsl.linalg, "ROUND_PRODUCTS_CAP", 1 << 62)
+        full = real(rows, cols, nrows, ncols)
+        monkeypatch.setattr(vsl.linalg, "ROUND_PRODUCTS_CAP", cap)
+        piv = real(rows, cols, nrows, ncols)
+        cost = (np.bincount(rows)[rows] - 1) * (np.bincount(cols)[cols] - 1)
+        assert np.unique(rows[piv]).size == np.unique(cols[piv]).size == piv.size
+        assert np.all(np.diff(cost[piv]) >= 0)
+        assert np.array_equal(piv, full[: piv.size])
+        products = int(cost[piv].sum())
+        assert piv.size == 1 or products <= cap
+        rounds.append((piv.size, full.size, products))
+        return piv
+
+    monkeypatch.setattr(vsl.linalg, "_round_pivots", pivots)
+    assert sparse_ranks([block], FIELD) == [nullity_rank(block, P)]
+    assert any(1 < size < whole for size, whole, _ in rounds)
+    assert any(size == 1 and products > cap for size, _, products in rounds)
 
 
 def test_full_matrix_rank_for_line_quadric():
