@@ -224,31 +224,33 @@ class Engine:
         dims = []
         for plan in submitted:
             ranks: dict[BlockKey | None, int] = {}
-            for key in plan.sizes():
-                both = []
-                for prime in self.primes:
-                    rank = self.cache.get(self._cache_key(key, prime))
-                    if rank is None:
-                        fresh, exact = jobs[key].result()[key]
-                        rank = fresh[prime]
-                        if exact is not None and exact != rank:
+            # a plan's new records reach the cache file with one open
+            with self.cache.appending():
+                for key in plan.sizes():
+                    both = []
+                    for prime in self.primes:
+                        rank = self.cache.get(self._cache_key(key, prime))
+                        if rank is None:
+                            fresh, exact = jobs[key].result()[key]
+                            rank = fresh[prime]
+                            if exact is not None and exact != rank:
+                                raise PrimeDisagreement(
+                                    f"rational rank {exact} != GF({prime}) rank {rank} at {key}"
+                                )
+                            self.cache.put(self._cache_key(key, prime), rank)
+                            self.stats["blocks_ranked"] += 1
+                            self.stats["rational_certified"] += exact is not None
+                        else:
+                            self.stats["cache_hits"] += 1
+                        both.append(rank)
+                    if len(both) == 2:
+                        self.stats["dual_prime_checks"] += 1
+                        if both[0] != both[1]:
                             raise PrimeDisagreement(
-                                f"rational rank {exact} != GF({prime}) rank {rank} at {key}"
+                                f"GF({self.primes[0]}) rank {both[0]} != "
+                                f"GF({self.primes[1]}) rank {both[1]} at {key}"
                             )
-                        self.cache.put(self._cache_key(key, prime), rank)
-                        self.stats["blocks_ranked"] += 1
-                        self.stats["rational_certified"] += exact is not None
-                    else:
-                        self.stats["cache_hits"] += 1
-                    both.append(rank)
-                if len(both) == 2:
-                    self.stats["dual_prime_checks"] += 1
-                    if both[0] != both[1]:
-                        raise PrimeDisagreement(
-                            f"GF({self.primes[0]}) rank {both[0]} != "
-                            f"GF({self.primes[1]}) rank {both[1]} at {key}"
-                        )
-                ranks[key] = both[0]
+                    ranks[key] = both[0]
             total = 0
             for count, mid, out, into in plan.orbits:
                 # a vanishing differential (key None) has rank 0

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from .linalg import PINNED_PRIMES
@@ -56,6 +57,8 @@ class BlockCache:
     path: str | None = None
     ranks: dict[CacheKey, int] = field(default_factory=dict)
     unreadable: int = 0
+    # the lines `put` holds inside `appending`, else None
+    _held: list[str] | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def open(cls, directory: str | None) -> "BlockCache":
@@ -96,8 +99,26 @@ class BlockCache:
                 "n": n, "d": d, "b": b, "p": p, "q": q,
                 "mdeg": list(mdeg), "prime": prime, "rank": rank,
             }
-            with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(json.dumps(rec, separators=(",", ":")) + "\n")
+            line = json.dumps(rec, separators=(",", ":")) + "\n"
+            if self._held is not None:
+                self._held.append(line)
+            else:
+                with open(self.path, "a", encoding="utf-8") as fh:
+                    fh.write(line)
+
+    @contextmanager
+    def appending(self):
+        """Within the `with`, `put` holds its new records' lines; they are
+        appended in order with one open when it ends, by an exception too,
+        so the file gets the same bytes as from one open per record."""
+        self._held = []
+        try:
+            yield self
+        finally:
+            lines, self._held = self._held, None
+            if lines:
+                with open(self.path, "a", encoding="utf-8") as fh:
+                    fh.writelines(lines)
 
     def stats(self) -> dict:
         by_table: dict[str, int] = {}

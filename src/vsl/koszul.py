@@ -126,8 +126,13 @@ def space_blocks(n: int, d: int, p: int, m: int):
     """Multidegree decomposition of (wedge^p V) (x) H0(m).
 
     Returns dict: multidegree tuple -> (subset index array, monomial index
-    array), the basis elements of that weight.  Block sizes sum to the full
-    dimension.
+    array), the basis elements of that weight in flat (subset-major) order,
+    multidegrees in increasing order of their base-(p*d + m + 1) codes.
+    Block sizes sum to the full dimension.  An element's weight is its
+    subset's plus its monomial's, so the distinct weights of each side give
+    a small table of block slots; every element takes its slot, in the
+    smallest unsigned dtype that holds them, and one stable counting sort
+    by slot orders the elements.
     """
     mons = monomial_basis(n, m)
     if p < 0 or p > h0(n, d) or not mons:
@@ -136,20 +141,20 @@ def space_blocks(n: int, d: int, p: int, m: int):
     mon_w = np.array(mons, dtype=np.int64).reshape(len(mons), n + 1)
     total = p * d + m
     powers = (total + 1) ** np.arange(n + 1, dtype=np.int64)
-    enc_sub = weights @ powers
-    enc_mon = mon_w @ powers
-    enc = (enc_sub[:, None] + enc_mon[None, :]).ravel()
-    order = np.argsort(enc, kind="stable")
-    enc_sorted = enc[order]
-    starts = np.flatnonzero(np.diff(enc_sorted, prepend=-1))
+    enc_sub, sub_at, sub_count = np.unique(weights @ powers, return_inverse=True, return_counts=True)
+    enc_mon, mon_at, mon_count = np.unique(mon_w @ powers, return_inverse=True, return_counts=True)
+    codes, slot = np.unique(np.add.outer(enc_sub, enc_mon), return_inverse=True)
+    slot = slot.reshape(enc_sub.size, enc_mon.size).astype(np.min_scalar_type(codes.size - 1))
+    order = np.argsort(slot[sub_at[:, None], mon_at].ravel(), kind="stable")
+    # a (subset weight, monomial weight) pair holds the product of their counts
+    sizes = np.bincount(slot.ravel(), np.outer(sub_count, mon_count).ravel(), codes.size)
+    ends = np.cumsum(sizes.astype(np.int64)).tolist()
     # the base-(total+1) digits of each block's code are its multidegree
-    mdegs = enc_sorted[starts, None] // powers % (total + 1)
-    nmon = len(mons)
-    cuts = starts[1:]
-    blocks: dict[MultiDegree, tuple[np.ndarray, np.ndarray]] = dict(zip(
-        map(tuple, mdegs.tolist()),
-        zip(np.split(order // nmon, cuts), np.split(order % nmon, cuts)),
-    ))
+    mdegs = map(tuple, (codes[:, None] // powers % (total + 1)).tolist())
+    sub_idx, mon_idx = np.divmod(order, len(mons))
+    blocks: dict[MultiDegree, tuple[np.ndarray, np.ndarray]] = {
+        mdeg: (sub_idx[a:b], mon_idx[a:b]) for mdeg, a, b in zip(mdegs, [0] + ends, ends)
+    }
     if sum(len(v[0]) for v in blocks.values()) != space_dim(n, d, p, m):
         raise InvariantViolation(f"blocks of degree {m}, p={p} do not partition the space")
     return blocks
@@ -180,8 +185,10 @@ def differential_block(key: BlockKey) -> KoszulBlockMatrix:
     Columns are the block's basis elements of (wedge^p V) (x) H0(b+qd); each
     has exactly p entries, one per deleted wedge factor, with value the
     deletion sign.  Rows cover the same multidegree slice of the target
-    (wedge^(p-1) V) (x) H0(b+(q+1)d).  Empty slices give zero-size matrices;
-    a deletion that lands outside the target slice raises InvariantViolation.
+    (wedge^(p-1) V) (x) H0(b+(q+1)d), in the slice's flat order, so each
+    column's target codes are looked up in the slice by binary search with
+    no sort.  Empty slices give zero-size matrices; a deletion that lands
+    outside the target slice raises InvariantViolation.
     """
     n, d, b, p, q, mdeg = key
     if p < 1:
@@ -201,11 +208,11 @@ def differential_block(key: BlockKey) -> KoszulBlockMatrix:
     # a target element (sub, mon) is coded sub * h0(m_src + d) + mon
     width = h0(n, m_src + d)
     codes = combination_rank(rest, h0(n, d)) * width + mult_table(n, m_src, d)[ui[:, None], subs]
+    # the slice is in flat order, so its codes increase; a code above every
+    # target code would index past the end: clamp it, and let the equality
+    # test refuse every code that found no target
     tgt_codes = tgt[0] * width + tgt[1]
-    order = np.argsort(tgt_codes)
-    # a code above every target code would index past the end: clamp it, and
-    # let the equality test refuse every code that found no target
-    rows = order[np.minimum(np.searchsorted(tgt_codes, codes, sorter=order), len(order) - 1)]
+    rows = np.minimum(np.searchsorted(tgt_codes, codes), len(tgt_codes) - 1)
     if not np.array_equal(tgt_codes[rows], codes):
         raise InvariantViolation("deletion image left the multidegree slice")
     # sign of deleting position j from a p-tuple: +1 at the last position

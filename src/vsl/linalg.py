@@ -8,22 +8,26 @@ cross-checked at a second prime.
 
 Two GF(p) kernels rank blocks.  The rounds kernel, `_round_elimination`,
 picks many compatible pivots at once and eliminates them together with
-numpy; it returns each pivot's column.  `sparse_ranks` ranks many blocks in
-one run of it over their block-diagonal stack, so small blocks share its
-per-round numpy cost, and counts each block's pivots in its column range.
-`sparse_rank` ranks one block and picks a kernel from its stored entry
-count alone: a block of `ROUNDS_MIN_NNZ` entries or more, however large,
-is the rounds kernel's one-block case, `sparse_ranks([block], field)`; a
-smaller one is ranked by the sparse echelon `echelon_mod`, the elimination
-the syzygy layer uses.  One round forms at most `ROUND_PRODUCTS_CAP`
-Schur-complement products, so the join's temporaries stay bounded however
-large the matrix (the fill of the active matrix is not).  Both kernels
-compute the exact rank over GF(p), so ranks, reports and cache bytes do not
-depend on which one ran.
+numpy; it returns each pivot's column.  Each round renumbers the live rows
+and columns, so it costs what is left of the matrix, and merges the fill
+into the untouched entries, kept sorted, by a stable sort.  `sparse_ranks`
+ranks many blocks in one run of it over their block-diagonal stack, so
+blocks share its rounds, and counts each block's pivots in its column
+range.  `sparse_rank` ranks one block and picks a kernel from its stored
+entry count alone: a block of `ROUNDS_MIN_NNZ` entries or more, however
+large, is the rounds kernel's one-block case, `sparse_ranks([block],
+field)`; a smaller one is ranked by the sparse echelon `echelon_mod`, the
+elimination the syzygy layer uses.  One round forms at most
+`ROUND_PRODUCTS_CAP` Schur-complement products, so the join's temporaries
+stay bounded however large the matrix (the fill of the active matrix is
+not).  Both kernels compute the exact rank over GF(p), so ranks, reports
+and cache bytes do not depend on which one ran.
 
 `block_ranks` is the one block-rank path, the only place that chooses
 between ranking a block on its own and ranking it in a batch: the engine's
-rank jobs and the harness's blockwise check both go through it.
+rank jobs and the harness's blockwise check both go through it.  It ranks
+a block certified over the rationals on its own and batches every other
+block, whatever its size.
 """
 
 from __future__ import annotations
@@ -53,17 +57,23 @@ PINNED_PRIMES: tuple[int, ...] = (
 
 DEFAULT_DENSE_LIMIT = 2000
 
-# Blocks of ROUNDS_MIN_NNZ stored entries or more are ranked in rounds on
-# their own (see `sparse_rank`).  The bound comes from per-nnz-bucket
-# timings of one-pivot elimination against rounds: rounds win from 750
-# entries on every strand timed; below that they lose on small blocks and
-# only tie on the tall blocks of the (2,5) p=16..21 strand.
+# `sparse_rank` ranks a block of ROUNDS_MIN_NNZ stored entries or more in
+# rounds, and a smaller one by `echelon_mod`.  The bound comes from
+# per-nnz-bucket timings of one-pivot elimination against rounds: rounds
+# win from 750 entries on every strand timed; below that they lose on small
+# blocks and only tie on the tall blocks of the (2,5) p=16..21 strand.
 ROUNDS_MIN_NNZ = 750
 
-# `block_ranks` ranks uncertified blocks under ROUNDS_MIN_NNZ entries
-# together by `sparse_ranks`, in batches of up to BATCH_MAX_NNZ entries
-# that share the per-round cost.
-BATCH_MAX_NNZ = 200_000
+# `block_ranks` ranks uncertified blocks, whatever their size, together by
+# `sparse_ranks`, in batches that close once their entries reach
+# BATCH_MAX_NNZ.  Stacked blocks share rounds: the 100 blocks of 750
+# entries or more of the (2,4) linear strand take 615 rounds one by one and
+# 16 in one stack.  The bound keeps a pool worker small: on the pooled
+# (2,4) linear strand the workers peaked at 34.9-35.2 MB at 20,000,
+# 36.6-36.7 MB at 50,000 and 41.0-41.1 MB at 200,000 (35.8-36.1 MB when
+# blocks of 750 entries or more were ranked alone), against the 36.7-36.8
+# MB the planning process reaches (ru_maxrss, 2-vCPU Xeon VM).
+BATCH_MAX_NNZ = 20_000
 
 # The most Schur-complement products, the sum of |L_k|*|U_k| over its
 # pivots, that one round of `_round_elimination` forms: it bounds the
@@ -148,12 +158,13 @@ def block_ranks(blocks, fields, rational_cap: int | None) -> dict:
     `blocks` is an iterable of blocks carrying .key (see `sparse_rank`),
     `fields` one tuple of FieldSpecs per block.  A block is certified when
     both of its sides are within rational_cap (None certifies nothing).  A
-    certified block, and any other of ROUNDS_MIN_NNZ entries or more, is
-    ranked on its own as soon as it is pulled: by `sparse_rank` per field,
-    and a certified one by `rational_rank` too.  Every other block waits in
-    a batch, ranked by one `sparse_ranks` call per field over the blocks
-    that need it once its entries reach BATCH_MAX_NNZ, and at the end.
-    Returns {key: ({prime: rank}, rational rank or None)} in block order.
+    certified block is ranked on its own as soon as it is pulled, by
+    `sparse_rank` per field and by `rational_rank`.  Every other block,
+    whatever its size, waits in a batch, ranked by one `sparse_ranks` call
+    per field over the blocks that need it once its entries reach
+    BATCH_MAX_NNZ, and at the end; a block that alone reaches the bound
+    closes its batch.  Returns {key: ({prime: rank}, rational rank or
+    None)} in block order.
     """
     ranked: dict = {}
     batch: list = []
@@ -167,11 +178,10 @@ def block_ranks(blocks, fields, rational_cap: int | None) -> dict:
         batch.clear()
 
     for block, need in zip(blocks, fields):
-        certified = rational_cap is not None and max(block.nrows, block.ncols) <= rational_cap
-        if certified or block.vals.size >= ROUNDS_MIN_NNZ:
+        if rational_cap is not None and max(block.nrows, block.ncols) <= rational_cap:
             ranked[block.key] = (
                 {field.p: sparse_rank(block, field) for field in need},
-                rational_rank(block, dense_limit=rational_cap) if certified else None,
+                rational_rank(block, dense_limit=rational_cap),
             )
             continue
         ranked[block.key] = ({}, None)
@@ -196,8 +206,10 @@ def sparse_ranks(blocks, field: FieldSpec) -> list[int]:
     columns of the blocks before it, the stack is eliminated once by
     `_round_elimination`, and each block's rank is the number of pivots in
     its column range.  A block-diagonal matrix stays block-diagonal under
-    elimination, so the blocks share rounds without meeting.  A block given
-    a rank above min(nrows, ncols) raises InvariantViolation.
+    elimination, so the blocks share rounds without meeting, and a block
+    whose elimination ends drops out of the live rows and columns of every
+    later round.  A block given a rank above min(nrows, ncols) raises
+    InvariantViolation.
     """
     if not blocks:
         return []
@@ -209,7 +221,6 @@ def sparse_ranks(blocks, field: FieldSpec) -> list[int]:
         np.concatenate([block.rows for block in blocks]) + np.repeat(row_at, sizes),
         np.concatenate([block.cols for block in blocks]) + np.repeat(col_at, sizes),
         np.concatenate([block.vals for block in blocks]),
-        int(nrows.sum()),
         int(ncols.sum()),
         field.p,
     )
@@ -226,10 +237,11 @@ def sparse_ranks(blocks, field: FieldSpec) -> list[int]:
     return ranks.tolist()
 
 
-def _round_elimination(rows, cols, vals, nrows: int, ncols: int, p: int) -> np.ndarray:
+def _round_elimination(rows, cols, vals, ncols: int, p: int) -> np.ndarray:
     """The columns of the pivots of an elimination over GF(p), by rounds of
-    compatible pivots, of the nrows x ncols matrix with entries (rows[i],
-    cols[i], vals[i]) (repeats accumulate): the one rounds kernel.
+    compatible pivots, of the matrix with ncols columns and entries
+    (rows[i], cols[i], vals[i]) (repeats accumulate): the one rounds
+    kernel.
 
     Each round scores every entry by its Markowitz cost (row count - 1) *
     (column count - 1), ties to the earlier position in row-major order,
@@ -244,68 +256,139 @@ def _round_elimination(rows, cols, vals, nrows: int, ncols: int, p: int) -> np.n
     entries u_kj scaled by -1/a_kk, joined on k, summed mod p per position
     with zeros dropped.  rank = pivots + rank(Schur complement).  Values
     stay below p < 2^31, so every product stays below 2^62.
+
+    Between rounds the active matrix is its sorted row-major keys and their
+    values.  Each round numbers its live rows and columns afresh, in order,
+    so every per-round array is as large as what is left of the matrix and
+    entries keep their row-major positions, hence the same pivots.  It
+    keys its untouched entries in that numbering, still sorted, writes the
+    fill behind them, and a stable sort merges the fill into their sorted
+    run instead of sorting it again.
     """
-    rows, cols, vals = _combine_mod(
-        np.asarray(rows, dtype=np.int64) * ncols + np.asarray(cols, dtype=np.int64),
-        np.asarray(vals, dtype=np.int64) % p,
-        ncols,
-        p,
-    )
+    key = np.asarray(rows, dtype=np.int64) * ncols + np.asarray(cols, dtype=np.int64)
+    vals = np.asarray(vals, dtype=np.int64) % p
+    # live[c] is the original column of live column c
+    live, width = np.arange(ncols), ncols
     pivot_cols = [np.empty(0, dtype=np.int64)]
-    while vals.size:
-        piv = _round_pivots(rows, cols, nrows, ncols)
+    while True:
+        # sort, sum repeats mod p and drop zeros; the stable sort merges the
+        # fill into the untouched entries' sorted run.  Each array is
+        # rebound as soon as it is replaced, so its old copy is freed
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        vals = vals[order]
+        del order
+        new = np.empty(key.size, dtype=bool)
+        new[:1] = True
+        np.not_equal(key[1:], key[:-1], out=new[1:])
+        if not new.all():
+            starts = np.flatnonzero(new)
+            key = key[starts]
+            vals = np.add.reduceat(vals, starts)
+            vals %= p
+            del starts
+        del new
+        nonzero = vals != 0
+        key = key[nonzero]
+        vals = vals[nonzero]
+        del nonzero
+        if not vals.size:
+            return np.concatenate(pivot_cols)
+        # number the live rows and columns in order: keys keep their order
+        rows, cols = np.divmod(key, width)
+        del key
+        new_row = np.empty(rows.size, dtype=bool)
+        new_row[0] = True
+        np.not_equal(rows[1:], rows[:-1], out=new_row[1:])
+        rows = np.cumsum(new_row) - 1
+        del new_row
+        seen = np.zeros(width, dtype=bool)
+        seen[cols] = True
+        live, width = live[seen], int(np.count_nonzero(seen))
+        cols = (np.cumsum(seen) - 1)[cols]
+        del seen
+        nrows = int(rows[-1]) + 1
+        piv = _round_pivots(rows, cols, nrows, width)
         k = piv.size
         piv_of_row = np.full(nrows, -1)
         piv_of_row[rows[piv]] = np.arange(k)
-        piv_of_col = np.full(ncols, -1)
+        piv_of_col = np.full(width, -1)
         piv_of_col[cols[piv]] = np.arange(k)
         kr, kc = piv_of_row[rows], piv_of_col[cols]
         in_row, in_col = kr >= 0, kc >= 0
         both = in_row & in_col
         if not k or np.count_nonzero(both) != k or not np.array_equal(kr[both], kc[both]):
             raise InvariantViolation("_round_elimination: pivot submatrix is not diagonal")
-        pivot_cols.append(cols[piv])
-        inv = np.array([pow(v, -1, p) for v in vals[piv].tolist()], dtype=np.int64)
+        pivot_cols.append(live[cols[piv]])
+        inv = _inverses(vals[piv], p)
         # L: pivot-column entries off the pivot rows; U: pivot-row entries
-        # off the pivot columns, scaled by the pivot's inverse, grouped by k
+        # off the pivot columns, scaled by the pivot's inverse.  A pivot's U
+        # entries are one run of its row: `first` is where that run starts
         low = in_col & ~in_row
         lk, li, lv = kc[low], rows[low], p - vals[low]
         up = in_row & ~in_col
-        order = np.argsort(kr[up], kind="stable")
-        uk, uj, uv = kr[up][order], cols[up][order], vals[up][order]
-        uv = uv * inv[uk] % p
+        uk, uj = kr[up], cols[up]
+        uv = vals[up] * inv[uk] % p
         per_pivot = np.bincount(uk, minlength=k)
+        in_order = np.argsort(rows[piv])
+        first = np.empty(k, dtype=np.int64)
+        first[in_order] = np.cumsum(per_pivot[in_order]) - per_pivot[in_order]
         reps = per_pivot[lk]
         rest = ~(in_row | in_col)
-        rows, cols, vals = rows[rest], cols[rest], vals[rest]
-        # the peak of a round is its join: free the per-entry arrays first
-        del kr, kc, in_row, in_col, both, low, up, rest
+        del kr, kc, in_row, in_col, both, low, up
+        key = rows[rest] * width + cols[rest]
+        vals = vals[rest]
+        del rows, cols, rest
         if total := int(reps.sum()):
-            # L entry e meets each U entry of its pivot: `at` repeats e once
-            # per such entry, `ui` walks that pivot's slice of the U arrays
-            at = np.repeat(np.arange(lk.size), reps)
-            first = np.cumsum(per_pivot) - per_pivot
+            # L entry e meets each U entry of its pivot: `ui` walks that
+            # pivot's run of the U arrays once per L entry.  The fill is
+            # written behind the untouched entries, which the join's peak
+            # then holds once
             ui = np.arange(total) + np.repeat(first[lk] - (np.cumsum(reps) - reps), reps)
-            key = np.concatenate([rows * ncols + cols, li[at] * ncols + uj[ui]])
-            vals = np.concatenate([vals, lv[at] * uv[ui] % p])
-            # only the join's keys and values stay alive through its sort
-            del rows, cols, at, ui
-            rows, cols, vals = _combine_mod(key, vals, ncols, p)
-            del key
-    return np.concatenate(pivot_cols)
+            n = key.size
+            key = np.concatenate([key, np.repeat(li * width, reps)])
+            key[n:] += uj[ui]
+            vals = np.concatenate([vals, np.repeat(lv, reps)])
+            vals[n:] *= uv[ui]
+            vals[n:] %= p
+            del ui
+
+
+def _inverses(vals, p: int) -> np.ndarray:
+    """1/v mod p for each v of vals, nonzero and reduced mod p, by a product
+    tree: products of pairs, level by level, up to one product, which alone
+    is inverted by `pow`; then down again, each inverse times its sibling
+    is the inverse of the other.  About 3 products per value and one `pow`:
+    at 1,024 values 135 us, against 495 us for Fermat powers v^(p-2) and
+    1.4 ms for one `pow` per value (2-vCPU Xeon VM); at one value it is one
+    `pow`."""
+    size, levels = vals.size, []
+    while vals.size > 1:
+        if vals.size % 2:
+            vals = np.append(vals, 1)
+        levels.append(vals)
+        vals = vals[0::2] * vals[1::2] % p
+    inv = np.array([pow(v, -1, p) for v in vals.tolist()], dtype=np.int64)
+    for pairs in reversed(levels):
+        inv, half = np.empty(pairs.size, dtype=np.int64), inv[: pairs.size // 2]
+        inv[0::2] = half * pairs[1::2] % p
+        inv[1::2] = half * pairs[0::2] % p
+    return inv[:size]
 
 
 def _round_pivots(rows, cols, nrows: int, ncols: int) -> np.ndarray:
     """Positions of one round's pivots, cheapest first: see
-    `_round_elimination`.  Its per-entry scores die with the call, before
-    the round's Schur complement is formed."""
+    `_round_elimination`, whose rows are sorted and whose every row and
+    column in range(nrows) and range(ncols) holds an entry.  Its per-entry
+    scores die with the call, before the round's Schur complement is
+    formed."""
     row_count = np.bincount(rows, minlength=nrows)
     col_count = np.bincount(cols, minlength=ncols)
     cost = (row_count[rows] - 1) * (col_count[cols] - 1)
     # cost in the high bits, position in the low 32: one comparable score
     score = np.minimum(cost, 1 << 30) << 32 | np.arange(rows.size)
-    row_best = np.full(nrows, _NO_SCORE)
-    np.minimum.at(row_best, rows, score)
+    # each row is one run of the sorted rows
+    row_best = np.minimum.reduceat(score, np.cumsum(row_count) - row_count)
     col_best = np.full(ncols, _NO_SCORE)
     np.minimum.at(col_best, cols, score)
     keep = (score == row_best[rows]) & (score == col_best[cols])
@@ -321,23 +404,6 @@ def _round_pivots(rows, cols, nrows: int, ncols: int) -> np.ndarray:
     piv = piv[np.argsort(score[piv])]
     products = np.cumsum(cost[piv])
     return piv[: max(1, int(np.searchsorted(products, ROUND_PRODUCTS_CAP, side="right")))]
-
-
-def _combine_mod(key, vals, ncols: int, p: int):
-    """The entries at row-major positions key = row * ncols + col, sorted,
-    values at one position summed mod p, zeros dropped, as (rows, cols,
-    vals); values must be reduced mod p already."""
-    order = np.argsort(key)
-    key, vals = key[order], vals[order]
-    new = np.empty(key.size, dtype=bool)
-    new[:1] = True
-    np.not_equal(key[1:], key[:-1], out=new[1:])
-    if not new.all():
-        starts = np.flatnonzero(new)
-        key, vals = key[starts], np.add.reduceat(vals, starts) % p
-    nonzero = vals != 0
-    key, vals = key[nonzero], vals[nonzero]
-    return key // ncols, key % ncols, vals
 
 
 def dense_rank_mod(a: np.ndarray, p: int) -> int:

@@ -29,7 +29,7 @@ from vsl.cache import BlockCache
 from vsl.cli import main
 from vsl.harness import blockwise_rank, verify
 from vsl.koszul import BlockKey, differential_block, orbit_reduce, space_blocks
-from vsl.linalg import PINNED_PRIMES, ROUNDS_MIN_NNZ, FieldSpec, PrimeDisagreement
+from vsl.linalg import PINNED_PRIMES, FieldSpec, PrimeDisagreement
 from vsl.syzygy import cycle_basis
 
 
@@ -454,10 +454,10 @@ def test_rank_jobs_run_no_primality_test(monkeypatch):
 
 @pytest.mark.parametrize("window", [((2, 3), (None, None)), ((2, 4), (1, 1))])
 def test_batched_ranks_match_per_block_ranks(tmp_path, monkeypatch, window):
-    # a run that certifies nothing ranks every block under ROUNDS_MIN_NNZ
-    # entries in batches, none by a per-block `sparse_rank` call; at 1 and
-    # 2 threads its report, stats and cache bytes equal those of ranking
-    # every block on its own
+    # a run that certifies nothing ranks every block, whatever its size, in
+    # batches, none by a per-block `sparse_rank` call; at 1 and 2 threads
+    # its report, stats and cache bytes equal those of ranking every block
+    # on its own
     (n, d), q_range = window
     params = VeroneseParams(n, d)
 
@@ -476,10 +476,7 @@ def test_batched_ranks_match_per_block_ranks(tmp_path, monkeypatch, window):
         per_block = run("per-block", 1)
     single, batched = _record_ranks(monkeypatch)
     assert run("t1", 1) == per_block
-    assert all(block.vals.size >= ROUNDS_MIN_NNZ for block in single)
-    assert all(block.vals.size < ROUNDS_MIN_NNZ for block in batched)
-    assert len(single) + len(batched) == per_block[1]["blocks_ranked"]
-    assert len(batched) > len(single)
+    assert single == [] and len(batched) == per_block[1]["blocks_ranked"]
     assert run("t2", 2) == per_block
 
 

@@ -145,3 +145,39 @@ def test_memory_only_cache():
     cache.put((1, 2, 0, 1, 1, (2, 2), P1), 1)
     assert cache.get((1, 2, 0, 1, 1, (2, 2), P1)) == 1
     assert cache.path is None
+
+
+def test_a_plan_appends_its_new_records_with_one_open(tmp_path, monkeypatch):
+    # a certified full (2,3) table opens the cache file once per entry
+    # that stores records, and writes the bytes of one open per record; an
+    # entry that raises midway still appends the records it stored first
+    import vsl.cache
+    from vsl.linalg import PrimeDisagreement
+
+    opens = []
+    monkeypatch.setattr(
+        vsl.cache, "open", lambda *a, **kw: opens.append(a[1:2]) or open(*a, **kw), raising=False
+    )
+    params, field = VeroneseParams(2, 3), FieldSpec.prime(P1)
+    cache = BlockCache.open(str(tmp_path / "plans"))
+    betti_table(params, Engine(field, cache, certify_prime=P2))
+    planner, seen, storing = Engine(field), set(), 0
+    for q in range(params.n + 2):
+        for p in range(h0(params.n, params.d) + 1):
+            keys = set(planner._route(params, p, q).sizes())
+            storing += bool(keys - seen)
+            seen |= keys
+    assert opens.count(("a",)) == storing < len(cache.ranks) / 10
+    reference = BlockCache.open(str(tmp_path / "records"))
+    for key, rank in cache.ranks.items():
+        reference.put(key, rank)
+    with open(cache.path, "rb") as fh, open(reference.path, "rb") as ref:
+        assert fh.read() == ref.read()
+
+    cache = BlockCache.open(str(tmp_path / "raised"))
+    *stored, last = Engine(field)._plan(params, 3, 1).sizes()
+    cache.put((*last[:5], last.mdeg, P2), 10**6)
+    with pytest.raises(PrimeDisagreement):
+        Engine(field, cache, certify_prime=P2).direct_dim(params, 3, 1)
+    assert len(cache.ranks) == 2 * len(stored) + 2
+    assert list(BlockCache.open(str(tmp_path / "raised")).ranks.items()) == list(cache.ranks.items())

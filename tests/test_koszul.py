@@ -120,6 +120,26 @@ def test_space_blocks_match_the_divmod_loop_on_the_pinned_tables():
                 assert a.dtype == b.dtype and np.array_equal(a, b), (space, mdeg)
 
 
+@pytest.mark.parametrize("space, blocks, dtype", [
+    ((3, 2, 8, 4), 249, np.uint8),
+    ((3, 2, 3, 4), 258, np.uint16),
+])
+def test_space_blocks_sort_by_the_smallest_slot_dtype(monkeypatch, space, blocks, dtype):
+    # on each side of 256 blocks the elements are sorted by a uint8 and a
+    # uint16 slot, and the blocks are those of the divmod loop
+    keys = []
+    real = np.argsort
+    monkeypatch.setattr(np, "argsort", lambda a, **kw: keys.append(a.dtype) or real(a, **kw))
+    got = space_blocks.__wrapped__(*space)
+    monkeypatch.undo()
+    assert keys == [dtype] and len(got) == blocks
+    want = loop_space_blocks(*space)
+    assert list(got) == list(want)
+    for mdeg, arrays in want.items():
+        for a, b in zip(got[mdeg], arrays):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
 def test_space_blocks_match_enumeration():
     for n, d, p, m in ((1, 2, 1, 2), (1, 3, 2, 3), (2, 2, 2, 2), (2, 2, 3, 4)):
         blocks = space_blocks(n, d, p, m)

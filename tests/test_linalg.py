@@ -23,6 +23,7 @@ from vsl.linalg import (
     PINNED_PRIMES,
     ROUNDS_MIN_NNZ,
     FieldSpec,
+    _inverses,
     block_ranks,
     dense_rank_mod,
     echelon_mod,
@@ -296,19 +297,21 @@ def test_sparse_ranks_path_block_in_a_batch():
     assert sparse_ranks(blocks, FIELD) == want
 
 
-def test_block_ranks_keeps_large_and_certified_blocks_alone(monkeypatch):
+def test_block_ranks_keeps_certified_blocks_alone_and_batches_the_rest(monkeypatch):
     # the blocks of the (2,4) linear strand at two primes, certified up to
-    # 300 rows and columns: a block of ROUNDS_MIN_NNZ entries or more, and
-    # a certified one, is ranked by `sparse_rank` once per field before the
-    # next block is pulled, and no `_round_elimination` call holds a large
-    # block with another; a certified block is ranked over QQ once, and
-    # every other block only in batches
+    # 300 rows and columns, with a batch bound below its largest blocks: a
+    # certified block is ranked by `sparse_rank` once per field before the
+    # next block is pulled, and over QQ once; every other block, whatever
+    # its size, only in `sparse_ranks` batches, each ranked as soon as its
+    # entries reach BATCH_MAX_NNZ and the last at the end, so a block above
+    # the bound is the last of its batch
     from vsl.bounds import VeroneseParams
 
-    cap = 300
+    cap, bound = 300, 5_000
+    monkeypatch.setattr(vsl.linalg, "BATCH_MAX_NNZ", bound)
     fields = tuple(FieldSpec.prime(prime) for prime in PINNED_PRIMES[:2])
     keys = _engine_keys(VeroneseParams(2, 4), (1, 1))
-    events, sizes, stacked, held, exact = [], {}, [], [], []
+    events, sizes, ranking, exact = [], {}, [], []
 
     def pulled():
         for key in keys:
@@ -317,23 +320,22 @@ def test_block_ranks_keeps_large_and_certified_blocks_alone(monkeypatch):
             events.append(("pull", key))
             yield block
 
-    real_rank, real_ranks = vsl.linalg.sparse_rank, vsl.linalg.sparse_ranks
-    real_kernel, real_rational = vsl.linalg._round_elimination, vsl.linalg.rational_rank
+    real_rank, real_ranks, real_rational = (
+        vsl.linalg.sparse_rank, vsl.linalg.sparse_ranks, vsl.linalg.rational_rank
+    )
 
     def rank(block, field):
         events.append(("rank", block.key, field.p))
-        return real_rank(block, field)
+        ranking.append(block)
+        try:
+            return real_rank(block, field)
+        finally:
+            ranking.pop()
 
     def ranks(blocks, field):
-        stacked.append(blocks)
-        try:
-            return real_ranks(blocks, field)
-        finally:
-            stacked.pop()
-
-    def kernel(*args):
-        held.append([block.key for block in stacked[-1]])
-        return real_kernel(*args)
+        if not ranking:
+            events.append(("batch", [block.key for block in blocks], field.p))
+        return real_ranks(blocks, field)
 
     def rational(block, **kwargs):
         exact.append(block.key)
@@ -341,23 +343,36 @@ def test_block_ranks_keeps_large_and_certified_blocks_alone(monkeypatch):
 
     monkeypatch.setattr(vsl.linalg, "sparse_rank", rank)
     monkeypatch.setattr(vsl.linalg, "sparse_ranks", ranks)
-    monkeypatch.setattr(vsl.linalg, "_round_elimination", kernel)
     monkeypatch.setattr(vsl.linalg, "rational_rank", rational)
     ranked = block_ranks(pulled(), [fields] * len(keys), cap)
 
-    large = {key for key in keys if sizes[key][0] >= ROUNDS_MIN_NNZ}
     certified = [key for key in keys if sizes[key][1] <= cap]
-    alone = large | set(certified)
-    assert large & set(certified) and large - set(certified)
-    assert set(certified) - large and set(keys) - alone
+    others = [key for key in keys if sizes[key][1] > cap]
+    assert any(sizes[key][0] >= ROUNDS_MIN_NNZ for key in certified)
+    assert sum(sizes[key][0] > bound for key in others) > 1
     for i, event in enumerate(events):
-        if event[0] == "pull" and event[1] in alone:
+        if event[0] == "pull" and event[1] in certified:
             assert events[i + 1 : i + 1 + len(fields)] == [("rank", event[1], f.p) for f in fields]
-    assert len(events) == len(keys) + len(fields) * len(alone)
-    assert any(len(call) > 1 for call in held)
-    assert any(call == [key] for call in held for key in large)
-    assert all(len(call) == 1 for call in held if large.intersection(call))
+    assert [event[1] for event in events if event[0] == "rank"] == [
+        key for key in certified for _ in fields
+    ]
     assert exact == certified
+    # one batch per field at each flush: right after its last block is
+    # pulled, or after every block for the last one
+    flushes = [i for i, event in enumerate(events) if event[0] == "batch"]
+    batches = [events[i][1] for i in flushes[:: len(fields)]]
+    for i in flushes[:: len(fields)]:
+        assert [events[j][1:] for j in range(i, i + len(fields))] == [
+            (events[i][1], f.p) for f in fields
+        ]
+        assert i == flushes[-len(fields)] or events[i - 1] == ("pull", events[i][1][-1])
+    assert [key for batch in batches for key in batch] == others
+    entries = [[sizes[key][0] for key in batch] for batch in batches]
+    assert len(entries) > 2
+    for batch in entries[:-1]:
+        assert sum(batch[:-1]) < bound <= sum(batch)
+    assert 0 < sum(entries[-1][:-1]) < bound and flushes[-1] == len(events) - 1
+    assert any(batch[-1] > bound and len(batch) > 1 for batch in entries)
     assert list(ranked) == keys
     for key, (by_prime, rational_rank_of_key) in ranked.items():
         assert list(by_prime) == [field.p for field in fields]
@@ -423,6 +438,26 @@ def test_round_pivots_take_the_cheapest_within_the_products_cap(monkeypatch):
     assert sparse_ranks([block], FIELD) == [nullity_rank(block, P)]
     assert any(1 < size < whole for size, whole, _ in rounds)
     assert any(size == 1 and products > cap for size, _, products in rounds)
+
+
+@pytest.mark.parametrize("prime", PINNED_PRIMES[:2])
+def test_vectorized_inverses_match_pow(prime):
+    # odd and even counts climb the product tree through padded levels
+    rng = np.random.default_rng(prime % 1000)
+    for size in (0, 1, 2, 3, 5, 64, 1001):
+        vals = rng.integers(1, prime, size=size, dtype=np.int64)
+        vals[:2] = (1, prime - 1)[:size]
+        got = _inverses(vals, prime)
+        assert got.dtype == np.int64 and got.tolist() == [pow(v, -1, prime) for v in vals.tolist()]
+
+
+def test_rank_of_a_large_block_is_pinned():
+    # the 93,978-entry central block of the direct (2,5) K_{6,1}, larger
+    # than any block the pinned tables rank: dozens of rounds, each on its
+    # renumbered live rows and columns
+    block = differential_block(BlockKey(2, 5, 0, 6, 1, (12, 12, 11)))
+    assert block.vals.size == 93_978
+    assert sparse_ranks([block], FIELD) == [9_402]
 
 
 def test_full_matrix_rank_for_line_quadric():

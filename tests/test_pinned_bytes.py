@@ -30,8 +30,8 @@ TABLE = ["--n", "2", "--d", "3"]
 # name: (argv, expected exit status, whether blocks.jsonl is pinned too)
 CASES = {
     "betti_2_3_json": (["betti", *TABLE, "--format", "json"], 0, True),
-    # the only case with blocks of ROUNDS_MIN_NNZ entries or more, which
-    # `sparse_rank` ranks in rounds: (2,3) blocks are all smaller
+    # the only case with blocks of ROUNDS_MIN_NNZ entries or more, stacked
+    # in batches with the smaller ones: (2,3) blocks are all smaller
     "betti_2_4_q1_json": (
         ["betti", "--n", "2", "--d", "4", "--q-min", "1", "--q-max", "1", "--format", "json"],
         0,
