@@ -29,12 +29,12 @@ from .bounds import (
 from .cache import BlockCache, CacheKey
 from .koszul import (
     BlockKey,
-    differential_block,
+    block_sizes,
+    differential_blocks,
     orbit_reduce,
-    space_blocks,
     space_dim,
 )
-from .linalg import FieldSpec, PrimeDisagreement, block_ranks
+from .linalg import BATCH_MAX_NNZ, FieldSpec, PrimeDisagreement, block_ranks
 
 
 class ResourceRefusal(RuntimeError):
@@ -88,10 +88,25 @@ def _rank_group(
     """Assemble each key's block once, in order, and rank it over its
     fields (the engine's, checked once when it was built) by
     `linalg.block_ranks`: one share, one pool task, the engine's only rank
-    work.  Returns {key: ({prime: rank}, rational rank or None)} in key
-    order; `Engine._dims` compares these ranks and stores them.
+    work.  Blocks are assembled by `koszul.differential_blocks` from their
+    slices alone, BATCH_MAX_NNZ entries' worth at a time (a block's entries
+    are its columns times p, known from `block_sizes`), so a worker holds
+    about one batch and never a whole space.  Returns {key: ({prime: rank},
+    rational rank or None)} in key order; `Engine._dims` compares these
+    ranks and stores them.
     """
-    return block_ranks(map(differential_block, keys), fields, rational_cap)
+
+    def blocks():
+        chunk, nnz = [], 0
+        for key in keys:
+            chunk.append(key)
+            nnz += key.p * block_sizes(key.n, key.d, key.p, key.b + key.q * key.d).get(key.mdeg, 0)
+            if nnz >= BATCH_MAX_NNZ:
+                yield from differential_blocks(chunk)
+                chunk, nnz = [], 0
+        yield from differential_blocks(chunk)
+
+    return block_ranks(blocks(), fields, rational_cap)
 
 
 class _Plan(NamedTuple):
@@ -118,11 +133,14 @@ class Engine:
     certified by fraction-free rational elimination.
 
     Every entry goes plan -> rank -> sum.  `_plan` checks its blocks against
-    the ceilings from sizes alone, `_route` plans the side `_side` picks,
-    and `_dims` deals the uncached blocks of a run of plans into `threads`
-    shares before it collects, stores and sums any.  Each share is one
-    `_rank_group`, which ranks through `linalg.block_ranks`: that alone
-    decides which blocks are ranked on their own and which together.
+    the ceilings from sizes alone (`koszul.block_sizes`), `_route` plans the
+    side `_side` picks, and `_dims` deals the uncached blocks of a run of
+    plans into `threads` shares before it collects, stores and sums any.
+    Each share is one `_rank_group`, which assembles only its own blocks,
+    from their slices (`koszul.differential_blocks`), and ranks through
+    `linalg.block_ranks`: that alone decides which blocks are ranked on
+    their own and which together.  No engine process enumerates a whole
+    space.
     `kpq_dim` and `direct_dim` run one plan; `betti_table` and `verify` run
     their whole window.  Reports, cache files and stats do not depend on
     `threads` or on the order jobs run in, nor refusals on the cache.
@@ -277,17 +295,18 @@ class Engine:
         """K_{p,q} at params on its own complex, orbit-reduced blockwise, as
         a `_Plan` with the given via.
 
-        Every block is checked against the column ceiling, cached or not,
-        and a refusal raises ResourceRefusal before any block is ranked.  An
-        out-block's columns are a mid block; an in-block can exceed the
-        ceiling only when its whole space does, so the in-space is
-        enumerated only then.
+        Every block is checked against the column ceiling from
+        `block_sizes`, cached or not, and a refusal raises ResourceRefusal
+        before any block is ranked.  An out-block's columns are a mid
+        block; an in-block can exceed the ceiling only when its whole space
+        does, so the in-space's sizes are computed only then.  No space is
+        enumerated.
         """
         n, d, b = params.n, params.d, params.b
         m_mid = b + q * d
         self._check_space(params, p, m_mid)
-        mid_blocks = space_blocks(n, d, p, m_mid)
-        if not mid_blocks:
+        mid_sizes = block_sizes(n, d, p, m_mid)
+        if not mid_sizes:
             return _Plan([], via)
         m_in = b + (q - 1) * d
         want_in = m_in >= 0 and p + 1 <= h0(n, d)
@@ -295,17 +314,17 @@ class Engine:
         orbits = [
             (
                 count,
-                len(mid_blocks[rep][0]),
+                mid_sizes[rep],
                 BlockKey(n, d, b, p, q, rep) if p >= 1 else None,
                 BlockKey(n, d, b, p + 1, q - 1, rep) if want_in else None,
             )
-            for rep, count in orbit_reduce(mid_blocks.keys())
+            for rep, count in orbit_reduce(mid_sizes.keys())
         ]
         ceiling = self.limits.max_block_cols
         cols = [(out, mid) for _, mid, out, _ in orbits if out is not None]
         if in_dim > ceiling:
-            in_blocks = space_blocks(n, d, p + 1, m_in)
-            cols += [(k, len(in_blocks[k.mdeg][0])) for *_, k in orbits if k.mdeg in in_blocks]
+            in_sizes = block_sizes(n, d, p + 1, m_in)
+            cols += [(k, in_sizes[k.mdeg]) for *_, k in orbits if k.mdeg in in_sizes]
         for key, ncols in cols:
             if ncols > ceiling:
                 self.stats["refusals"] += 1

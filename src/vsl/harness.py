@@ -28,7 +28,7 @@ from .betti import (
     CONSISTENT, SKIPPED, VIOLATION, Engine, _table, duality_check, euler_check
 )
 from .cache import BlockCache
-from .koszul import BlockKey, differential_block, space_blocks
+from .koszul import BlockKey, block_sizes, differential_block, differential_blocks, space_blocks
 from .linalg import FieldSpec, PINNED_PRIMES, block_ranks, dense_rank_mod
 from .polyspace import monomial_basis, monomial_index, multiply
 from .syzygy import (
@@ -254,14 +254,15 @@ def dense_differential(params: VeroneseParams, p: int, q: int) -> np.ndarray:
 
 def blockwise_rank(params: VeroneseParams, p: int, q: int, prime: int) -> int:
     """Orbit-free blockwise rank total (every block, no orbit shortcut),
-    ranked through `block_ranks`, the engine's own block-rank path."""
+    assembled by `differential_blocks` and ranked through `block_ranks`,
+    the engine's own assembly and block-rank path."""
     n, d, b = params.n, params.d, params.b
     m_src = b + q * d
     if p < 1:
         return 0
-    keys = (BlockKey(n, d, b, p, q, mdeg) for mdeg in space_blocks(n, d, p, m_src))
+    keys = [BlockKey(n, d, b, p, q, mdeg) for mdeg in block_sizes(n, d, p, m_src)]
     fields = itertools.repeat((FieldSpec.prime(prime),))
-    ranked = block_ranks(map(differential_block, keys), fields, None)
+    ranked = block_ranks(differential_blocks(keys), fields, None)
     return sum(ranks[prime] for ranks, _ in ranked.values())
 
 

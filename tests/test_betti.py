@@ -28,7 +28,14 @@ from vsl.betti import (
 from vsl.cache import BlockCache
 from vsl.cli import main
 from vsl.harness import blockwise_rank, verify
-from vsl.koszul import BlockKey, differential_block, orbit_reduce, space_blocks
+from vsl.koszul import (
+    BlockKey,
+    block_sizes,
+    differential_block,
+    differential_blocks,
+    orbit_reduce,
+    space_blocks,
+)
 from vsl.linalg import PINNED_PRIMES, FieldSpec, PrimeDisagreement
 from vsl.syzygy import cycle_basis
 
@@ -133,9 +140,10 @@ def test_euler_alternating_sums(eng):
 
 
 def test_kpq_out_of_range_indices_are_zero(eng):
-    # `space_blocks` alone decides that these complexes vanish: at p = -1,
-    # at p = h0 + 1 and in negative degree (b = -3, q = 1) every path that
-    # ranks or solves in them finds an empty middle space
+    # `block_sizes` and `space_blocks` alone decide that these complexes
+    # vanish: at p = -1, at p = h0 + 1 and in negative degree (b = -3,
+    # q = 1) every path that ranks or solves in them finds an empty middle
+    # space
     pr = VeroneseParams(1, 2)
     negative = VeroneseParams(1, 2, -3)
     for params, p in ((pr, -1), (pr, h0(1, 2) + 1), (negative, 0), (negative, 1)):
@@ -143,7 +151,8 @@ def test_kpq_out_of_range_indices_are_zero(eng):
         assert eng.direct_dim(params, p, 1) == 0
         assert cycle_basis(params, p, 1, eng) == []
         assert blockwise_rank(params, p, 1, eng.field.p) == 0
-    assert differential_block(BlockKey(1, 2, -3, 1, 1, (0, 0))).ncols == 0
+    key = BlockKey(1, 2, -3, 1, 1, (0, 0))
+    assert differential_block(key).ncols == differential_blocks([key])[0].ncols == 0
 
 
 def test_resource_refusal_is_loud_and_skipped_in_tables():
@@ -365,26 +374,21 @@ def test_partly_warm_cache_across_pipelined_plans(tmp_path):
             run(f"poisoned-t{threads}", threads, poisoned.encode())
 
 
-def test_one_entry_fits_the_space_blocks_cache(monkeypatch):
-    # space_blocks keeps one entry's working set, maxsize=3: the middle
-    # space, the out-blocks' target and the in-blocks' source.  Ranking a
-    # (2,4) q=1 entry enumerates each space it touches once; at maxsize=2
-    # the middle space would be enumerated twice, and a larger cache only
-    # grows the pool workers, which live for a whole command
-    calls = []
+@pytest.mark.parametrize("threads", [1, 2])
+def test_engine_enumerates_no_whole_space(monkeypatch, threads):
+    # the engine plans from block sizes and assembles each share's blocks
+    # from their slices: planning and ranking the (2,4) linear strand,
+    # serially or in a pool (whose workers are forked with the patch in
+    # place), never calls space_blocks
+    def refused(*args):
+        raise AssertionError(f"space_blocks{args} was called")
 
-    def recording(*args):
-        calls.append(args)
-        return space_blocks(*args)
-
-    monkeypatch.setattr(vsl.koszul, "space_blocks", recording)
-    monkeypatch.setattr(vsl.betti, "space_blocks", recording)
-    space_blocks.cache_clear()
-    engine = Engine(FieldSpec.prime(PINNED_PRIMES[0]))
-    assert engine.direct_dim(VeroneseParams(2, 4), 5, 1) == 7095
+    monkeypatch.setattr(vsl.koszul, "space_blocks", refused)
+    with Engine(FieldSpec.prime(PINNED_PRIMES[0]), threads=threads) as engine:
+        assert engine.direct_dim(VeroneseParams(2, 4), 5, 1) == 7095
+        table = betti_table(VeroneseParams(2, 4), engine, q_range=(1, 1))
     assert engine.stats["blocks_ranked"] > 0
-    info = space_blocks.cache_info()
-    assert info.misses == len(set(calls)) == info.maxsize == 3
+    assert table.dims[(5, 1)] == 7095 and not table.skipped
 
 
 def _record_ranks(monkeypatch):
@@ -418,21 +422,21 @@ def test_rank_jobs_go_out_largest_first(monkeypatch):
     # out-block's columns, an in-block's rows), ties in key order, also
     # inside a batch; ranks are stored in `keys` order
     params, p, q = VeroneseParams(2, 4), 5, 1
-    mid = space_blocks(2, 4, p, q * 4)
+    mid = block_sizes(2, 4, p, q * 4)
     jobs = []
-    real_block = vsl.betti.differential_block
+    real_blocks = vsl.betti.differential_blocks
 
-    def recording_block(key):
-        jobs.append(key)
-        return real_block(key)
+    def recording_blocks(keys):
+        jobs.extend(keys)
+        return real_blocks(keys)
 
-    monkeypatch.setattr(vsl.betti, "differential_block", recording_block)
+    monkeypatch.setattr(vsl.betti, "differential_blocks", recording_blocks)
     _, batched_blocks = _record_ranks(monkeypatch)
     engine = Engine(FieldSpec.prime(PINNED_PRIMES[0]))
     assert engine.direct_dim(params, p, q) == 7095
     batched = [block.key for block in batched_blocks]
-    assert len(mid[jobs[0].mdeg][0]) == max(len(sub) for sub, _ in mid.values())
-    assert jobs == sorted(jobs, key=lambda key: (-len(mid[key.mdeg][0]), key))
+    assert mid[jobs[0].mdeg] == max(mid.values())
+    assert jobs == sorted(jobs, key=lambda key: (-mid[key.mdeg], key))
     assert batched and batched == [key for key in jobs if key in batched]
     reps = [rep for rep, _ in orbit_reduce(mid)]
     stored = [(key[3], key[4], key[5]) for key in engine.cache.ranks]
@@ -600,22 +604,22 @@ def test_threaded_engine_certifies_over_rationals(tmp_path):
     for certify_prime, certified in ((None, 953), (PINNED_PRIMES[1], 2 * 953)):
         options = dict(rational_cap=2000, certify_prime=certify_prime)
         run_dir = tmp_path / str(certify_prime)
-        calls = {"rational_rank": [], "differential_block": []}
+        calls = {"rational_rank": [], "differential_blocks": []}
 
-        def counting(module, name, key_of):
+        def counting(module, name, keys_of):
             real = getattr(module, name)
 
             def counted(*args, **kwargs):
-                calls[name].append(key_of(args[0]))
+                calls[name].extend(keys_of(args[0]))
                 return real(*args, **kwargs)
             return counted
 
         with pytest.MonkeyPatch.context() as mp:
-            for module, name, key_of in (
-                (vsl.linalg, "rational_rank", lambda block: block.key),
-                (vsl.betti, "differential_block", lambda key: key),
+            for module, name, keys_of in (
+                (vsl.linalg, "rational_rank", lambda block: [block.key]),
+                (vsl.betti, "differential_blocks", list),
             ):
-                mp.setattr(module, name, counting(module, name, key_of))
+                mp.setattr(module, name, counting(module, name, keys_of))
             serial_run = _cubic_table(run_dir / "serial", direct_table, **options)
         # one assembly and one rational elimination per distinct block,
         # however many primes rank it; each stored rank of it is certified

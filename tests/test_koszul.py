@@ -10,13 +10,15 @@ import numpy as np
 import pytest
 
 import vsl.koszul
-from vsl.betti import _side
+from vsl.betti import Engine, _side, betti_table
 from vsl.bounds import InvariantViolation, VeroneseParams, h0
 from vsl.harness import blockwise_rank, dense_differential
 from vsl.koszul import (
     BlockKey,
+    block_sizes,
     combination_rank,
     differential_block,
+    differential_blocks,
     orbit_reduce,
     orbit_rep,
     space_blocks,
@@ -278,9 +280,95 @@ def test_deletion_outside_the_target_slice_is_an_invariant_violation(monkeypatch
             return {**blocks, key.mdeg: (subs[kept], mons[kept])}
         return blocks
 
+    real_slices = vsl.koszul._slices
+
+    def dropping_slices(n, d, p, m, mdegs):
+        subs, mons, sizes = real_slices(n, d, p, m, mdegs)
+        if p == key.p - 1:
+            return subs[kept], mons[kept], sizes - 1
+        return subs, mons, sizes
+
     monkeypatch.setattr(vsl.koszul, "space_blocks", dropping)
-    with pytest.raises(InvariantViolation, match="deletion image left the multidegree slice"):
-        differential_block(key)
+    monkeypatch.setattr(vsl.koszul, "_slices", dropping_slices)
+    for assemble in (differential_block, lambda key: differential_blocks([key])[0]):
+        with pytest.raises(InvariantViolation, match="deletion image left the multidegree slice"):
+            assemble(key)
+
+
+def _table_keys(params, p_range, q_range) -> list[BlockKey]:
+    """The block keys an engine ranks for a window of params, in plan
+    order: the window is planned, not ranked."""
+    keys = []
+    engine = Engine(FIELD)
+    engine._dims = lambda plans: [keys.extend(plan.sizes()) or 0 for plan in plans]
+    betti_table(params, engine, p_range, q_range)
+    return list(dict.fromkeys(keys))
+
+
+def _same_block(got, want) -> bool:
+    """Same key and shape, and the same entry arrays, dtypes included."""
+    arrays = zip((got.rows, got.cols, got.vals), (want.rows, want.cols, want.vals))
+    return (got.key, got.nrows, got.ncols) == (want.key, want.nrows, want.ncols) and all(
+        a.dtype == b.dtype and np.array_equal(a, b) for a, b in arrays
+    )
+
+
+@pytest.mark.parametrize("params, p_range, q_range", [
+    (VeroneseParams(2, 3), (None, None), (None, None)),
+    (VeroneseParams(2, 4), (None, None), (1, 1)),
+    (VeroneseParams(2, 5), (16, 21), (1, 1)),
+    (VeroneseParams(3, 2), (None, None), (1, 1)),
+])
+def test_differential_blocks_equal_differential_block(params, p_range, q_range):
+    # one call over every key a table ranks, its (p, q) mixed, and per
+    # (p, q) a multidegree of the right degree that has no block and three
+    # of the wrong degree: one above a block's, one whose difference with a
+    # monomial weight codes like a subset weight (a coordinate carried into
+    # the next base-(p*d+1) digit), and one more.  All give the blocks
+    # `differential_block` gives, the extra keys 0 x 0
+    keys = _table_keys(params, p_range, q_range)
+    first: dict = {}
+    for key in keys:
+        first.setdefault(key[:5], key.mdeg)
+    extra = [
+        BlockKey(n, d, b, p, q, mdeg)
+        for (n, d, b, p, q), (top, *rest) in first.items()
+        for mdeg in (
+            (p * d + b + q * d,) + (0,) * n,
+            (top + 1, *rest),
+            (top + p * d + 1, rest[0] - 1, *rest[1:]),
+            (p * d + b + q * d + 1,) + (0,) * n,
+        )
+    ]
+    got = differential_blocks(keys + extra)
+    assert len(first) > 1 and len(got) == len(keys + extra)
+    for block, key in zip(got, keys + extra):
+        assert _same_block(block, differential_block(key)), key
+
+    def has_block(key):
+        return key.mdeg in block_sizes(key.n, key.d, key.p, key.b + key.q * key.d)
+
+    absent = [block for block in got[len(keys):] if not has_block(block.key)]
+    assert len(absent) > 3 * len(first)
+    assert all(block.nrows == block.ncols == block.vals.size == 0 for block in absent)
+    assert differential_blocks([]) == []
+
+
+def test_block_sizes_equal_the_space_blocks_sizes():
+    # in key order, on every pinned space and where a space is empty: p < 0,
+    # p > h0 and m < 0
+    empty = [(1, 2, -1, 2), (1, 2, h0(1, 2) + 1, 2), (1, 2, 1, -2), (2, 3, 0, -1)]
+    for space in pinned_table_spaces() + empty:
+        want = {mdeg: len(subs) for mdeg, (subs, _) in space_blocks(*space).items()}
+        assert list(block_sizes(*space).items()) == list(want.items()), space
+    for space in empty:
+        assert block_sizes(*space) == {}
+
+
+def test_block_sizes_that_miss_the_dimension_are_an_invariant_violation(monkeypatch):
+    monkeypatch.setattr(vsl.koszul, "space_dim", lambda *space: 1 + space_dim(*space))
+    with pytest.raises(InvariantViolation, match="blocks of degree 2, p=1 do not partition"):
+        block_sizes.__wrapped__(2, 2, 1, 2)
 
 
 def _compose_is_zero(first, second, prime) -> bool:

@@ -121,14 +121,14 @@ def test_duality_check_computes_both_sides_directly():
         (VeroneseParams(2, 3, -3), 2, 2, {0, -3}),
     ):
         seen = []
-        real = vsl.betti.differential_block
+        real = vsl.betti.differential_blocks
 
-        def recording(key):
-            seen.append(key.b)
-            return real(key)
+        def recording(keys):
+            seen.extend(key.b for key in keys)
+            return real(keys)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(vsl.betti, "differential_block", recording)
+            mp.setattr(vsl.betti, "differential_blocks", recording)
             out = duality_check(params, p, q, Engine(FieldSpec.prime(PINNED_PRIMES[0])))
         assert out["verdict"] == "CONSISTENT"
         assert set(seen) == twists, (params, p, q)

@@ -68,6 +68,19 @@ def test_cycle_basis_equals_the_dense_algorithm(n, d, prime):
         assert got == want, (b, q, p)
 
 
+def test_cycle_basis_fits_the_space_blocks_cache(eng):
+    # space_blocks keeps a cycle basis's working set, maxsize=3: its space,
+    # the out-blocks' target and the in-blocks' source.  Each is enumerated
+    # once; at maxsize=2 the space would be enumerated again for every
+    # block, and a larger cache only holds more whole spaces
+    from vsl.koszul import space_blocks
+
+    space_blocks.cache_clear()
+    assert len(cycle_basis(VeroneseParams(2, 3), 4, 1, eng)) == 189
+    info = space_blocks.cache_info()
+    assert info.misses == info.maxsize == 3 and info.hits > 0
+
+
 def test_cycle_basis_refuses_a_kernel_vector_that_is_not_a_cycle(eng, monkeypatch):
     # each block's kernel is checked by one bulk differential, under
     # python -O too: doubling a vector's 1 at its free column c adds e_c,
