@@ -198,9 +198,10 @@ def _slices(n: int, d: int, p: int, m: int, mdegs):
 
 
 # Whole spaces are enumerated only for callers that walk every block of
-# one: `syzygy.cycle_basis` (through `differential_block`, its space, the
-# out-blocks' target and the in-blocks' source, so three fit) and the
-# `harness` selftest.  The engine enumerates slices (`differential_blocks`).
+# one: the `harness` selftest (through `differential_block`, a space, its
+# out-blocks' target and that target's own target, so three fit) and
+# `syzygy`, for the elements of its chains' spaces.  The engine and
+# `syzygy` assemble blocks from slices (`differential_blocks`).
 @lru_cache(maxsize=3)
 def space_blocks(n: int, d: int, p: int, m: int):
     """Multidegree decomposition of (wedge^p V) (x) H0(m).

@@ -14,10 +14,13 @@ image's column is free in the kernel of [incoming block | z's elements |
 image].
 
 Chains are sparse dicts keyed by (wedge index tuple, coefficient monomial
-index).  ev_D contracts many chains at once as numpy terms, and
-cycle_basis and ev_D check the cycle law in bulk, once per block or batch
-of classes, not class by class.  The hyperplane is always x_0 = 0; its
-point count s equals the number of degree-d monomials free of x_0.
+index).  ev_D contracts many chains at once as numpy terms.  Blocks are
+assembled from slices by `koszul.differential_blocks`, many per call: a
+cycle basis a chunk of blocks at a time, a homology-level solve all the
+blocks it touches at once.  The cycle law is checked in bulk, once per
+chunk of blocks by cycle_basis and once per batch of classes by ev_D, not
+class by class.  The hyperplane is always x_0 = 0; its point count s
+equals the number of degree-d monomials free of x_0.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import numpy as np
 from .bounds import InvariantViolation, VeroneseParams, binom, h0, projection_codim
 from .betti import CONSISTENT, VIOLATION, Engine
 from .koszul import (
-    BlockKey, KoszulBlockMatrix, combination_rank, differential_block, space_blocks, wedge_subsets,
+    BlockKey, KoszulBlockMatrix, combination_rank, differential_blocks, space_blocks, wedge_subsets,
 )
 from .linalg import echelon_mod, kernel_mod
 from .polyspace import (
@@ -46,8 +49,9 @@ ChainCoeffs = dict[ChainKey, int]
 # monomial indices and values in GF(p)
 Terms = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
-# products per batch of a bulk check or contraction: bounds the memory of
-# the numpy terms at (2,4) p >= 6
+# products per batch of a bulk check or contraction, and out-block entries
+# per chunk of a cycle basis: bounds the memory of the numpy terms and of
+# the assembled blocks at (2,4) p >= 6
 _BATCH = 1 << 14
 
 
@@ -193,15 +197,11 @@ def _block_elements(space: ChainSpace, mdeg) -> list[ChainKey]:
     return [(tuple(sub), ui) for sub, ui in zip(subs.tolist(), entry[1].tolist())]
 
 
-def _block_key(space: ChainSpace, mdeg) -> BlockKey:
+def _block_keys(space: ChainSpace, mdegs) -> list[BlockKey]:
+    """The keys of the space's out-blocks at mdegs; at space.shifted(+1, -1),
+    those of its in-blocks, 0 x 0 where the incoming term vanishes."""
     par = space.params
-    return BlockKey(par.n, par.d, par.b, space.p, space.q, tuple(mdeg))
-
-
-def _incoming(space: ChainSpace, mdeg) -> KoszulBlockMatrix:
-    """Block mdeg of the differential into the space; 0 x 0 when the incoming
-    term vanishes."""
-    return differential_block(_block_key(space.shifted(+1, -1), mdeg))
+    return [BlockKey(par.n, par.d, par.b, space.p, space.q, tuple(mdeg)) for mdeg in mdegs]
 
 
 def _batches(items: list, sizes: list[int]):
@@ -211,53 +211,72 @@ def _batches(items: list, sizes: list[int]):
         yield [item for _, item in batch]
 
 
-def _check_kernel(out: list, kernel: list[dict[int, int]], ncols: int, prime: int) -> None:
-    """Raise unless the out-block times every kernel vector is 0: bulk
-    products over the block's triples, each column's p entries found by one
-    sort, a batch of vectors at a time."""
-    entries = np.array(out, dtype=np.int64)
-    entries = entries[np.argsort(entries[:, 1], kind="stable")].reshape(ncols, -1, 3)
-    rows, signs = entries[..., 0], entries[..., 2]
-    for batch in _batches(kernel, [len(vec) * rows.shape[1] for vec in kernel]):
-        cols = [c for vec in batch for c in vec]
-        vals = np.array([v for vec in batch for v in vec.values()], dtype=np.int64)
-        owner = np.repeat(np.arange(len(batch)), [len(vec) * rows.shape[1] for vec in batch])
+def _check_kernel(
+    blocks: list[KoszulBlockMatrix], kernels: list[list[dict[int, int]]], prime: int
+) -> None:
+    """Raise unless every block times each of its kernel vectors is 0: bulk
+    products over the blocks' entries, their columns numbered one block
+    after another and each column's p entries found by one sort, a batch of
+    vectors at a time.  A vector meets only its own block's rows, so rows
+    keep their block's numbering."""
+    col_at = np.cumsum([0] + [block.ncols for block in blocks])
+    order = np.argsort(
+        np.concatenate([b.cols + at for b, at in zip(blocks, col_at)]), kind="stable"
+    )
+    rows = np.concatenate([b.rows for b in blocks])[order].reshape(col_at[-1], -1)
+    signs = np.concatenate([b.vals for b in blocks])[order].reshape(rows.shape)
+    vectors = [(at, vec) for at, kernel in zip(col_at.tolist(), kernels) for vec in kernel]
+    for batch in _batches(vectors, [len(vec) * rows.shape[1] for _, vec in vectors]):
+        cols = [at + c for at, vec in batch for c in vec]
+        vals = np.array([v for _, vec in batch for v in vec.values()], dtype=np.int64)
+        owner = np.repeat(np.arange(len(batch)), [len(vec) * rows.shape[1] for _, vec in batch])
         products = (signs[cols] * vals[:, None] % prime).ravel()
         if len(_sums(owner, rows[cols].ravel(), products, prime)[1]):
             raise InvariantViolation("a kernel vector is not a cycle")
 
 
 def cycle_basis(params: VeroneseParams, p: int, q: int, engine: Engine) -> list[KoszulClass]:
-    """Representatives of a basis of K_{p,q}, one multidegree block at a time.
+    """Representatives of a basis of K_{p,q}, a chunk of multidegree blocks
+    at a time.
 
-    Within each block: the canonical kernel basis of the outgoing
-    differential (`kernel_mod`), keeping free column j's vector unless an
-    image vector restricted to the free columns ends at j, found as the
-    image's trailing pivots.  Each block's kernel vectors pass one bulk
-    differential check.  The total count must agree with `kpq_dim`, and does
-    by construction of both paths from the same block matrices.
+    The blocks are walked in descending order, in chunks of about _BATCH
+    out-block entries (p per element).  A chunk's out-blocks are assembled
+    by one `differential_blocks` call; within each block, the canonical
+    kernel basis of the outgoing differential (`kernel_mod`) keeps free
+    column j's vector unless an image vector restricted to the free
+    columns ends at j, found as the image's trailing pivots.  All kernel
+    vectors of a chunk pass one bulk differential check, and the in-blocks
+    of its blocks with a kernel are assembled by one more call.  The total
+    count must agree with `kpq_dim`, and does by construction of both
+    paths from the same block matrices.
     """
     prime = engine.field.p
     space = ChainSpace(params, p, q, prime)
     blocks = space_blocks(params.n, params.d, p, space.m)
+    mdegs = sorted(blocks, reverse=True)
     classes: list[KoszulClass] = []
-    for mdeg in sorted(blocks, reverse=True):
-        elements = _block_elements(space, mdeg)
-        out = differential_block(_block_key(space, mdeg)).entries if p >= 1 else []
-        kernel = kernel_mod(out, len(elements), prime)
-        if not kernel:
-            continue
-        if out:
-            _check_kernel(out, kernel, len(elements), prime)
-        # kernel[i] is 1 at its free column, its largest index; keyed -i, an
-        # image vector leads at its last nonzero free coordinate
-        rev = {max(vec): -i for i, vec in enumerate(kernel)}
-        image = [(rev[r], c, v) for r, c, v in _incoming(space, mdeg).entries if r in rev]
-        dropped = {-lead for lead in echelon_mod(image, prime)}
-        classes += [
-            KoszulClass._checked(space, {elements[k]: vec[k] for k in sorted(vec)})
-            for i, vec in enumerate(kernel) if i not in dropped
-        ]
+    for chunk in _batches(mdegs, [p * len(blocks[mdeg][0]) for mdeg in mdegs]):
+        if p:
+            outs = differential_blocks(_block_keys(space, chunk))
+            kernels = [kernel_mod(out.entries, out.ncols, prime) for out in outs]
+        else:
+            kernels = [kernel_mod([], len(blocks[mdeg][0]), prime) for mdeg in chunk]
+        live = [i for i, kernel in enumerate(kernels) if kernel]
+        if p and live:
+            _check_kernel([outs[i] for i in live], [kernels[i] for i in live], prime)
+        ins = differential_blocks(_block_keys(space.shifted(+1, -1), [chunk[i] for i in live]))
+        for i, a_in in zip(live, ins):
+            kernel = kernels[i]
+            # kernel[k] is 1 at its free column, its largest index; keyed -k,
+            # an image vector leads at its last nonzero free coordinate
+            rev = {max(vec): -k for k, vec in enumerate(kernel)}
+            image = [(rev[r], c, v) for r, c, v in a_in.entries if r in rev]
+            dropped = {-lead for lead in echelon_mod(image, prime)}
+            elements = _block_elements(space, chunk[i])
+            classes += [
+                KoszulClass._checked(space, {elements[k]: vec[k] for k in sorted(vec)})
+                for k, vec in enumerate(kernel) if k not in dropped
+            ]
     expected = engine.kpq_dim(params, p, q)
     if len(classes) != expected:
         raise InvariantViolation(
@@ -417,8 +436,9 @@ def induced_map_rank(images: list[KoszulClass]) -> int:
     incoming: list[tuple[int, int, int]] = []
     chains: list[tuple[int, int, int]] = []
     row = width = 0
-    for mdeg, (elements, terms) in _block_columns(space, [img.coeffs for img in images]).items():
-        a_in = _incoming(space, mdeg)
+    blocks = _block_columns(space, [img.coeffs for img in images])
+    ins = differential_blocks(_block_keys(space.shifted(+1, -1), blocks))
+    for (elements, terms), a_in in zip(blocks.values(), ins):
         incoming += [(row + r, width + c, v) for r, c, v in a_in.entries]
         chains += [(row + r, j, v) for r, j, v in terms]
         row, width = row + len(elements), width + a_in.ncols
@@ -448,9 +468,9 @@ def projection_factor_check(image: KoszulClass) -> dict:
     up = space.shifted(+1, -1)
     witness: ChainCoeffs = {}
     blocks = _block_columns(space, [image.coeffs])
-    for mdeg in sorted(blocks, reverse=True):
+    mdegs = sorted(blocks, reverse=True)
+    for mdeg, a_in in zip(mdegs, differential_blocks(_block_keys(up, mdegs))):
         elements, target = blocks[mdeg]
-        a_in = _incoming(space, mdeg)
         chosen = [i for i, (sub, _ui) in enumerate(elements) if set(sub) <= allowed]
         width, last = a_in.ncols, a_in.ncols + len(chosen)
         selectors = [(i, width + k, 1) for k, i in enumerate(chosen)]

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from conftest import dense_cycle_basis, ev_at_point, plus, random_point, scaled
 
+import vsl.koszul
 import vsl.syzygy
 from vsl.betti import Engine
 from vsl.bounds import InvariantViolation, VeroneseParams, h0, projection_codim
@@ -68,23 +69,53 @@ def test_cycle_basis_equals_the_dense_algorithm(n, d, prime):
         assert got == want, (b, q, p)
 
 
-def test_cycle_basis_fits_the_space_blocks_cache(eng):
-    # space_blocks keeps a cycle basis's working set, maxsize=3: its space,
-    # the out-blocks' target and the in-blocks' source.  Each is enumerated
-    # once; at maxsize=2 the space would be enumerated again for every
-    # block, and a larger cache only holds more whole spaces
+def test_cycle_basis_fits_the_space_blocks_cache(eng, monkeypatch):
+    # a cycle basis enumerates one whole space, its own, once, for its
+    # elements; its out- and in-blocks are assembled from slices by
+    # `differential_blocks`, so `differential_block`, which cuts them from
+    # the whole target and source spaces, is never reached
     from vsl.koszul import space_blocks
 
+    def refused(key):
+        raise AssertionError(f"differential_block({key}) was called")
+
+    for module in (vsl.koszul, vsl.syzygy):
+        monkeypatch.setattr(module, "differential_block", refused, raising=False)
     space_blocks.cache_clear()
     assert len(cycle_basis(VeroneseParams(2, 3), 4, 1, eng)) == 189
     info = space_blocks.cache_info()
-    assert info.misses == info.maxsize == 3 and info.hits > 0
+    assert info.misses == 1 and info.hits > 0
+
+
+@pytest.mark.parametrize("n, d, p", [(2, 3, 4), (2, 2, 3)])
+def test_cycle_basis_chunks_change_nothing(eng, monkeypatch, n, d, p):
+    # at the default bound the whole space is one chunk, as in every golden
+    # `maps ev` case ((2,3) p=5 has 12,600 out-block entries): one call
+    # assembles its out-blocks and one its in-blocks.  At a bound of 1
+    # entry every block is a chunk of its own, and the classes are the
+    # same, coefficient for coefficient and in the same order
+    params = VeroneseParams(n, d)
+    calls: list[int] = []
+    real = vsl.syzygy.differential_blocks
+
+    def counted(keys):
+        calls.append(len(keys))
+        return real(keys)
+
+    monkeypatch.setattr(vsl.syzygy, "differential_blocks", counted)
+    whole = [list(cls.coeffs.items()) for cls in cycle_basis(params, p, 1, eng)]
+    assert whole and len(calls) == 2
+    calls.clear()
+    monkeypatch.setattr(vsl.syzygy, "_BATCH", 1)
+    chunked = [list(cls.coeffs.items()) for cls in cycle_basis(params, p, 1, eng)]
+    assert chunked == whole
+    assert len(calls) > 2 and max(calls) == 1
 
 
 def test_cycle_basis_refuses_a_kernel_vector_that_is_not_a_cycle(eng, monkeypatch):
-    # each block's kernel is checked by one bulk differential, under
-    # python -O too: doubling a vector's 1 at its free column c adds e_c,
-    # and column c of the differential is not zero
+    # each chunk's kernels are checked by one bulk differential over its
+    # stacked out-blocks, under python -O too: doubling a vector's 1 at its
+    # free column c adds e_c, and column c of the differential is not zero
     real = vsl.syzygy.kernel_mod
 
     def off_kernel(entries, ncols, prime):
@@ -96,6 +127,39 @@ def test_cycle_basis_refuses_a_kernel_vector_that_is_not_a_cycle(eng, monkeypatc
     monkeypatch.setattr(vsl.syzygy, "kernel_mod", off_kernel)
     with pytest.raises(InvariantViolation, match="not a cycle"):
         cycle_basis(VeroneseParams(2, 3), 5, 1, eng)
+
+
+@pytest.mark.parametrize("bound", [None, 1])
+def test_cycle_basis_refuses_a_non_cycle_in_the_last_chunk(eng, monkeypatch, bound):
+    # the last kernel vector of the last block with a kernel, corrupted as
+    # above: at the default bound it sits at the end of the one stacked
+    # chunk, past every other block's columns; at a bound of 1 entry, in
+    # the last chunk of many
+    if bound:
+        monkeypatch.setattr(vsl.syzygy, "_BATCH", bound)
+    params = VeroneseParams(2, 3)
+    real = vsl.syzygy.kernel_mod
+    sizes: list[int] = []
+
+    def counted(entries, ncols, prime):
+        kernel = real(entries, ncols, prime)
+        sizes.append(len(kernel))
+        return kernel
+
+    monkeypatch.setattr(vsl.syzygy, "kernel_mod", counted)
+    cycle_basis(params, 5, 1, eng)
+    last, calls = max(i for i, size in enumerate(sizes) if size), itertools.count()
+
+    def off_kernel(entries, ncols, prime):
+        kernel = real(entries, ncols, prime)
+        if next(calls) == last:
+            kernel[-1][max(kernel[-1])] = 2
+        return kernel
+
+    monkeypatch.setattr(vsl.syzygy, "kernel_mod", off_kernel)
+    with pytest.raises(InvariantViolation, match="not a cycle"):
+        cycle_basis(params, 5, 1, eng)
+    assert next(calls) > last
 
 
 def test_koszul_class_rejects_non_cycles():
