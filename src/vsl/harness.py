@@ -28,7 +28,7 @@ from .betti import (
     CONSISTENT, SKIPPED, VIOLATION, Engine, _table, duality_check, euler_check
 )
 from .cache import BlockCache
-from .koszul import BlockKey, block_sizes, differential_block, differential_blocks, space_blocks
+from .koszul import BlockKey, block_sizes, differential_blocks
 from .linalg import FieldSpec, PINNED_PRIMES, block_ranks, dense_rank_mod
 from .polyspace import monomial_basis, monomial_index, multiply
 from .syzygy import (
@@ -328,13 +328,13 @@ def selftest(fast: bool = False) -> SelfTestResult:
     for (n, d) in ((1, 3), (2, 2)):
         for q in range(0, n + 2):
             for p in range(2, h0(n, d) + 1):
-                m_src = q * d
-                blocks = space_blocks(n, d, p, m_src)
-                for mdeg in blocks:
-                    b1 = differential_block(BlockKey(n, d, 0, p, q, mdeg))
-                    b2 = differential_block(BlockKey(n, d, 0, p - 1, q + 1, mdeg))
-                    if not _compose_blocks(b1, b2):
-                        ok = False
+                mdegs = list(block_sizes(n, d, p, q * d))
+                blocks = differential_blocks(
+                    [BlockKey(n, d, 0, p, q, mdeg) for mdeg in mdegs]
+                    + [BlockKey(n, d, 0, p - 1, q + 1, mdeg) for mdeg in mdegs]
+                )
+                if not all(map(_compose_blocks, blocks[:len(mdegs)], blocks[len(mdegs):])):
+                    ok = False
     result.record("differential squares to zero (blockwise)", ok)
 
     # block totals equal dense full-matrix ranks

@@ -58,12 +58,6 @@ class KoszulBlockMatrix:
     cols: np.ndarray
     vals: np.ndarray
 
-    @classmethod
-    def from_entries(cls, key: BlockKey, nrows: int, ncols: int, entries) -> KoszulBlockMatrix:
-        """The block of (row, col, value) triples (repeats accumulate)."""
-        rows, cols, vals = np.array(entries, dtype=np.int64).reshape(-1, 3).T
-        return cls(key, nrows, ncols, rows.copy(), cols.copy(), vals.copy())
-
     @cached_property
     def entries(self) -> list[tuple[int, int, int]]:
         return list(zip(self.rows.tolist(), self.cols.tolist(), self.vals.tolist()))
@@ -142,10 +136,10 @@ def _monomial_weights(n: int, m: int) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def block_sizes(n: int, d: int, p: int, m: int) -> dict[MultiDegree, int]:
-    """{multidegree: block size} of (wedge^p V) (x) H0(m), in `space_blocks`'
-    key order, from the subset-weight classes and the monomial weights
-    alone: a class of c subsets and a monomial add c elements to the block
-    of their summed weight.  Sizes sum to the full dimension.
+    """{multidegree: block size} of (wedge^p V) (x) H0(m), keys in increasing
+    base-(p*d + m + 1) code, from the subset-weight classes and the monomial
+    weights alone: a class of c subsets and a monomial add c elements to
+    the block of their summed weight.  Sizes sum to the full dimension.
     """
     if p < 0 or p > h0(n, d) or m < 0:
         return {}
@@ -162,21 +156,18 @@ def block_sizes(n: int, d: int, p: int, m: int) -> dict[MultiDegree, int]:
     return dict(zip(mdegs, sizes.tolist()))
 
 
-_NONE = np.zeros(0, dtype=np.int64)
-
-
 def _slices(n: int, d: int, p: int, m: int, mdegs):
-    """The multidegree slices of (wedge^p V) (x) H0(m) at mdegs, without
-    enumerating the space: (subset indices, monomial indices, slice sizes),
-    the slices one after another in mdegs order, each in flat order, so
-    each equals `space_blocks`' (an absent or wrong-degree multidegree has
-    an empty slice).  The slice of mdeg pairs each monomial of weight w
-    with the subsets of weight mdeg - w, one weight class, found by code;
-    its elements are merged in increasing subset order.
+    """The multidegree slices of (wedge^p V) (x) H0(m) at mdegs, the one
+    enumeration of a block's basis elements: (subset indices, monomial
+    indices, slice sizes), the slices one after another in mdegs order,
+    each in flat (subset-major) order (an absent or wrong-degree
+    multidegree has an empty slice).  The slice of mdeg pairs each monomial
+    of weight w with the subsets of weight mdeg - w, one weight class,
+    found by code; its elements are merged in increasing subset order.
     """
     want = np.array(mdegs, dtype=np.int64).reshape(len(mdegs), n + 1)
     if p < 0 or p > h0(n, d) or m < 0:
-        return _NONE, _NONE, np.zeros(len(want), dtype=np.int64)
+        return np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(len(want), np.int64)
     class_w, counts, members = _weight_classes(n, d, p)
     need = want[:, None] - _monomial_weights(n, m)
     # a weight of degree p*d with no negative entry has base-(p*d+1)
@@ -197,48 +188,22 @@ def _slices(n: int, d: int, p: int, m: int, mdegs):
     return subs[order], np.repeat(mons, lens)[order], np.bincount(owner, minlength=len(want))
 
 
-# Whole spaces are enumerated only for callers that walk every block of
-# one: the `harness` selftest (through `differential_block`, a space, its
-# out-blocks' target and that target's own target, so three fit) and
-# `syzygy`, for the elements of its chains' spaces.  The engine and
-# `syzygy` assemble blocks from slices (`differential_blocks`).
+# `syzygy` is the only reader of whole spaces, for the elements of its
+# chains: a cycle basis reads its own space, and `projection_factor_check`
+# the images' space and that space's incoming space, so three fit.
 @lru_cache(maxsize=3)
 def space_blocks(n: int, d: int, p: int, m: int):
     """Multidegree decomposition of (wedge^p V) (x) H0(m).
 
     Returns dict: multidegree tuple -> (subset index array, monomial index
     array), the basis elements of that weight in flat (subset-major) order,
-    multidegrees in increasing order of their base-(p*d + m + 1) codes.
-    Block sizes sum to the full dimension.  An element's weight is its
-    subset's plus its monomial's, so the distinct weights of each side give
-    a small table of block slots; every element takes its slot, in the
-    smallest unsigned dtype that holds them, and one stable counting sort
-    by slot orders the elements.
+    multidegrees in `block_sizes`' order: the `_slices` of every block of
+    the space, split by size.
     """
-    mons = monomial_basis(n, m)
-    if p < 0 or p > h0(n, d) or not mons:
-        return {}
-    _, weights = wedge_subsets(n, d, p)
-    mon_w = np.array(mons, dtype=np.int64).reshape(len(mons), n + 1)
-    total = p * d + m
-    powers = (total + 1) ** np.arange(n + 1, dtype=np.int64)
-    enc_sub, sub_at, sub_count = np.unique(weights @ powers, return_inverse=True, return_counts=True)
-    enc_mon, mon_at, mon_count = np.unique(mon_w @ powers, return_inverse=True, return_counts=True)
-    codes, slot = np.unique(np.add.outer(enc_sub, enc_mon), return_inverse=True)
-    slot = slot.reshape(enc_sub.size, enc_mon.size).astype(np.min_scalar_type(codes.size - 1))
-    order = np.argsort(slot[sub_at[:, None], mon_at].ravel(), kind="stable")
-    # a (subset weight, monomial weight) pair holds the product of their counts
-    sizes = np.bincount(slot.ravel(), np.outer(sub_count, mon_count).ravel(), codes.size)
-    ends = np.cumsum(sizes.astype(np.int64)).tolist()
-    # the base-(total+1) digits of each block's code are its multidegree
-    mdegs = map(tuple, (codes[:, None] // powers % (total + 1)).tolist())
-    sub_idx, mon_idx = np.divmod(order, len(mons))
-    blocks: dict[MultiDegree, tuple[np.ndarray, np.ndarray]] = {
-        mdeg: (sub_idx[a:b], mon_idx[a:b]) for mdeg, a, b in zip(mdegs, [0] + ends, ends)
-    }
-    if sum(len(v[0]) for v in blocks.values()) != space_dim(n, d, p, m):
-        raise InvariantViolation(f"blocks of degree {m}, p={p} do not partition the space")
-    return blocks
+    mdegs = list(block_sizes(n, d, p, m))
+    subs, mons, sizes = _slices(n, d, p, m, mdegs)
+    cuts = np.cumsum(sizes)[:-1]
+    return dict(zip(mdegs, zip(np.split(subs, cuts), np.split(mons, cuts))))
 
 
 def orbit_rep(mdeg: MultiDegree) -> MultiDegree:
@@ -307,29 +272,16 @@ def _assemble(keys: list[BlockKey], src, tgt) -> list[KoszulBlockMatrix]:
 
 
 def differential_block(key: BlockKey) -> KoszulBlockMatrix:
-    """Assemble one multidegree block of the differential at (p, q).
-
-    Columns are the block's basis elements of (wedge^p V) (x) H0(b+qd),
-    rows the same multidegree slice of the target
-    (wedge^(p-1) V) (x) H0(b+(q+1)d), both cut from the whole spaces'
-    `space_blocks`; see `_assemble`.  Empty slices give zero-size matrices.
-    """
-    n, d, b, p, q, mdeg = key
-    if p < 1:
-        raise ValueError(f"differential_block: need p >= 1, got p={p}")
-    m_src = b + q * d
-    src = space_blocks(n, d, p, m_src).get(mdeg)
-    if src is None:
-        return KoszulBlockMatrix.from_entries(key, 0, 0, [])
-    tgt = space_blocks(n, d, p - 1, m_src + d).get(mdeg, (_NONE, _NONE))
-    return _assemble([key], (*src, [len(src[0])]), (*tgt, [len(tgt[0])]))[0]
+    """The one block of the differential at key (`differential_blocks`)."""
+    return differential_blocks([key])[0]
 
 
 def differential_blocks(keys) -> list[KoszulBlockMatrix]:
-    """`differential_block` of each key, in key order, with no whole space
-    enumerated: the keys of each (n, d, b, p, q) are assembled together
-    from their source and target slices (`_slices`), one vectorized pass
-    per space.  The arrays equal `differential_block`'s.
+    """The differential block at each key, in key order: the keys of each
+    (n, d, b, p, q) are assembled together from their source and target
+    slices (`_slices`), one vectorized pass per space, with no whole space
+    enumerated; see `_assemble`.  A key with no source elements gives a
+    0 x 0 block.
     """
     keys = list(keys)
     groups: dict[tuple, list[int]] = {}

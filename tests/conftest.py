@@ -7,7 +7,7 @@ import pytest
 
 from vsl.betti import BettiTable, Engine, ResourceRefusal
 from vsl.bounds import VeroneseParams, h0
-from vsl.koszul import BlockKey, differential_block, space_blocks, wedge_subsets
+from vsl.koszul import BlockKey, KoszulBlockMatrix, differential_block, space_blocks, wedge_subsets
 from vsl.linalg import FieldSpec, PINNED_PRIMES, echelon_mod, kernel_mod, nullspace_mod, rref_mod
 from vsl.polyspace import PointOverField
 from vsl.syzygy import KoszulClass, alpha_chain, point_functional
@@ -24,6 +24,12 @@ def eng() -> Engine:
 def eng2() -> Engine:
     """Independent engine at the second pinned prime for agreement checks."""
     return Engine(FieldSpec.prime(PINNED_PRIMES[1]))
+
+
+def block_from_entries(key: BlockKey, nrows: int, ncols: int, entries) -> KoszulBlockMatrix:
+    """The block of (row, col, value) triples (repeats accumulate)."""
+    rows, cols, vals = np.array(entries, dtype=np.int64).reshape(-1, 3).T
+    return KoszulBlockMatrix(key, nrows, ncols, rows.copy(), cols.copy(), vals.copy())
 
 
 def direct_table(params: VeroneseParams, engine: Engine) -> BettiTable:

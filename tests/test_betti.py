@@ -679,8 +679,8 @@ def test_invariant_checks_survive_optimized_mode():
             print("InvariantViolation:", exc)
         kernel = linalg._round_elimination
         linalg._round_elimination = lambda *args: np.repeat(kernel(*args), 2)
-        block = KoszulBlockMatrix.from_entries(
-            BlockKey(1, 1, 0, 1, 1, (0, 0)), 2, 3, [(0, 0, 1), (1, 2, 1)]
+        block = KoszulBlockMatrix(
+            BlockKey(1, 1, 0, 1, 1, (0, 0)), 2, 3, *np.array([[0, 1], [0, 2], [1, 1]])
         )
         try:
             real([block], engine.field)

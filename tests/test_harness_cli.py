@@ -8,6 +8,7 @@ import subprocess
 import sys
 
 import pytest
+from conftest import block_from_entries
 
 import vsl.cli
 import vsl.linalg
@@ -24,7 +25,7 @@ from vsl.harness import (
     selftest,
     verify,
 )
-from vsl.koszul import BlockKey, KoszulBlockMatrix, differential_block, space_blocks
+from vsl.koszul import BlockKey, block_sizes
 from vsl.linalg import PINNED_PRIMES, FieldSpec
 from vsl.syzygy import sample_general_points
 
@@ -121,25 +122,22 @@ def test_selftest_passes():
 
 
 def test_selftest_catches_a_planted_sign_error(monkeypatch):
-    real = differential_block
-    target_key = None
-    for mdeg in space_blocks(1, 3, 2, 3):
-        block = real(BlockKey(1, 3, 0, 2, 1, mdeg))
-        if block.entries:
-            target_key = block.key
-            break
-    assert target_key is not None
+    # one entry of one (1,3) block at p=2, q=1 flips sign wherever the
+    # selftest assembles that block
+    real = harness.differential_blocks
+    keys = [BlockKey(1, 3, 0, 2, 1, mdeg) for mdeg in block_sizes(1, 3, 2, 3)]
+    target_key = next(block.key for block in real(keys) if block.entries)
 
-    def corrupted(key: BlockKey) -> KoszulBlockMatrix:
-        block = real(key)
-        if key == target_key:
-            r, c, v = block.entries[0]
-            return KoszulBlockMatrix.from_entries(
-                key, block.nrows, block.ncols, [(r, c, -v)] + list(block.entries[1:])
-            )
-        return block
+    def corrupted(keys):
+        blocks = real(keys)
+        for i, block in enumerate(blocks):
+            if block.key == target_key:
+                (r, c, v), *rest = block.entries
+                blocks[i] = block_from_entries(block.key, block.nrows, block.ncols,
+                                               [(r, c, -v)] + rest)
+        return blocks
 
-    monkeypatch.setattr(harness, "differential_block", corrupted)
+    monkeypatch.setattr(harness, "differential_blocks", corrupted)
     result = harness.selftest(fast=True)
     assert not result.ok()
     failed = {name for name, ok, _d in result.checks if not ok}

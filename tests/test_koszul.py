@@ -113,33 +113,16 @@ def pinned_table_spaces() -> list[tuple[int, int, int, int]]:
 
 
 def test_space_blocks_match_the_divmod_loop_on_the_pinned_tables():
-    for space in pinned_table_spaces():
+    # and on two (3,2) spaces on either side of 256 blocks
+    sides = [(3, 2, 8, 4), (3, 2, 3, 4)]
+    assert [len(space_blocks(*space)) for space in sides] == [249, 258]
+    for space in pinned_table_spaces() + sides:
         want = loop_space_blocks(*space)
         got = space_blocks(*space)
         assert list(got) == list(want), space
         for mdeg, arrays in want.items():
             for a, b in zip(got[mdeg], arrays):
                 assert a.dtype == b.dtype and np.array_equal(a, b), (space, mdeg)
-
-
-@pytest.mark.parametrize("space, blocks, dtype", [
-    ((3, 2, 8, 4), 249, np.uint8),
-    ((3, 2, 3, 4), 258, np.uint16),
-])
-def test_space_blocks_sort_by_the_smallest_slot_dtype(monkeypatch, space, blocks, dtype):
-    # on each side of 256 blocks the elements are sorted by a uint8 and a
-    # uint16 slot, and the blocks are those of the divmod loop
-    keys = []
-    real = np.argsort
-    monkeypatch.setattr(np, "argsort", lambda a, **kw: keys.append(a.dtype) or real(a, **kw))
-    got = space_blocks.__wrapped__(*space)
-    monkeypatch.undo()
-    assert keys == [dtype] and len(got) == blocks
-    want = loop_space_blocks(*space)
-    assert list(got) == list(want)
-    for mdeg, arrays in want.items():
-        for a, b in zip(got[mdeg], arrays):
-            assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 def test_space_blocks_match_enumeration():
@@ -195,16 +178,21 @@ def _combinations(size: int, k: int) -> tuple[list[tuple[int, ...]], dict[tuple[
     return subs, {sub: i for i, sub in enumerate(subs)}
 
 
+# a reference block reads its source and target spaces, and the keys of one
+# space come one after another
+_reference_spaces = lru_cache(maxsize=2)(loop_space_blocks)
+
+
 def _reference_block(key: BlockKey) -> tuple[int, int, list[tuple[int, int, int]]]:
     """The differential block by a plain loop: for each source column in
     order, its p deletions in position order, each row looked up by
-    (subset, monomial) in the target slice."""
+    (subset, monomial) in the target slice of the divmod loop."""
     n, d, b, p, q, mdeg = key
     m_src = b + q * d
-    src = space_blocks(n, d, p, m_src).get(mdeg)
+    src = _reference_spaces(n, d, p, m_src).get(mdeg)
     if m_src < 0 or src is None:
         return 0, 0, []
-    tgt = space_blocks(n, d, p - 1, m_src + d)[mdeg]
+    tgt = _reference_spaces(n, d, p - 1, m_src + d)[mdeg]
     row_of = {(int(ts), int(tu)): r for r, (ts, tu) in enumerate(zip(tgt[0], tgt[1]))}
     subs, _ = _combinations(h0(n, d), p)
     _, tgt_index = _combinations(h0(n, d), p - 1)
@@ -271,15 +259,6 @@ def test_deletion_outside_the_target_slice_is_an_invariant_violation(monkeypatch
     # drop the first or the last element of the target slice: the deletions
     # that land on it must be refused by name, not as a lookup error
     key = BlockKey(2, 2, 0, 2, 1, (2, 2, 2))
-    real = vsl.koszul.space_blocks
-
-    def dropping(n, d, p, m):
-        blocks = real(n, d, p, m)
-        if p == key.p - 1:
-            subs, mons = blocks[key.mdeg]
-            return {**blocks, key.mdeg: (subs[kept], mons[kept])}
-        return blocks
-
     real_slices = vsl.koszul._slices
 
     def dropping_slices(n, d, p, m, mdegs):
@@ -288,11 +267,9 @@ def test_deletion_outside_the_target_slice_is_an_invariant_violation(monkeypatch
             return subs[kept], mons[kept], sizes - 1
         return subs, mons, sizes
 
-    monkeypatch.setattr(vsl.koszul, "space_blocks", dropping)
     monkeypatch.setattr(vsl.koszul, "_slices", dropping_slices)
-    for assemble in (differential_block, lambda key: differential_blocks([key])[0]):
-        with pytest.raises(InvariantViolation, match="deletion image left the multidegree slice"):
-            assemble(key)
+    with pytest.raises(InvariantViolation, match="deletion image left the multidegree slice"):
+        differential_blocks([key])
 
 
 def _table_keys(params, p_range, q_range) -> list[BlockKey]:
@@ -320,12 +297,13 @@ def _same_block(got, want) -> bool:
     (VeroneseParams(3, 2), (None, None), (1, 1)),
 ])
 def test_differential_blocks_equal_differential_block(params, p_range, q_range):
-    # one call over every key a table ranks, its (p, q) mixed, and per
-    # (p, q) a multidegree of the right degree that has no block and three
-    # of the wrong degree: one above a block's, one whose difference with a
-    # monomial weight codes like a subset weight (a coordinate carried into
-    # the next base-(p*d+1) digit), and one more.  All give the blocks
-    # `differential_block` gives, the extra keys 0 x 0
+    # one mixed-key call equals the per-key calls: one call over every key
+    # a table ranks, its (p, q) mixed, and per (p, q) a multidegree of the
+    # right degree that has no block and three of the wrong degree: one
+    # above a block's, one whose difference with a monomial weight codes
+    # like a subset weight (a coordinate carried into the next
+    # base-(p*d+1) digit), and one more.  Each block equals its key's own
+    # call, the extra keys 0 x 0
     keys = _table_keys(params, p_range, q_range)
     first: dict = {}
     for key in keys:

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import lowest_lead_kernel_mod, nullity_rank
+from conftest import block_from_entries, lowest_lead_kernel_mod, nullity_rank
 from hypothesis import given, settings, strategies as st
 
 import vsl.linalg
@@ -43,7 +43,7 @@ FIELD = FieldSpec.prime(P)
 
 def _block(entries, nrows, ncols) -> KoszulBlockMatrix:
     key = BlockKey(1, 1, 0, 1, 1, (0, 0))
-    return KoszulBlockMatrix.from_entries(key, nrows, ncols, entries)
+    return block_from_entries(key, nrows, ncols, entries)
 
 
 def primes_from_seed(seed: int, count: int = 2) -> tuple[int, ...]:

@@ -71,9 +71,9 @@ def test_cycle_basis_equals_the_dense_algorithm(n, d, prime):
 
 def test_cycle_basis_fits_the_space_blocks_cache(eng, monkeypatch):
     # a cycle basis enumerates one whole space, its own, once, for its
-    # elements; its out- and in-blocks are assembled from slices by
-    # `differential_blocks`, so `differential_block`, which cuts them from
-    # the whole target and source spaces, is never reached
+    # elements; its out- and in-blocks are assembled a chunk of keys at a
+    # time by `differential_blocks`, never key by key through
+    # `differential_block`
     from vsl.koszul import space_blocks
 
     def refused(key):
